@@ -387,7 +387,6 @@ class NodeAgent:
         self.initiated[dest] = now
         req = QryRequestAnt(
             request_start_time=now,
-            min_bandwidth_seen=0.0,  # no link traversed yet
             source=self.node,
             destination=dest,
             visited=(self.node,),
@@ -414,13 +413,7 @@ class NodeAgent:
                 return []
             self._set_height(state, Height.null(self.node), now)
             state.route_required = True
-            info = self.neighbors.get(sender)
-            seen = req.min_bandwidth_seen
-            if info and info.est_bandwidth > 0:
-                seen = info.est_bandwidth if seen <= 0 else min(seen, info.est_bandwidth)
-            fwd = dataclasses.replace(
-                req, min_bandwidth_seen=seen, visited=req.visited + (self.node,)
-            )
+            fwd = dataclasses.replace(req, visited=req.visited + (self.node,))
             self.pending_request[req.destination] = fwd
             return [Emission(fwd)]
         if state.own_height.is_null:
@@ -491,8 +484,6 @@ class NodeAgent:
                 # height would leave stale low mirrors at its neighbors that
                 # later absorb reversal cascades and mask partitions
                 if extended is not None and self.node != rep.source:
-                    pend = self.pending_request.get(dest)
-                    back = tuple(reversed(pend.visited))[1:] if pend else ()
                     emissions.append(
                         Emission(
                             QryReplyAnt(
@@ -503,7 +494,6 @@ class NodeAgent:
                                 bandwidth=extended.bandwidth,
                                 source=rep.source,
                                 destination=dest,
-                                to_visit=back,
                                 path_nodes=path,
                                 reporter_height=state.own_height,
                             )
@@ -788,7 +778,6 @@ class NodeAgent:
             bandwidth=info.est_bandwidth,
             source=req.source,
             destination=self.node,
-            to_visit=tuple(reversed(req.visited)),
             path_nodes=(self.node,),
             reporter_height=Height.zero(self.node),
         )
@@ -831,7 +820,6 @@ class NodeAgent:
             bandwidth=m.bandwidth,
             source=req.source,
             destination=dest,
-            to_visit=tuple(reversed(req.visited)),
             path_nodes=path,
             reporter_height=state.own_height,
         )

@@ -66,9 +66,7 @@ def _cmd_replay(args) -> int:
     metrics = replay(args.trace)
     payload = metrics.to_dict()
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_report(args.report, payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 

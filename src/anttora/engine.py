@@ -17,27 +17,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .agent import AgentHooks, Emission, NetView, NoRouteError, NodeAgent
-from .packets import (
-    ClrPacket,
-    DataPacket,
-    ErrorPacket,
-    HelloAnt,
-    Packet,
-    QryReplyAnt,
-    QryRequestAnt,
-    TraceRecord,
-    UpdPacket,
-)
+from .packets import CONTROL_BITS_KEYS, PACKET_KINDS, DataPacket, HelloAnt, Packet, TraceRecord
 from .scenario import Scenario
-
-PACKET_TOKENS = {
-    HelloAnt: "hello",
-    QryRequestAnt: "qry_request",
-    QryReplyAnt: "qry_reply",
-    UpdPacket: "upd",
-    ErrorPacket: "error",
-    ClrPacket: "clr",
-}
 
 
 class EventKind(Enum):
@@ -231,9 +212,8 @@ class Simulation:
         return (min(a, b), max(a, b)) in self.links
 
     def _bits_of(self, packet: Packet) -> int:
-        if isinstance(packet, (HelloAnt, DataPacket)):
-            return packet.size_bits
-        return self.scenario.control_bits[PACKET_TOKENS[type(packet)]]
+        key = PACKET_KINDS[type(packet)].bits_key
+        return packet.size_bits if key is None else self.scenario.control_bits[key]
 
     def _trace(self, event: str, node: int, packet: Packet, time: float) -> None:
         self.trace_seq += 1
@@ -291,20 +271,11 @@ class Simulation:
         if isinstance(packet, HelloAnt):
             agent.on_hello(packet, now)
             return
-        if isinstance(packet, QryRequestAnt):
-            out = agent.on_qry_request(packet, frm, now)
-        elif isinstance(packet, QryReplyAnt):
-            out = agent.on_qry_reply(packet, frm, now)
-        elif isinstance(packet, UpdPacket):
-            out = agent.on_upd(packet, frm, now)
-        elif isinstance(packet, ErrorPacket):
-            out = agent.on_error(packet, frm, now)
-        elif isinstance(packet, ClrPacket):
-            out = agent.on_clr(packet, frm, now)
-        elif isinstance(packet, DataPacket):
+        if isinstance(packet, DataPacket):
             out = self._on_data(agent, packet)
         else:
-            raise AssertionError(f"unhandled packet {packet!r}")
+            # looked up on the agent at call time, so a patched handler is seen
+            out = getattr(agent, PACKET_KINDS[type(packet)].handler)(packet, frm, now)
         self.process_emissions(to, out, now)
 
     def _on_data(self, agent: NodeAgent, packet: DataPacket) -> list[Emission]:
@@ -450,6 +421,15 @@ class Simulation:
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> "Simulation":
+        handlers = {
+            EventKind.PACKET_DELIVERY: self._on_delivery,
+            EventKind.HELLO_TIMER: self._on_hello_timer,
+            EventKind.EVAPORATION_TIMER: self._on_evaporation_timer,
+            EventKind.DATA_INJECTION: self._on_data_injection,
+            EventKind.ROUTE_EXPIRY: self._on_route_expiry,
+            EventKind.LINK_CHANGE: self._on_link_change,
+            EventKind.MOBILITY_STEP: self._on_mobility_step,
+        }
         last = (-1.0, 0)
         while self.queue:
             if self.queue[0].time > self.end_time + 1e-12:
@@ -459,20 +439,7 @@ class Simulation:
             last = (ev.time, ev.seq)
             self.now = ev.time
             self.pop_count += 1
-            if ev.kind is EventKind.PACKET_DELIVERY:
-                self._on_delivery(*ev.payload)
-            elif ev.kind is EventKind.HELLO_TIMER:
-                self._on_hello_timer()
-            elif ev.kind is EventKind.EVAPORATION_TIMER:
-                self._on_evaporation_timer()
-            elif ev.kind is EventKind.DATA_INJECTION:
-                self._on_data_injection(*ev.payload)
-            elif ev.kind is EventKind.ROUTE_EXPIRY:
-                self._on_route_expiry(*ev.payload)
-            elif ev.kind is EventKind.LINK_CHANGE:
-                self._on_link_change(*ev.payload)
-            elif ev.kind is EventKind.MOBILITY_STEP:
-                self._on_mobility_step()
+            handlers[ev.kind](*ev.payload)
         # frames still in the air when the run ends count as dropped so the
         # sent = delivered + dropped ledger holds
         for ev in self.queue:
@@ -509,12 +476,13 @@ class Simulation:
             f"# param beta_tx={sc.beta_tx!r}",
             f"# param beta_rx={sc.beta_rx!r}",
         ]
-        for token in ("qry_request", "qry_reply", "upd", "error", "clr"):
-            lines.append(f"# param bits_{token}={sc.control_bits[token]}")
+        for key in CONTROL_BITS_KEYS:
+            lines.append(f"# param bits_{key}={sc.control_bits[key]}")
         for t, total in self.cache_samples:
             lines.append(f"# cachesize t={t:.6f} total={total}")
         for fid, t, a, b in self.failure_events:
             nodes = len(self.reaction_sets.get(fid, ()))
             lines.append(f"# locality failure={fid} t={t:.6f} a={a} b={b} nodes={nodes}")
-        lines.extend(sorted(r.encode() for r in self.records))
+        # records are appended in (time, seq) order, so no sort is needed
+        lines.extend(r.encode() for r in self.records)
         return lines

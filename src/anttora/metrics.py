@@ -9,25 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .packets import DataPacket, HelloAnt, TraceDecodeError, decode_trace_record
-
-_CONTROL_TOKENS = ("hello", "qreq", "qrep", "upd", "err", "clr")
-_BITS_PARAM_BY_TOKEN = {
-    "qreq": "bits_qry_request",
-    "qrep": "bits_qry_reply",
-    "upd": "bits_upd",
-    "err": "bits_error",
-    "clr": "bits_clr",
-}
-_TOKEN_OF_TYPE = {
-    "HelloAnt": "hello",
-    "QryRequestAnt": "qreq",
-    "QryReplyAnt": "qrep",
-    "UpdPacket": "upd",
-    "ErrorPacket": "err",
-    "ClrPacket": "clr",
-    "DataPacket": "data",
-}
+from .packets import PACKET_KINDS, DataPacket, TraceDecodeError, decode_trace_record
 
 
 @dataclass
@@ -49,7 +31,11 @@ class RunMetrics:
             "data_delivered": self.data_delivered,
             "pdr": self.pdr,
             "mean_end_to_end_delay": self.mean_end_to_end_delay,
-            "control_packets": {k: self.control_packets.get(k, 0) for k in _CONTROL_TOKENS},
+            "control_packets": {
+                kind.token: self.control_packets.get(kind.token, 0)
+                for cls, kind in PACKET_KINDS.items()
+                if cls is not DataPacket
+            },
             "energy_spent": {str(n): j for n, j in sorted(self.energy_spent.items())},
             "cache_size": [[t, total] for t, total in self.cache_size],
             "reaction_locality": {str(k): v for k, v in sorted(self.reaction_locality.items())},
@@ -83,9 +69,9 @@ def compute_metrics(lines: list[str]) -> RunMetrics:
             _parse_annotation(line, params, metrics)
             continue
         rec = decode_trace_record(line)
-        token = _TOKEN_OF_TYPE[type(rec.packet).__name__]
-        if token == "data":
-            pkt: DataPacket = rec.packet
+        pkt = rec.packet
+        kind = PACKET_KINDS[type(pkt)]
+        if isinstance(pkt, DataPacket):
             key = (pkt.source, pkt.destination, pkt.seq)
             if rec.event == "snd" and rec.node == pkt.source:
                 offered.add(key)
@@ -96,13 +82,13 @@ def compute_metrics(lines: list[str]) -> RunMetrics:
             elif rec.event == "rcv" and rec.node == pkt.destination:
                 delivered_at[key] = rec.timestamp
         elif rec.event == "snd":
-            metrics.control_packets[token] = metrics.control_packets.get(token, 0) + 1
+            metrics.control_packets[kind.token] = metrics.control_packets.get(kind.token, 0) + 1
         if rec.event in ("snd", "rcv"):
             try:
-                if isinstance(rec.packet, (HelloAnt, DataPacket)):
-                    bits = rec.packet.size_bits
+                if kind.bits_key is None:
+                    bits = pkt.size_bits
                 else:
-                    bits = int(params[_BITS_PARAM_BY_TOKEN[token]])
+                    bits = int(params[f"bits_{kind.bits_key}"])
                 beta = float(params["beta_tx"]) if rec.event == "snd" else float(params["beta_rx"])
             except KeyError as exc:
                 raise TraceDecodeError(f"trace header missing parameter {exc}") from None
@@ -123,7 +109,14 @@ def read_trace(path: str) -> list[str]:
 
 
 def validate_trace_order(lines: list[str]) -> None:
-    """Packet-event lines must be lexically ordered (timestamp, then seq)."""
-    events = [line for line in lines if line and not line.startswith("#")]
-    if events != sorted(events):
-        raise TraceDecodeError("trace packet events are not in canonical order")
+    """Packet-event lines must be lexically ordered (timestamp, then seq).
+
+    The writer emits events in engine order without sorting, so this is the
+    one place the order is checked."""
+    prev = ""
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if line < prev:
+            raise TraceDecodeError("trace packet events are not in canonical order")
+        prev = line

@@ -65,7 +65,6 @@ class QryRequestAnt:
     """Flooded discovery request, accumulating the nodes it visited."""
 
     request_start_time: float
-    min_bandwidth_seen: float  # 0.0 until the first link is traversed
     source: int
     destination: int
     visited: tuple[int, ...]
@@ -79,7 +78,7 @@ class QryRequestAnt:
 
 @dataclass(frozen=True)
 class QryReplyAnt:
-    """Reply walking the request path backwards, growing path metrics.
+    """Reply broadcast back toward the source, growing path metrics.
 
     ``path_nodes`` is the route from the reporting node to the destination,
     inclusive; each relay prepends itself, so the source can reconstruct
@@ -94,7 +93,6 @@ class QryReplyAnt:
     bandwidth: float
     source: int
     destination: int
-    to_visit: tuple[int, ...]
     path_nodes: tuple[int, ...]
     reporter_height: Height
 
@@ -160,16 +158,34 @@ class DataPacket:
 
 Packet = Union[HelloAnt, QryRequestAnt, QryReplyAnt, UpdPacket, ErrorPacket, ClrPacket, DataPacket]
 
-_TYPE_TOKENS = {
-    HelloAnt: "hello",
-    QryRequestAnt: "qreq",
-    QryReplyAnt: "qrep",
-    UpdPacket: "upd",
-    ErrorPacket: "err",
-    ClrPacket: "clr",
-    DataPacket: "data",
+
+@dataclass(frozen=True)
+class PacketKind:
+    """What the trace, the frame-cost model and the dispatcher know of one
+    packet type.
+
+    ``token`` names the type on trace lines. ``bits_key`` indexes the
+    scenario's ``control_bits``; it is None for packets that carry their own
+    ``size_bits``. ``handler`` is the ``NodeAgent`` method that receives the
+    packet; it is None for data, which the engine forwards itself.
+    """
+
+    token: str
+    bits_key: str | None
+    handler: str | None
+
+
+PACKET_KINDS: dict[type, PacketKind] = {
+    HelloAnt: PacketKind("hello", None, "on_hello"),
+    QryRequestAnt: PacketKind("qreq", "qry_request", "on_qry_request"),
+    QryReplyAnt: PacketKind("qrep", "qry_reply", "on_qry_reply"),
+    UpdPacket: PacketKind("upd", "upd", "on_upd"),
+    ErrorPacket: PacketKind("err", "error", "on_error"),
+    ClrPacket: PacketKind("clr", "clr", "on_clr"),
+    DataPacket: PacketKind("data", None, None),
 }
-_TOKEN_TYPES = {v: k for k, v in _TYPE_TOKENS.items()}
+PACKET_OF_TOKEN = {kind.token: cls for cls, kind in PACKET_KINDS.items()}
+CONTROL_BITS_KEYS = tuple(kind.bits_key for kind in PACKET_KINDS.values() if kind.bits_key)
 
 
 def _fmt_float(name: str, value: float) -> str:
@@ -262,7 +278,7 @@ def _decode_fields(cls: type, tokens: list[str]) -> Packet:
     spec = fields(cls)
     if len(tokens) != len(spec):
         raise TraceDecodeError(
-            f"{_TYPE_TOKENS[cls]} line has {len(tokens)} fields, expected {len(spec)}"
+            f"{PACKET_KINDS[cls].token} line has {len(tokens)} fields, expected {len(spec)}"
         )
     values = {}
     for f, token in zip(spec, tokens):
@@ -286,7 +302,7 @@ def _decode_fields(cls: type, tokens: list[str]) -> Packet:
     try:
         return cls(**values)
     except ValueError as exc:
-        raise TraceDecodeError(f"decoded {_TYPE_TOKENS[cls]} violates its invariants: {exc}") from exc
+        raise TraceDecodeError(f"decoded {PACKET_KINDS[cls].token} violates its invariants: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -313,10 +329,10 @@ def encode_trace(
         raise ValueError(f"timestamp must be finite and nonnegative, got {timestamp!r}")
     if event not in TRACE_EVENTS:
         raise ValueError(f"event must be one of {TRACE_EVENTS}, got {event!r}")
-    token = _TYPE_TOKENS.get(type(packet))
-    if token is None:
+    kind = PACKET_KINDS.get(type(packet))
+    if kind is None:
         raise ValueError(f"not a protocol packet: {type(packet).__name__}")
-    head = f"{timestamp:017.6f} {seq:08d} {event} {node} {token}"
+    head = f"{timestamp:017.6f} {seq:08d} {event} {node} {kind.token}"
     body = _encode_fields(packet)
     return " ".join([head] + body)
 
@@ -332,7 +348,7 @@ def decode_trace_record(line: str) -> TraceRecord:
     if event not in TRACE_EVENTS:
         raise TraceDecodeError(f"unknown trace event {event!r}")
     node = _parse_int("node", node_raw)
-    cls = _TOKEN_TYPES.get(type_token)
+    cls = PACKET_OF_TOKEN.get(type_token)
     if cls is None:
         raise UnknownPacketTypeError(f"unknown packet type token {type_token!r}")
     packet = _decode_fields(cls, tokens[5:])

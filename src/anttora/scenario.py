@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 from .aco import DepositWeights, NormalizationBounds, PreferenceWeights
 from .agent import ProtocolParams, QosConstraints
+from .packets import CONTROL_BITS_KEYS
 
 MODES = ("ant_tora", "baseline_tora")
 
@@ -349,11 +350,12 @@ def _parse_protocol(ctx: _Ctx, data: dict):
         "metric_packet_bits", "control_bits",
     }
     ctx.section(data, "protocol", fields_)
-    control = dict(DEFAULT_CONTROL_BITS)
     raw = data.get("control_bits", {})
-    ctx.section(raw, "protocol.control_bits", set(DEFAULT_CONTROL_BITS))
-    for key in DEFAULT_CONTROL_BITS:
-        control[key] = ctx.integer(raw, "protocol.control_bits", key, control[key], minimum=1)
+    ctx.section(raw, "protocol.control_bits", set(CONTROL_BITS_KEYS))
+    control = {
+        key: ctx.integer(raw, "protocol.control_bits", key, DEFAULT_CONTROL_BITS[key], minimum=1)
+        for key in CONTROL_BITS_KEYS
+    }
     alpha = ctx.number(data, "protocol", "drain_ewma_alpha", 0.3, positive=True)
     if alpha > 1.0:
         ctx.fail("protocol.drain_ewma_alpha", f"must be at most 1, got {alpha}")

@@ -176,7 +176,7 @@ def test_silent_neighbor_is_dropped_after_three_intervals():
 def test_fresh_node_sets_rr_and_rebroadcasts():
     net = warmed(3, [(0, 1), (1, 2)])
     a = net.agents[1]
-    req = QryRequestAnt(1.5, 0.0, 0, 9, (0,))  # destination nowhere near
+    req = QryRequestAnt(1.5, 0, 9, (0,))  # destination nowhere near
     out = a.on_qry_request(req, 0, 1.5)
     assert len(out) == 1
     fwd = out[0].packet
@@ -191,21 +191,20 @@ def test_fresh_node_sets_rr_and_rebroadcasts():
 def test_loop_guard_drops_revisits():
     net = warmed(3, [(0, 1), (1, 2)])
     a = net.agents[1]
-    req = QryRequestAnt(1.5, 0.0, 0, 9, (0, 1, 2))
+    req = QryRequestAnt(1.5, 0, 9, (0, 1, 2))
     assert a.on_qry_request(req, 2, 1.5) == []
 
 
 def test_destination_adjacent_node_replies_with_synthesized_route():
     net = warmed(3, [(0, 1), (1, 2)])
     b = net.agents[1]
-    req = QryRequestAnt(1.5, 0.0, 0, 2, (0,))
+    req = QryRequestAnt(1.5, 0, 2, (0,))
     out = b.on_qry_request(req, 0, 1.5)
     assert len(out) == 1
     rep = out[0].packet
     assert isinstance(rep, QryReplyAnt)
     assert rep.path_nodes == (1, 2)
     assert rep.hop_count == 2
-    assert rep.to_visit == (0,)
     assert rep.reporter_height == Height(0.0, 0, 0, 1, 1)
     # the synthesized two-node metrics match the configured radio numbers
     link_delay = PROP + net.params.metric_packet_bits / CAPACITY
@@ -215,7 +214,7 @@ def test_destination_adjacent_node_replies_with_synthesized_route():
 def test_destination_itself_answers_with_zero_height_seed():
     net = warmed(2, [(0, 1)])
     d = net.agents[1]
-    req = QryRequestAnt(1.5, 0.0, 0, 1, (0,))
+    req = QryRequestAnt(1.5, 0, 1, (0,))
     out = d.on_qry_request(req, 0, 1.5)
     assert len(out) == 1
     rep = out[0].packet
@@ -271,7 +270,7 @@ def test_reply_extension_increments_hops_and_updates_pheromone():
 def test_rr_unset_reply_updates_links_without_relay():
     net = warmed(3, [(0, 1), (1, 2)])
     a = net.agents[1]
-    rep = QryReplyAnt(1, PROC, 90.0, 0.01, 1e6, 5, 2, (), (2,), Height.zero(2))
+    rep = QryReplyAnt(1, PROC, 90.0, 0.01, 1e6, 5, 2, (2,), Height.zero(2))
     out = a.on_qry_reply(rep, 2, 2.0)
     assert out == []  # not route-required, nothing to relay
     assert a.tora[2].links[2].mirrored_height == Height.zero(2)
@@ -282,7 +281,7 @@ def test_reply_for_unknown_request_not_cached():
     net = warmed(3, [(0, 1), (1, 2)])
     a = net.agents[1]
     # a reply claiming node 1 is the source, but node 1 never initiated
-    rep = QryReplyAnt(1, PROC, 90.0, 0.01, 1e6, 1, 2, (), (2,), Height.zero(2))
+    rep = QryReplyAnt(1, PROC, 90.0, 0.01, 1e6, 1, 2, (2,), Height.zero(2))
     a.on_qry_reply(rep, 2, 2.0)
     assert a.cache.get(2, []) == []
 
@@ -591,11 +590,11 @@ def test_reply_handler_totality_for_rr_options():
             state = a._state_for(9)
             state.route_required = rr
             if rr:
-                a.pending_request[9] = QryRequestAnt(1.4, 0.0, 0, 9, (0, 1))
+                a.pending_request[9] = QryRequestAnt(1.4, 0, 9, (0, 1))
             if is_source:
                 a.initiated[9] = 1.4
             source = 1 if is_source else 0
-            rep = QryReplyAnt(2, 0.004, 90.0, 0.01, 2.5e5, source, 9, (1, 0), (2, 9), Height(0.0, 0, 0, 1, 2))
+            rep = QryReplyAnt(2, 0.004, 90.0, 0.01, 2.5e5, source, 9, (2, 9), Height(0.0, 0, 0, 1, 2))
             out = a.on_qry_reply(rep, 2, 2.0)
             assert state.links[2].mirrored_height == Height(0.0, 0, 0, 1, 2)
             if rr:
@@ -654,7 +653,7 @@ def test_handler_totality_for_request_options():
                     state.set_own_height(Height(1.0, 1, 0, 0, 1))
                 state.route_required = rr and null_height  # rr implies null
                 rr_before = state.route_required
-                req = QryRequestAnt(1.5, 0.0, 0, 9, (0,))
+                req = QryRequestAnt(1.5, 0, 9, (0,))
                 out = a.on_qry_request(req, 0, 1.5)
                 if not downstream and not rr_before:
                     assert len(out) == 1 and isinstance(out[0].packet, QryRequestAnt)

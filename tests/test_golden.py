@@ -1,0 +1,55 @@
+"""Golden traces: every corpus run must reproduce its pinned trace and
+report bytes exactly, so a refactor cannot silently change behaviour.
+
+The corpus is ``tests/golden/*.json``; ``tests/golden/digests.json`` names
+each run (scenario file and mode) with the SHA-256 of its trace and report.
+After a deliberate behaviour change, re-pin with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and name the change in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+import tempfile
+
+import pytest
+
+from anttora.harness import run_experiment, write_report
+from anttora.scenario import load_scenario
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+PINS = GOLDEN / "digests.json"
+
+
+def _sha256(path: pathlib.Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_digests(scenario: str, mode: str | None, workdir: pathlib.Path) -> dict:
+    trace = workdir / "run.trace"
+    report = workdir / "report.json"
+    sc = load_scenario(str(GOLDEN / f"{scenario}.json"))
+    write_report(str(report), run_experiment(sc, mode=mode, trace_path=str(trace)))
+    return {"trace_sha256": _sha256(trace), "report_sha256": _sha256(report)}
+
+
+PINNED = json.loads(PINS.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_golden_digests(name, tmp_path):
+    pin = PINNED[name]
+    got = run_digests(pin["scenario"], pin["mode"], tmp_path)
+    assert got == {k: pin[k] for k in got}, f"{name} no longer matches its pinned trace"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for pin in PINNED.values():
+            pin.update(run_digests(pin["scenario"], pin["mode"], pathlib.Path(tmp)))
+    PINS.write_text(json.dumps(PINNED, indent=2, sort_keys=True) + "\n")

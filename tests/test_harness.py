@@ -8,6 +8,7 @@ import pytest
 
 from anttora.cli import main as cli_main
 from anttora.harness import replay, run_experiment, run_single, write_trace
+from anttora.packets import TraceDecodeError, decode_trace_record
 
 from conftest import flow, scenario_dict, static_scenario
 
@@ -58,10 +59,30 @@ def test_replay_rejects_disordered_trace(tmp_path):
     shuffled = headers + [events[-1]] + events[:-1]
     path = tmp_path / "bad.trace"
     write_trace(str(path), shuffled)
-    from anttora.packets import TraceDecodeError
-
     with pytest.raises(TraceDecodeError):
         replay(str(path))
+
+
+# qreq and qrep lines in the format that still carried min_bandwidth_seen and
+# to_visit; the strict decoder's field count must reject them
+OLD_FORMAT_LINES = {
+    "qreq": "0000000002.000000 00000027 snd 0 qreq request_start_time=2.000000"
+    " min_bandwidth_seen=0.000000 source=0 destination=4 visited=0",
+    "qrep": "0000000002.005268 00000048 snd 3 qrep hop_count=2 delay=0.002256"
+    " energy=99.998336 drain_rate=0.000261 bandwidth=291571.753986 source=0"
+    " destination=4 to_visit=2,1,0 path_nodes=3,4 reporter_height=0.000000:0:0:1:3",
+}
+
+
+@pytest.mark.parametrize("token", sorted(OLD_FORMAT_LINES))
+def test_old_format_reply_and_request_lines_are_rejected(token, tmp_path, capsys):
+    line = OLD_FORMAT_LINES[token]
+    with pytest.raises(TraceDecodeError, match=f"{token} line has"):
+        decode_trace_record(line)
+    path = tmp_path / "old.trace"
+    write_trace(str(path), ["# param mode=ant_tora", line])
+    assert cli_main(["replay", str(path)]) == 2
+    assert f"error: {token} line has" in capsys.readouterr().err
 
 
 def test_metrics_include_locality_and_cache_series():
@@ -138,10 +159,13 @@ def test_cli_replay_matches_report(tmp_path, capsys):
     trace_path = tmp_path / "run.trace"
     assert cli_main(["run", spath, "--report", str(report_path), "--trace", str(trace_path)]) == 0
     capsys.readouterr()
-    assert cli_main(["replay", str(trace_path)]) == 0
-    replayed = json.loads(capsys.readouterr().out)
+    replay_path = tmp_path / "replayed.json"
+    assert cli_main(["replay", str(trace_path), "--report", str(replay_path)]) == 0
+    printed = capsys.readouterr().out
     original = json.loads(report_path.read_text())["runs"][0]["metrics"]
-    assert replayed == original
+    assert json.loads(printed) == original
+    assert replay_path.read_bytes() == (json.dumps(original, indent=2, sort_keys=True) + "\n").encode()
+    assert replay_path.read_text() == printed
 
 
 def test_cli_replay_missing_file_fails(tmp_path, capsys):

@@ -7,8 +7,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from anttora.agent import NodeAgent
 from anttora.heights import Height
 from anttora.packets import (
+    CONTROL_BITS_KEYS,
+    PACKET_KINDS,
     ClrPacket,
     DataPacket,
     ErrorPacket,
@@ -23,6 +26,7 @@ from anttora.packets import (
     decode_trace_record,
     encode_trace,
 )
+from anttora.scenario import DEFAULT_CONTROL_BITS
 
 # six-fractional-digit grid: values that survive the canonical rounding
 _q6 = st.integers(0, 10_000_000).map(lambda n: n / 1e6)
@@ -33,8 +37,8 @@ def _sample_packets():
     h = Height(2.5, 3, 1, -2, 4)
     return [
         HelloAnt(3, 1.0, 50.0, 0.25, 512),
-        QryRequestAnt(1.5, 0.0, 0, 7, (0, 2, 5)),
-        QryReplyAnt(3, 0.0125, 40.0, 0.5, 2e6, 0, 7, (2, 0), (5, 6, 7), h),
+        QryRequestAnt(1.5, 0, 7, (0, 2, 5)),
+        QryReplyAnt(3, 0.0125, 40.0, 0.5, 2e6, 0, 7, (5, 6, 7), h),
         UpdPacket(7, h),
         UpdPacket(7, Height.null(2)),
         ErrorPacket(0, 3),
@@ -116,28 +120,33 @@ def test_hello_round_trip_property(sender, send_time, energy, drain, bits, t):
     hop=st.integers(1, 20), delay=_q6, energy=_q6, drain=_q6,
     bw=st.integers(1, 10_000_000).map(float),
     src=_ids, dst=_ids, t=_q6,
-    tail=st.lists(st.integers(100, 120), min_size=0, max_size=4, unique=True),
     route=st.lists(st.integers(200, 220), min_size=1, max_size=5, unique=True),
     null_height=st.booleans(), tau=_q6, oid=_ids, r=st.integers(0, 1),
     delta=st.integers(-8, 8), owner=_ids,
 )
 def test_reply_round_trip_property(
-    hop, delay, energy, drain, bw, src, dst, t, tail, route,
+    hop, delay, energy, drain, bw, src, dst, t, route,
     null_height, tau, oid, r, delta, owner,
 ):
     height = Height.null(owner) if null_height else Height(tau, oid, r, delta, owner)
-    pkt = QryReplyAnt(hop, delay, energy, drain, bw, src, dst, tuple(tail), tuple(route), height)
+    pkt = QryReplyAnt(hop, delay, energy, drain, bw, src, dst, tuple(route), height)
     assert decode_trace(encode_trace(pkt, t)) == (pkt, t)
 
 
 def test_packet_invariants():
     with pytest.raises(ValueError):
-        QryRequestAnt(1.0, 0.0, 0, 7, (1, 2))  # visited must start at source
+        QryRequestAnt(1.0, 0, 7, (1, 2))  # visited must start at source
     with pytest.raises(ValueError):
-        QryRequestAnt(1.0, 0.0, 0, 7, (0, 2, 2))  # loop
+        QryRequestAnt(1.0, 0, 7, (0, 2, 2))  # loop
     with pytest.raises(ValueError):
         ClrPacket(7, (3.0, 5, 0))  # unreflected level
     with pytest.raises(ValueError):
         DataPacket(0, 7, 1, 100, (0, 3))  # path must end at destination
     with pytest.raises(ValueError):
         HelloAnt(3, 1.0, 50.0, 0.25, 0)  # empty packet
+
+
+def test_registry_names_agent_handlers_and_defaulted_bits_keys():
+    for kind in PACKET_KINDS.values():
+        assert kind.handler is None or callable(getattr(NodeAgent, kind.handler))
+    assert set(CONTROL_BITS_KEYS) == set(DEFAULT_CONTROL_BITS)
