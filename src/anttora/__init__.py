@@ -21,7 +21,7 @@ from .agent import (
     QosConstraints,
     RouteCacheEntry,
 )
-from .engine import EventKind, SimEvent, Simulation
+from .engine import Simulation
 from .harness import replay, run_experiment, run_single
 from .heights import (
     Height,
@@ -57,7 +57,6 @@ __all__ = [
     "DataPacket",
     "DepositWeights",
     "ErrorPacket",
-    "EventKind",
     "Height",
     "HelloAnt",
     "LinkState",
@@ -77,7 +76,6 @@ __all__ = [
     "RunMetrics",
     "Scenario",
     "ScenarioError",
-    "SimEvent",
     "Simulation",
     "UpdPacket",
     "aggregate_metrics",

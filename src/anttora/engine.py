@@ -4,8 +4,9 @@ One ``Simulation`` owns the event queue, the physical link set, node
 mobility, and every node agent. All randomness flows from a single seeded
 generator used only by mobility and placement; the protocol itself is
 deterministic, so identical (scenario, seed) pairs replay to byte-identical
-traces. Events dequeue in (time, seq) order and every delivery strictly
-follows its send.
+traces. A queued event is the tuple ``(time, seq, handler, args)``; events
+dequeue in (time, seq) order, the loop calls ``handler(*args)``, and every
+delivery strictly follows its send.
 """
 
 from __future__ import annotations
@@ -13,30 +14,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 from .agent import AgentHooks, Emission, NetView, NoRouteError, NodeAgent
 from .packets import CONTROL_BITS_KEYS, PACKET_KINDS, DataPacket, HelloAnt, Packet, TraceRecord
 from .scenario import Scenario
-
-
-class EventKind(Enum):
-    PACKET_DELIVERY = "packet_delivery"
-    HELLO_TIMER = "hello_timer"
-    EVAPORATION_TIMER = "evaporation_timer"
-    MOBILITY_STEP = "mobility_step"
-    LINK_CHANGE = "link_change"
-    DATA_INJECTION = "data_injection"
-    ROUTE_EXPIRY = "route_expiry"
-
-
-@dataclass(order=True)
-class SimEvent:
-    time: float
-    seq: int
-    kind: EventKind = field(compare=False)
-    payload: tuple = field(compare=False, default=())
 
 
 @dataclass
@@ -74,16 +56,14 @@ class _Hooks(AgentHooks):
 
     def height_changed(self, node, dest, old, new, now):
         sim = self.sim
-        sim.protocol_log.append((sim.pop_count, now, node, "height", {"dest": dest, "new": new}))
+        self.log("height", node, now, dest=dest, new=new)
         if sim.current_failure is not None:
             sim.reaction_sets.setdefault(sim.current_failure, set()).add(node)
 
     def route_inserted(self, node, dest, expires_at):
-        if expires_at <= self.sim.end_time:
-            self.sim.schedule(expires_at, EventKind.ROUTE_EXPIRY, (node, dest))
-
-    def log(self, tag, node, now, **data):
-        self.sim.protocol_log.append((self.sim.pop_count, now, node, tag, data))
+        sim = self.sim
+        if expires_at <= sim.end_time:
+            sim.schedule(expires_at, sim._on_route_expiry, node, dest)
 
 
 class Simulation:
@@ -103,13 +83,12 @@ class Simulation:
             for i in range(scenario.nodes.count)
         }
 
-        self.queue: list[SimEvent] = []
+        self.queue: list[tuple] = []
         self.event_seq = 0
         self.trace_seq = 0
         self.now = 0.0
         self.pop_count = 0
         self.records: list[TraceRecord] = []
-        self.protocol_log: list[tuple[int, float, int, str, dict]] = []
         self.cache_samples: list[tuple[float, int]] = []
         self.failure_events: list[tuple[int, float, int, int]] = []
         self.reaction_sets: dict[int, set[int]] = {}
@@ -134,11 +113,11 @@ class Simulation:
 
     # -- scheduling --------------------------------------------------------
 
-    def schedule(self, time: float, kind: EventKind, payload: tuple = ()) -> SimEvent:
+    def schedule(self, time: float, handler, *args) -> None:
+        """Queue ``handler(*args)`` to run at ``time``, after every event
+        already queued for the same instant."""
         self.event_seq += 1
-        ev = SimEvent(time, self.event_seq, kind, payload)
-        heapq.heappush(self.queue, ev)
-        return ev
+        heapq.heappush(self.queue, (time, self.event_seq, handler, args))
 
     def _setup(self) -> None:
         sc = self.scenario
@@ -150,12 +129,12 @@ class Simulation:
                 self.links.add((a, b))
         else:
             self._init_mobility()
-            self.schedule(0.0, EventKind.MOBILITY_STEP)
+            self.schedule(0.0, self._on_mobility_step)
         for i in sorted(self.agents):
             for j in sorted(self._neighbors(i)):
                 self.agents[i].link_up(j, 0.0)
-        self.schedule(0.0, EventKind.HELLO_TIMER)
-        self.schedule(sc.evaporation_period, EventKind.EVAPORATION_TIMER)
+        self.schedule(0.0, self._on_hello_timer)
+        self.schedule(sc.evaporation_period, self._on_evaporation_timer)
         injections = []
         for idx, flow in enumerate(sc.traffic):
             k = 0
@@ -167,9 +146,9 @@ class Simulation:
                 k += 1
         injections.sort(key=lambda it: (it[0], it[1]))
         for seq, (t, _idx, src, dst, bits) in enumerate(injections):
-            self.schedule(t, EventKind.DATA_INJECTION, (src, dst, bits, seq))
+            self.schedule(t, self._on_data_injection, src, dst, bits, seq)
         for fl in sc.link_failures:
-            self.schedule(fl.time, EventKind.LINK_CHANGE, (fl.a, fl.b, False))
+            self.schedule(fl.time, self._on_link_change, fl.a, fl.b, False)
 
     def _init_mobility(self) -> None:
         sc = self.scenario
@@ -236,19 +215,19 @@ class Simulation:
             for to in targets:
                 self.deliver(packet, frm, to, now)
 
-    def deliver(self, packet: Packet, frm: int, to: int, now: float) -> SimEvent | None:
+    def deliver(self, packet: Packet, frm: int, to: int, now: float) -> None:
         """Schedule a point-to-point delivery; drops if the link is down."""
         if not self._link_up(frm, to):
             self.counters["frames_dropped"] += 1
             self.counters["drop_link_down_at_send"] += 1
             self._trace("drp", to, packet, now)
-            return None
+            return
         bits = self._bits_of(packet)
         capacity, propagation = self.scenario.links.params(frm, to)
         processing = self.scenario.links.processing
         arrival = now + bits / capacity + propagation + processing
         self.counters["frames_sent"] += 1
-        return self.schedule(arrival, EventKind.PACKET_DELIVERY, (packet, frm, to))
+        self.schedule(arrival, self._on_delivery, packet, frm, to)
 
     # -- event handlers -----------------------------------------------------------
 
@@ -295,7 +274,7 @@ class Simulation:
         self.cache_samples.append((now, total))
         nxt = now + self.scenario.hello_interval
         if nxt <= self.end_time:
-            self.schedule(nxt, EventKind.HELLO_TIMER)
+            self.schedule(nxt, self._on_hello_timer)
 
     def _on_evaporation_timer(self) -> None:
         now = self.now
@@ -303,7 +282,7 @@ class Simulation:
             self.agents[i].evaporation_tick(now)
         nxt = now + self.scenario.evaporation_period
         if nxt <= self.end_time:
-            self.schedule(nxt, EventKind.EVAPORATION_TIMER)
+            self.schedule(nxt, self._on_evaporation_timer)
 
     def _on_data_injection(self, src: int, dst: int, bits: int, seq: int) -> None:
         now = self.now
@@ -338,22 +317,19 @@ class Simulation:
         self.current_failure = fid
         self.failure_events.append((fid, now, key[0], key[1]))
         self.reaction_sets.setdefault(fid, set())
-        self.protocol_log.append(
-            (self.pop_count, now, -1, "link_failure", {"id": fid, "a": key[0], "b": key[1]})
-        )
+        self.hooks.log("link_failure", -1, now, id=fid, a=key[0], b=key[1])
         for node, peer in ((key[0], key[1]), (key[1], key[0])):
             self.process_emissions(node, self.agents[node].on_link_failure(peer, now), now)
 
     # -- mobility -----------------------------------------------------------------
 
-    def step_mobility(self, dt: float) -> list[SimEvent]:
-        """Advance every node over the coming ``dt`` and schedule a
-        LINK_CHANGE at each instant a pair crosses the communication range."""
+    def step_mobility(self, dt: float) -> None:
+        """Advance every node over the coming ``dt`` and schedule a link
+        change at each instant a pair crosses the communication range."""
         if dt <= 0:
             raise ValueError("dt must be positive")
-        start, horizon = self.now, self.now + dt
-        events: list[SimEvent] = []
-        t = start
+        horizon = self.now + dt
+        t = self.now
         while t < horizon - 1e-12:
             seg_end = horizon
             for i in sorted(self.mobility):
@@ -364,7 +340,7 @@ class Simulation:
                     dist = math.dist(m.pos, m.target)
                     if dist > 1e-12:
                         seg_end = min(seg_end, t + dist / m.speed)
-            events.extend(self._crossings(t, seg_end))
+            self._crossings(t, seg_end)
             for i in sorted(self.mobility):
                 m = self.mobility[i]
                 was_paused = m.pause_until > t
@@ -381,11 +357,10 @@ class Simulation:
                     else:
                         self._pick_waypoint(i, seg_end)
             t = seg_end
-        return events
 
-    def _crossings(self, t0: float, t1: float) -> list[SimEvent]:
-        """Exact range crossings for pairwise-linear motion on [t0, t1]."""
-        out = []
+    def _crossings(self, t0: float, t1: float) -> None:
+        """Schedule the exact range crossings of pairwise-linear motion on
+        [t0, t1]."""
         r = self.scenario.topology.comm_range
         nodes = sorted(self.mobility)
         for ai in range(len(nodes)):
@@ -408,45 +383,37 @@ class Simulation:
                 # the earlier root always enters range and the later one leaves
                 for s, up in (((-qb - sq) / (2 * qa), True), ((-qb + sq) / (2 * qa), False)):
                     if s > 1e-12 and t0 + s <= t1 + 1e-12:
-                        out.append(self.schedule(t0 + s, EventKind.LINK_CHANGE, (a, b, up)))
-        return out
+                        self.schedule(t0 + s, self._on_link_change, a, b, up)
 
     def _on_mobility_step(self) -> None:
         step = self.scenario.topology.step
         self.step_mobility(step)
         nxt = self.now + step
         if nxt <= self.end_time:
-            self.schedule(nxt, EventKind.MOBILITY_STEP)
+            self.schedule(nxt, self._on_mobility_step)
 
     # -- main loop -------------------------------------------------------------
 
     def run(self) -> "Simulation":
-        handlers = {
-            EventKind.PACKET_DELIVERY: self._on_delivery,
-            EventKind.HELLO_TIMER: self._on_hello_timer,
-            EventKind.EVAPORATION_TIMER: self._on_evaporation_timer,
-            EventKind.DATA_INJECTION: self._on_data_injection,
-            EventKind.ROUTE_EXPIRY: self._on_route_expiry,
-            EventKind.LINK_CHANGE: self._on_link_change,
-            EventKind.MOBILITY_STEP: self._on_mobility_step,
-        }
+        queue = self.queue
+        horizon = self.end_time + 1e-12
         last = (-1.0, 0)
-        while self.queue:
-            if self.queue[0].time > self.end_time + 1e-12:
-                break
-            ev = heapq.heappop(self.queue)
-            assert (ev.time, ev.seq) > last, "events must dequeue in (time, seq) order"
-            last = (ev.time, ev.seq)
-            self.now = ev.time
+        while queue and queue[0][0] <= horizon:
+            t, seq, handler, args = heapq.heappop(queue)
+            assert (t, seq) > last, "events must dequeue in (time, seq) order"
+            last = (t, seq)
+            self.now = t
             self.pop_count += 1
-            handlers[ev.kind](*ev.payload)
-        # frames still in the air when the run ends count as dropped so the
-        # sent = delivered + dropped ledger holds
-        for ev in self.queue:
-            if ev.kind is EventKind.PACKET_DELIVERY:
+            handler(*args)
+        # frames still in the air when the run ends count as dropped, so the
+        # ledger frames_sent + drop_link_down_at_send == frames_delivered +
+        # frames_dropped holds (a frame dropped at send never counts as sent);
+        # each attribute access makes a new bound method, hence == and not is
+        for ev in queue:
+            if ev[2] == self._on_delivery:
                 self.counters["frames_dropped"] += 1
                 self.counters["drop_end_of_run"] += 1
-        self.queue.clear()
+        queue.clear()
         self._flush_stuck_data()
         return self
 

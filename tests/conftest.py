@@ -34,6 +34,18 @@ def flow(source, destination, rate=2.0, bits=1000, start=2.0, stop=4.0) -> dict:
     }
 
 
+def attach_log(sim) -> list[tuple[int, float, int, str, dict]]:
+    """Record every ``hooks.log`` observation of ``sim`` as
+    ``(pop_count, now, node, tag, data)``; attach before ``sim.run()``."""
+    log = []
+
+    def append(tag, node, now, **data):
+        log.append((sim.pop_count, now, node, tag, data))
+
+    sim.hooks.log = append
+    return log
+
+
 def connected_random_graph(n: int, p: float, seed: int) -> list[tuple[int, int]]:
     """Deterministic Erdos-Renyi graph, resampled until connected."""
     rng = random.Random(seed)

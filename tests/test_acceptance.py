@@ -20,6 +20,7 @@ from anttora.aco import (
     path_preference,
     pheromone_update,
 )
+from anttora.engine import Simulation
 from anttora.harness import replay, run_experiment, run_single, write_trace
 from anttora.heights import (
     Direction,
@@ -31,7 +32,7 @@ from anttora.heights import (
 )
 from anttora.packets import ClrPacket, DataPacket, QryReplyAnt, QryRequestAnt, UpdPacket
 
-from conftest import _connected, connected_random_graph, flow, static_scenario
+from conftest import _connected, attach_log, connected_random_graph, flow, static_scenario
 
 
 def _passline(n: int, name: str) -> None:
@@ -234,10 +235,12 @@ def test_criterion_5_partition_detection_on_barbell():
         link_failures=[{"time_s": 5.05, "a": 3, "b": 4}],
         end_time_s=8.0, seed=3,
     )
-    _, _, sim = run_single(sc)
-    fail_pop = next(p for p, t, n, tag, d in sim.protocol_log if tag == "link_failure")
+    sim = Simulation(sc)
+    log = attach_log(sim)
+    sim.run()
+    fail_pop = next(p for p, t, n, tag, d in log if tag == "link_failure")
     detections = [
-        (p, n) for p, t, n, tag, d in sim.protocol_log
+        (p, n) for p, t, n, tag, d in log
         if tag == "partition_detected" and d["dest"] == 7
     ]
     assert detections, "no partition detected"
@@ -399,9 +402,11 @@ def test_criterion_7_reaction_locality():
             link_failures=[{"time_s": 5.0, "a": cut[0], "b": cut[1]}],
             end_time_s=8.0, seed=run_seed,
         )
-        _, _, failed = run_single(failed_sc)
+        failed = Simulation(failed_sc)
+        failed_log = attach_log(failed)
+        failed.run()
         reaction = {
-            node for _, t, node, tag, _ in failed.protocol_log
+            node for _, t, node, tag, _ in failed_log
             if tag == "height" and t >= 5.0
         }
         assert reaction, f"graph seed {graph_seed}: nothing reacted"

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from anttora.engine import EventKind, MobilityNode, Simulation
+from anttora.engine import MobilityNode, Simulation
 from anttora.metrics import compute_metrics
 from anttora.packets import DataPacket, HelloAnt, decode_trace_record
 from anttora.scenario import parse_scenario
 
-from conftest import flow, static_scenario
+from conftest import attach_log, flow, static_scenario
 
 
 def run(scenario, seed=None, mode=None):
@@ -67,7 +67,8 @@ def test_frame_conservation_ledger():
     )
     sim = run(sc)
     c = sim.counters
-    assert c["frames_sent"] == c["frames_delivered"] + c["frames_dropped"]
+    # a frame dropped at send never counts as sent
+    assert c["frames_sent"] + c["drop_link_down_at_send"] == c["frames_delivered"] + c["frames_dropped"]
 
 
 def test_connectivity_is_symmetric():
@@ -93,9 +94,9 @@ def test_delivery_time_arithmetic():
     )
     sim = Simulation(sc)
     pkt = DataPacket(0, 1, 0, 1000, (0, 1))
-    ev = sim.deliver(pkt, 0, 1, now=1.0)
-    assert ev is not None
-    assert ev.time == pytest.approx(1.0 + 0.001 + 0.001 + 0.0005, abs=1e-12)
+    sim.deliver(pkt, 0, 1, now=1.0)
+    (arrival,) = [t for t, _seq, handler, _args in sim.queue if handler == sim._on_delivery]
+    assert arrival == pytest.approx(1.0 + 0.001 + 0.001 + 0.0005, abs=1e-12)
 
 
 def test_broadcast_fans_out_to_each_neighbor():
@@ -105,16 +106,18 @@ def test_broadcast_fans_out_to_each_neighbor():
 
     hello = HelloAnt(0, 0.0, 100.0, 0.0, 512)
     sim.process_emissions(0, [Emission(hello)], 0.0)
-    deliveries = [e for e in sim.queue if e.kind is EventKind.PACKET_DELIVERY]
+    deliveries = [args for _t, _seq, handler, args in sim.queue if handler == sim._on_delivery]
     assert len(deliveries) == 3
-    assert sorted(e.payload[2] for e in deliveries) == [1, 2, 3]
+    assert sorted(args[2] for args in deliveries) == [1, 2, 3]
 
 
 def test_send_on_downed_link_is_counted_drop():
     sc = static_scenario(2, [(0, 1)])
     sim = Simulation(sc)
     sim.links.clear()
-    assert sim.deliver(DataPacket(0, 1, 0, 100, (0, 1)), 0, 1, 0.5) is None
+    queued = len(sim.queue)
+    sim.deliver(DataPacket(0, 1, 0, 100, (0, 1)), 0, 1, 0.5)
+    assert len(sim.queue) == queued
     assert sim.counters["drop_link_down_at_send"] == 1
 
 
@@ -136,6 +139,15 @@ def test_inflight_frame_dies_with_its_link():
 
 # ---------------------------------------------------------------------------
 # mobility
+
+
+def link_changes(sim):
+    """Queued link changes as (time, seq, up), in the order they were scheduled."""
+    return [
+        (t, seq, args[2])
+        for t, seq, handler, args in sorted(sim.queue, key=lambda ev: ev[1])
+        if handler == sim._on_link_change
+    ]
 
 
 def mobility_scenario(**over):
@@ -165,16 +177,15 @@ def test_moving_apart_emits_one_down_event_at_crossing_time():
     sim = Simulation(sc)
     # node 1 walks straight away from node 0 at 20 m/s from x=100
     sim.mobility[1] = MobilityNode(pos=(100.0, 0.0), target=(400.0, 0.0), speed=20.0)
-    events = []
     now = 0.0
     while now < 3.0 - 1e-9:
         sim.now = now
-        events.extend(sim.step_mobility(0.1))
+        sim.step_mobility(0.1)
         now += 0.1
-    downs = [e for e in events if e.kind is EventKind.LINK_CHANGE and not e.payload[2]]
+    downs = [c for c in link_changes(sim) if not c[2]]
     assert len(downs) == 1
     # range 150 crossed after covering 50 m at 20 m/s
-    assert downs[0].time == pytest.approx(2.5, abs=1e-9)
+    assert downs[0][0] == pytest.approx(2.5, abs=1e-9)
 
 
 def test_return_crossing_orders_down_then_up():
@@ -183,12 +194,12 @@ def test_return_crossing_orders_down_then_up():
     # out just beyond range, then back: one down, then one up, ordered
     sim.mobility[1] = MobilityNode(pos=(145.0, 0.0), target=(155.0, 0.0), speed=100.0)
     sim.now = 0.0
-    first = sim.step_mobility(0.1)
+    sim.step_mobility(0.1)
     sim.mobility[1].target = (100.0, 0.0)
     sim.mobility[1].speed = 100.0
     sim.now = 0.1
-    second = sim.step_mobility(0.1)
-    changes = [(e.time, e.seq, e.payload[2]) for e in first + second]
+    sim.step_mobility(0.1)
+    changes = link_changes(sim)
     assert [c[2] for c in changes] == [False, True]
     assert changes[0][:2] < changes[1][:2]
 
@@ -234,7 +245,7 @@ def test_mobile_relay_walking_away_breaks_the_flow():
     c = sim.counters
     assert c["data_offered"] == 10
     assert 1 <= c["data_delivered"] < c["data_offered"]
-    assert c["frames_sent"] == c["frames_delivered"] + c["frames_dropped"]
+    assert c["frames_sent"] + c["drop_link_down_at_send"] == c["frames_delivered"] + c["frames_dropped"]
 
 
 def test_mobility_run_is_deterministic():
@@ -285,9 +296,11 @@ def test_expired_route_triggers_rediscovery_and_still_delivers():
             "seed": 4,
         }
     )
-    sim = run(sc)
+    sim = Simulation(sc)
+    log = attach_log(sim)
+    sim.run()
     assert sim.counters["data_delivered"] == 2
-    discoveries = [e for e in sim.protocol_log if e[3] == "discovery_started"]
+    discoveries = [e for e in log if e[3] == "discovery_started"]
     assert len(discoveries) == 2
 
 
@@ -302,8 +315,9 @@ def test_energy_dead_neighbor_detected_by_hello_silence():
     )
     sim = Simulation(sc)
     sim.agents[1].energy.residual = 7e-4
+    log = attach_log(sim)
     sim.run()
-    lost = [e for e in sim.protocol_log if e[3] == "neighbor_lost" and e[2] == 0]
+    lost = [e for e in log if e[3] == "neighbor_lost" and e[2] == 0]
     assert lost, "surviving node never noticed the silent neighbor"
     assert 1 not in sim.agents[0].neighbors
 
