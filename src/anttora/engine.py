@@ -206,6 +206,7 @@ class Simulation:
             bits = self._bits_of(packet)
             if not self.agents[frm].energy.debit(self.scenario.beta_tx * bits):
                 self.counters["tx_suppressed"] += 1
+                self._trace("drp", frm, packet, now)
                 continue
             self._trace("snd", frm, packet, now)
             if em.to is None:

@@ -42,22 +42,30 @@ class RunMetrics:
         }
 
 
+# header parameters that metrics need as numbers, by name prefix
+_PARAM_TYPES = {"beta": float, "bits": int}
+
+
 def _parse_annotation(line: str, params: dict, metrics: RunMetrics) -> None:
     tokens = line[2:].split(" ")
     kind = tokens[0]
-    kv = dict(part.split("=", 1) for part in tokens[1:])
-    if kind == "param":
-        params.update(kv)
-    elif kind == "cachesize":
-        metrics.cache_size.append((float(kv["t"]), int(kv["total"])))
-    elif kind == "locality":
-        metrics.reaction_locality[int(kv["failure"])] = int(kv["nodes"])
+    try:
+        kv = dict(part.split("=", 1) for part in tokens[1:])
+        if kind == "param":
+            for key, value in kv.items():
+                params[key] = _PARAM_TYPES.get(key.split("_", 1)[0], str)(value)
+        elif kind == "cachesize":
+            metrics.cache_size.append((float(kv["t"]), int(kv["total"])))
+        elif kind == "locality":
+            metrics.reaction_locality[int(kv["failure"])] = int(kv["nodes"])
+    except (KeyError, ValueError):
+        raise TraceDecodeError(f"malformed annotation {line!r}") from None
 
 
 def compute_metrics(lines: list[str]) -> RunMetrics:
     """Recompute the full report from trace lines (header included)."""
     metrics = RunMetrics()
-    params: dict[str, str] = {}
+    params: dict[str, str | int | float] = {}
     first_send: dict[tuple[int, int, int], float] = {}
     delivered_at: dict[tuple[int, int, int], float] = {}
     offered: set[tuple[int, int, int]] = set()
@@ -85,11 +93,8 @@ def compute_metrics(lines: list[str]) -> RunMetrics:
             metrics.control_packets[kind.token] = metrics.control_packets.get(kind.token, 0) + 1
         if rec.event in ("snd", "rcv"):
             try:
-                if kind.bits_key is None:
-                    bits = pkt.size_bits
-                else:
-                    bits = int(params[f"bits_{kind.bits_key}"])
-                beta = float(params["beta_tx"]) if rec.event == "snd" else float(params["beta_rx"])
+                bits = pkt.size_bits if kind.bits_key is None else params[f"bits_{kind.bits_key}"]
+                beta = params["beta_tx"] if rec.event == "snd" else params["beta_rx"]
             except KeyError as exc:
                 raise TraceDecodeError(f"trace header missing parameter {exc}") from None
             metrics.energy_spent[rec.node] = metrics.energy_spent.get(rec.node, 0.0) + beta * bits

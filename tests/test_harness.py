@@ -85,6 +85,19 @@ def test_old_format_reply_and_request_lines_are_rejected(token, tmp_path, capsys
     assert f"error: {token} line has" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad", ["# cachesize t=abc total=3", "# param seed", "# param beta_tx=oops"]
+)
+def test_cli_replay_rejects_malformed_annotation(bad, tmp_path, capsys):
+    lines, _, _ = run_single(static_scenario(3, [(0, 1), (1, 2)], flows=[flow(0, 2)]))
+    headers = [l for l in lines if l.startswith("#")]
+    events = [l for l in lines if not l.startswith("#")]
+    path = tmp_path / "bad.trace"
+    write_trace(str(path), headers + [bad] + events)
+    assert cli_main(["replay", str(path)]) == 2
+    assert f"error: malformed annotation {bad!r}" in capsys.readouterr().err
+
+
 def test_metrics_include_locality_and_cache_series():
     sc = static_scenario(
         4,
