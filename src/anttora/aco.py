@@ -5,16 +5,19 @@ bandwidth, residual energy, drain rate, hop count). Replies deposit
 pheromone on the link they arrived over, scaled by path quality; pheromone
 decays both at update time (persistence factor) and on a periodic
 evaporation timer. Next-hop choice ranks candidates by a normalized product
-of pheromone and the path metrics.
+of pheromone and the path metrics; ``path_preference`` floors the drain rate
+at ``DRAIN_FLOOR``, so a path whose nodes have spent no energy yet still
+scores finitely.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 NORMAL_FLOOR = 1e-6
+DRAIN_FLOOR = 1e-12  # keeps reciprocal drain finite before any energy is spent
 
 
 def _require_finite(name: str, value: float) -> None:
@@ -131,8 +134,7 @@ def normalize(value: float, lo: float, hi: float, floor: float = NORMAL_FLOOR) -
     return floor + (1.0 - floor) * x
 
 
-@dataclass(frozen=True)
-class CandidateEntry:
+class CandidateEntry(NamedTuple):
     """One next-hop option: its link pheromone plus full-path metrics."""
 
     next_hop: int
@@ -233,7 +235,7 @@ def path_preference(
 ) -> list[tuple[int, float]]:
     """Probability of choosing each next hop, proportional to a weighted
     product of pheromone, inverse delay, inverse hop count, bandwidth,
-    energy, and inverse drain rate.
+    energy, and inverse drain rate (floored at ``DRAIN_FLOOR``).
 
     Raises if every candidate's product is zero: no path is preferable and
     the caller should rediscover.
@@ -245,15 +247,13 @@ def path_preference(
         if c.tau <= 0 and w.pheromone != 0:
             raise ValueError(f"candidate via {c.next_hop} has no pheromone")
         m = c.metrics
-        if m.drain_rate <= 0:
-            raise ValueError(f"candidate via {c.next_hop} has zero drain rate")
         products.append(
             c.tau**w.pheromone
             * (1.0 / m.delay) ** w.delay
             * (1.0 / m.hop_count) ** w.hop_count
             * m.bandwidth**w.bandwidth
             * m.energy**w.energy
-            * (1.0 / m.drain_rate) ** w.drain_rate
+            * (1.0 / max(m.drain_rate, DRAIN_FLOOR)) ** w.drain_rate
         )
     total = sum(products)
     if total <= 0.0:

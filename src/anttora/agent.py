@@ -51,7 +51,6 @@ from .packets import (
 )
 
 ERROR_DEDUP_WINDOW = 5.0
-DRAIN_FLOOR = 1e-12  # keeps reciprocal drain finite before any energy is spent
 
 
 class NoRouteError(Exception):
@@ -702,14 +701,9 @@ class NodeAgent:
         if self.params.baseline or not live:
             self.preferences[dest] = {c.next_hop: 1.0 for c in live}
         else:
+            pheromone, initial = self.pheromone, self.params.initial_pheromone
             entries = [
-                CandidateEntry(
-                    next_hop=c.next_hop,
-                    tau=self.pheromone.get(c.next_hop, self.params.initial_pheromone),
-                    metrics=dataclasses.replace(
-                        c.metrics, drain_rate=max(c.metrics.drain_rate, DRAIN_FLOOR)
-                    ),
-                )
+                CandidateEntry(c.next_hop, pheromone.get(c.next_hop, initial), c.metrics)
                 for c in live
             ]
             try:

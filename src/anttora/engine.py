@@ -1,6 +1,6 @@
 """Deterministic discrete-event core.
 
-One ``Simulation`` owns the event queue, the physical link set, node
+One ``Simulation`` owns the event queue, the physical adjacency, node
 mobility, and every node agent. All randomness flows from a single seeded
 generator used only by mobility and placement; the protocol itself is
 deterministic, so identical (scenario, seed) pairs replay to byte-identical
@@ -94,7 +94,8 @@ class Simulation:
         self.reaction_sets: dict[int, set[int]] = {}
         self.current_failure: int | None = None
         self._failure_counter = 0
-        self.links: set[tuple[int, int]] = set()
+        # node -> nodes it has an up link to; always symmetric
+        self.adj: dict[int, set[int]] = {i: set() for i in range(scenario.nodes.count)}
         self.mobility: dict[int, MobilityNode] = {}
         self.counters = {
             "frames_sent": 0,
@@ -125,13 +126,13 @@ class Simulation:
         if n == 0:
             return
         if sc.topology.mode == "static":
-            for a, b in sorted(sc.topology.adjacency):
-                self.links.add((a, b))
+            for a, b in sc.topology.adjacency:
+                self._connect(a, b)
         else:
             self._init_mobility()
             self.schedule(0.0, self._on_mobility_step)
         for i in sorted(self.agents):
-            for j in sorted(self._neighbors(i)):
+            for j in self._neighbors(i):
                 self.agents[i].link_up(j, 0.0)
         self.schedule(0.0, self._on_hello_timer)
         self.schedule(sc.evaporation_period, self._on_evaporation_timer)
@@ -166,7 +167,7 @@ class Simulation:
         for a in range(sc.nodes.count):
             for b in range(a + 1, sc.nodes.count):
                 if math.dist(positions[a], positions[b]) <= r:
-                    self.links.add((a, b))
+                    self._connect(a, b)
 
     def _pick_waypoint(self, node: int, now: float) -> None:
         sc = self.scenario
@@ -179,16 +180,14 @@ class Simulation:
     # -- helpers -------------------------------------------------------------
 
     def _neighbors(self, node: int) -> list[int]:
-        out = []
-        for a, b in self.links:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return sorted(out)
+        return sorted(self.adj[node])
 
     def _link_up(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.links
+        return b in self.adj[a]
+
+    def _connect(self, a: int, b: int) -> None:
+        self.adj[a].add(b)
+        self.adj[b].add(a)
 
     def _bits_of(self, packet: Packet) -> int:
         key = PACKET_KINDS[type(packet)].bits_key
@@ -303,16 +302,15 @@ class Simulation:
     def _on_link_change(self, a: int, b: int, up: bool) -> None:
         now = self.now
         key = (min(a, b), max(a, b))
+        if up == self._link_up(a, b):
+            return
         if up:
-            if key in self.links:
-                return
-            self.links.add(key)
-            for node, peer in ((min(a, b), max(a, b)), (max(a, b), min(a, b))):
+            self._connect(a, b)
+            for node, peer in (key, key[::-1]):
                 self.process_emissions(node, self.agents[node].link_up(peer, now), now)
             return
-        if key not in self.links:
-            return
-        self.links.discard(key)
+        self.adj[a].discard(b)
+        self.adj[b].discard(a)
         self._failure_counter += 1
         fid = self._failure_counter
         self.current_failure = fid
@@ -363,19 +361,21 @@ class Simulation:
         """Schedule the exact range crossings of pairwise-linear motion on
         [t0, t1]."""
         r = self.scenario.topology.comm_range
-        nodes = sorted(self.mobility)
-        for ai in range(len(nodes)):
-            for bi in range(ai + 1, len(nodes)):
-                a, b = nodes[ai], nodes[bi]
-                ma, mb = self.mobility[a], self.mobility[b]
-                va, vb = ma.velocity(t0), mb.velocity(t0)
-                dx, dy = ma.pos[0] - mb.pos[0], ma.pos[1] - mb.pos[1]
-                vx, vy = va[0] - vb[0], va[1] - vb[1]
+        rr = r * r
+        # each node's position and velocity, read once per segment
+        state = [
+            (i, m.pos[0], m.pos[1], *m.velocity(t0))
+            for i, m in sorted(self.mobility.items())
+        ]
+        for ai, (a, ax, ay, avx, avy) in enumerate(state):
+            for b, bx, by, bvx, bvy in state[ai + 1 :]:
+                dx, dy = ax - bx, ay - by
+                vx, vy = avx - bvx, avy - bvy
                 qa = vx * vx + vy * vy
-                qb = 2.0 * (dx * vx + dy * vy)
-                qc = dx * dx + dy * dy - r * r
                 if qa <= 1e-18:
                     continue
+                qb = 2.0 * (dx * vx + dy * vy)
+                qc = dx * dx + dy * dy - rr
                 disc = qb * qb - 4.0 * qa * qc
                 if disc <= 0.0:
                     continue

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anttora.aco import (
+    DRAIN_FLOOR,
     CandidateEntry,
     DepositWeights,
     NormalizationBounds,
@@ -288,6 +290,20 @@ def test_preference_ordering_matches_products():
     cands = [_entry(1, 2.0, delay=0.01), _entry(2, 0.1, delay=0.5)]
     out = dict(path_preference(cands, PreferenceWeights()))
     assert out[1] > out[2]
+
+
+def test_zero_drain_rate_is_floored_not_rejected():
+    # a path over nodes that have spent nothing yet reports drain rate 0
+    cands = [_entry(1, 0.5, drain=0.0), _entry(2, 0.8, drain=0.0, delay=0.02), _entry(3, 1.0)]
+    got = path_preference(cands, PreferenceWeights())
+    floored = [
+        CandidateEntry(c.next_hop, c.tau, dataclasses.replace(
+            c.metrics, drain_rate=max(c.metrics.drain_rate, DRAIN_FLOOR)))
+        for c in cands
+    ]
+    want = _preference_oracle(floored, PreferenceWeights())
+    assert all(math.isfinite(p) for _, p in got)
+    assert [p for _, p in got] == want
 
 
 def test_preference_rejects_empty_and_all_zero():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from anttora.engine import MobilityNode, Simulation
@@ -114,7 +117,8 @@ def test_broadcast_fans_out_to_each_neighbor():
 def test_send_on_downed_link_is_counted_drop():
     sc = static_scenario(2, [(0, 1)])
     sim = Simulation(sc)
-    sim.links.clear()
+    for peers in sim.adj.values():
+        peers.clear()
     queued = len(sim.queue)
     sim.deliver(DataPacket(0, 1, 0, 100, (0, 1)), 0, 1, 0.5)
     assert len(sim.queue) == queued
@@ -169,7 +173,7 @@ def mobility_scenario(**over):
 def test_zero_speed_never_changes_links():
     sim = run(mobility_scenario())
     assert sim.failure_events == []
-    assert sim.links == {(0, 1)}
+    assert sim.adj == {0: {1}, 1: {0}}
 
 
 def test_moving_apart_emits_one_down_event_at_crossing_time():
@@ -202,6 +206,55 @@ def test_return_crossing_orders_down_then_up():
     changes = link_changes(sim)
     assert [c[2] for c in changes] == [False, True]
     assert changes[0][:2] < changes[1][:2]
+
+
+def _reference_crossings(mobility, r, t0, t1):
+    """Brute force: read both nodes' velocity for every pair."""
+    out = []
+    nodes = sorted(mobility)
+    for ai in range(len(nodes)):
+        for bi in range(ai + 1, len(nodes)):
+            a, b = nodes[ai], nodes[bi]
+            ma, mb = mobility[a], mobility[b]
+            va, vb = ma.velocity(t0), mb.velocity(t0)
+            dx, dy = ma.pos[0] - mb.pos[0], ma.pos[1] - mb.pos[1]
+            vx, vy = va[0] - vb[0], va[1] - vb[1]
+            qa = vx * vx + vy * vy
+            qb = 2.0 * (dx * vx + dy * vy)
+            qc = dx * dx + dy * dy - r * r
+            if qa <= 1e-18:
+                continue
+            disc = qb * qb - 4.0 * qa * qc
+            if disc <= 0.0:
+                continue
+            sq = math.sqrt(disc)
+            for s, up in (((-qb - sq) / (2 * qa), True), ((-qb + sq) / (2 * qa), False)):
+                if s > 1e-12 and t0 + s <= t1 + 1e-12:
+                    out.append((t0 + s, a, b, up))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_crossing_scan_matches_per_pair_reference(seed):
+    rng = random.Random(seed)
+    sc = mobility_scenario(nodes={"count": 12, "positions": [[0.0, 0.0]] * 12})
+    sim = Simulation(sc)
+    t0 = 1.0
+    for i in range(12):
+        point = lambda: (rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0))
+        pause = rng.choice([0.0, t0 + 0.5])  # about half the nodes stand still
+        speed = rng.uniform(1.0, 60.0)
+        sim.mobility[i] = MobilityNode(pos=point(), target=point(), speed=speed, pause_until=pause)
+    sim.queue.clear()
+    sim._crossings(t0, t0 + 5.0)
+    got = [
+        (t, *args)
+        for t, _seq, handler, args in sorted(sim.queue, key=lambda ev: ev[1])
+        if handler == sim._on_link_change
+    ]
+    want = _reference_crossings(sim.mobility, sc.topology.comm_range, t0, t0 + 5.0)
+    assert want, "the random motion should cross the range somewhere"
+    assert got == want
 
 
 def test_pause_time_holds_then_releases_the_node():
