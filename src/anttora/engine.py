@@ -92,6 +92,7 @@ class Simulation:
         self.cache_samples: list[tuple[float, int]] = []
         self.failure_events: list[tuple[int, float, int, int]] = []
         self.reaction_sets: dict[int, set[int]] = {}
+        # the link failure the running event descends from, if any
         self.current_failure: int | None = None
         self._failure_counter = 0
         # node -> nodes it has an up link to; always symmetric
@@ -227,12 +228,14 @@ class Simulation:
         processing = self.scenario.links.processing
         arrival = now + bits / capacity + propagation + processing
         self.counters["frames_sent"] += 1
-        self.schedule(arrival, self._on_delivery, packet, frm, to)
+        # a frame sent in reaction to a link failure carries the failure's id
+        self.schedule(arrival, self._on_delivery, packet, frm, to, self.current_failure)
 
     # -- event handlers -----------------------------------------------------------
 
-    def _on_delivery(self, packet: Packet, frm: int, to: int) -> None:
+    def _on_delivery(self, packet: Packet, frm: int, to: int, cause: int | None) -> None:
         now = self.now
+        self.current_failure = cause
         if not self._link_up(frm, to):
             self.counters["frames_dropped"] += 1
             self.counters["drop_cancelled_in_flight"] += 1
@@ -405,6 +408,7 @@ class Simulation:
             last = (t, seq)
             self.now = t
             self.pop_count += 1
+            self.current_failure = None
             handler(*args)
         # frames still in the air when the run ends count as dropped, so the
         # ledger frames_sent + drop_link_down_at_send == frames_delivered +

@@ -141,6 +141,24 @@ def test_inflight_frame_dies_with_its_link():
     assert drops
 
 
+@pytest.mark.parametrize("later_flow", [False, True])
+def test_failure_reaction_set_is_its_causal_closure(later_flow):
+    """Only height changes the cut causes count toward its locality; a later
+    discovery for an unrelated flow does not."""
+    flows = [flow(0, 3, start=2.0, stop=3.0)]
+    if later_flow:
+        flows.append(flow(5, 2, start=7.0, stop=8.0))
+    sc = static_scenario(
+        6,
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 4)],
+        flows,
+        link_failures=[{"time_s": 4.0, "a": 2, "b": 3}],
+        end_time_s=9.0,
+    )
+    sim = run(sc)
+    assert sim.reaction_sets[1] == {0, 2}
+
+
 # ---------------------------------------------------------------------------
 # mobility
 

@@ -7,7 +7,8 @@ After a deliberate behaviour change, re-pin with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and name the change in CHANGES.md.
+and name the change in CHANGES.md. The re-pin prints one line per run whose
+digests moved, with its old and new 12-character prefixes.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ def test_golden_digests(name, tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for pin in PINNED.values():
-            pin.update(run_digests(pin["scenario"], pin["mode"], pathlib.Path(tmp)))
+        for name, pin in sorted(PINNED.items()):
+            got = run_digests(pin["scenario"], pin["mode"], pathlib.Path(tmp))
+            moved = [
+                f"{key} {str(pin.get(key))[:12]} -> {digest[:12]}"
+                for key, digest in sorted(got.items())
+                if pin.get(key) != digest
+            ]
+            if moved:
+                print(f"{name}: " + ", ".join(moved))
+            pin.update(got)
     PINS.write_text(json.dumps(PINNED, indent=2, sort_keys=True) + "\n")
