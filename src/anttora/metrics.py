@@ -113,15 +113,26 @@ def read_trace(path: str) -> list[str]:
         return [line.rstrip("\n") for line in fh]
 
 
+def _order_key(line: str) -> tuple[float, int]:
+    try:
+        ts, seq = line.split(" ", 2)[:2]
+        return float(ts), int(seq)
+    except ValueError:
+        raise TraceDecodeError(f"bad timestamp or seq in trace line: {line!r}") from None
+
+
 def validate_trace_order(lines: list[str]) -> None:
-    """Packet-event lines must be lexically ordered (timestamp, then seq).
+    """Packet-event lines must be ordered by (timestamp, seq).
 
     The writer emits events in engine order without sorting, so this is the
-    one place the order is checked."""
+    one place the order is checked. Comparing whole lines is the fast path;
+    a line that sorts lexically before its predecessor is only out of order
+    if its parsed (timestamp, seq) is too, since ``seq`` widens past eight
+    digits ("100000000" < "99999999")."""
     prev = ""
     for line in lines:
         if not line or line.startswith("#"):
             continue
-        if line < prev:
+        if line < prev and _order_key(line) <= _order_key(prev):
             raise TraceDecodeError("trace packet events are not in canonical order")
         prev = line

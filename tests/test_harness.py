@@ -8,7 +8,8 @@ import pytest
 
 from anttora.cli import main as cli_main
 from anttora.harness import replay, run_experiment, run_single, write_trace
-from anttora.packets import TraceDecodeError, decode_trace_record
+from anttora.metrics import validate_trace_order
+from anttora.packets import HelloAnt, TraceDecodeError, decode_trace_record, encode_trace
 
 from conftest import flow, scenario_dict, static_scenario
 
@@ -61,6 +62,18 @@ def test_replay_rejects_disordered_trace(tmp_path):
     write_trace(str(path), shuffled)
     with pytest.raises(TraceDecodeError):
         replay(str(path))
+
+
+def test_order_check_survives_seq_past_eight_digits():
+    hello = HelloAnt(0, 0.0, 100.0, 0.0, 512)
+    before = encode_trace(hello, 12.5, seq=99_999_999)
+    after = encode_trace(hello, 12.5, seq=100_000_000)
+    assert after < before  # lexically backwards, yet in (time, seq) order
+    validate_trace_order([before, after])
+    with pytest.raises(TraceDecodeError):
+        validate_trace_order([encode_trace(hello, 12.5, seq=100_000_001), after])
+    with pytest.raises(TraceDecodeError):
+        validate_trace_order([before, encode_trace(hello, 12.4, seq=100_000_000)])
 
 
 # qreq and qrep lines in the format that still carried min_bandwidth_seen and
