@@ -362,7 +362,7 @@ class Simulation:
 
     def _crossings(self, t0: float, t1: float) -> None:
         """Schedule the exact range crossings of pairwise-linear motion on
-        [t0, t1]."""
+        [t0, t1)."""
         r = self.scenario.topology.comm_range
         rr = r * r
         # each node's position and velocity, read once per segment
@@ -384,10 +384,14 @@ class Simulation:
                     continue
                 sq = math.sqrt(disc)
                 # squared distance is convex along linear relative motion, so
-                # the earlier root always enters range and the later one leaves
+                # the earlier root always enters range and the later one leaves;
+                # segments are half-open, so a root at a segment's start is
+                # that segment's (a pair exactly at range moving out goes down)
+                # and a root at its end is left to the next one, whose motion
+                # decides whether the pair really crosses there
                 for s, up in (((-qb - sq) / (2 * qa), True), ((-qb + sq) / (2 * qa), False)):
-                    if s > 1e-12 and t0 + s <= t1 + 1e-12:
-                        self.schedule(t0 + s, self._on_link_change, a, b, up)
+                    if s > -1e-12 and t0 + s < t1 - 1e-12:
+                        self.schedule(t0 + max(s, 0.0), self._on_link_change, a, b, up)
 
     def _on_mobility_step(self) -> None:
         step = self.scenario.topology.step

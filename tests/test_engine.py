@@ -226,6 +226,21 @@ def test_return_crossing_orders_down_then_up():
     assert changes[0][:2] < changes[1][:2]
 
 
+def test_touching_the_range_and_turning_back_keeps_the_link():
+    # node 1 stops exactly at range (150 m), then walks back in: a pair at
+    # range is in range, so the link never goes down
+    sim = Simulation(mobility_scenario(topology={"pause_time": 0.5}))
+    sim.mobility[1] = MobilityNode(pos=(100.0, 0.0), target=(150.0, 0.0), speed=1000.0)
+    sim.now = 0.0
+    sim.step_mobility(0.1)
+    m = sim.mobility[1]
+    assert m.pos == (150.0, 0.0)
+    m.target, m.pause_until = (100.0, 0.0), 0.0
+    sim.now = 0.1
+    sim.step_mobility(0.1)
+    assert [c for c in link_changes(sim) if not c[2]] == []
+
+
 def _reference_crossings(mobility, r, t0, t1):
     """Brute force: read both nodes' velocity for every pair."""
     out = []
@@ -247,8 +262,8 @@ def _reference_crossings(mobility, r, t0, t1):
                 continue
             sq = math.sqrt(disc)
             for s, up in (((-qb - sq) / (2 * qa), True), ((-qb + sq) / (2 * qa), False)):
-                if s > 1e-12 and t0 + s <= t1 + 1e-12:
-                    out.append((t0 + s, a, b, up))
+                if s > -1e-12 and t0 + s < t1 - 1e-12:
+                    out.append((t0 + max(s, 0.0), a, b, up))
     return out
 
 

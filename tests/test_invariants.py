@@ -1,19 +1,24 @@
-"""Ledger invariants over generated static scenarios.
+"""Ledger and geometry invariants over generated scenarios.
 
 Small graphs with random cuts, flows and initial energy (down to the point
 where batteries run dry mid-run) must keep the engine's counters and the
-trace-derived metrics in agreement.
+trace-derived metrics in agreement. Small mobility runs must do the same,
+and before every mobility step their adjacency must be symmetric and hold
+exactly the pairs within communication range.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anttora.engine import Simulation
 from anttora.harness import run_single
+from anttora.metrics import compute_metrics
 from anttora.scenario import parse_scenario
 
 from conftest import flow, scenario_dict
@@ -57,6 +62,10 @@ def static_scenarios(draw) -> dict:
 @given(static_scenarios())
 def test_counters_and_trace_agree(data):
     _lines, metrics, sim = run_single(parse_scenario(data))
+    assert_ledgers(metrics, sim)
+
+
+def assert_ledgers(metrics, sim) -> None:
     c = sim.counters
     assert metrics.data_sent == c["data_offered"]
     assert metrics.data_delivered == c["data_delivered"]
@@ -64,3 +73,77 @@ def test_counters_and_trace_agree(data):
     assert c["frames_dropped"] == sum(c[k] for k in drops)
     # a frame dropped at send never counts as sent
     assert c["frames_sent"] + c["drop_link_down_at_send"] == c["frames_delivered"] + c["frames_dropped"]
+
+
+@st.composite
+def mobility_scenarios(draw) -> dict:
+    n = draw(st.integers(3, 10))
+    coord = st.floats(0.0, 300.0, allow_nan=False)
+    positions = [[draw(coord), draw(coord)] for _ in range(n)]
+    lo = draw(st.floats(0.0, 30.0))
+    hi = lo + draw(st.floats(0.0, 30.0))
+    endpoints = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda ends: ends[0] != ends[1]
+    )
+    flows = [
+        flow(src, dst, rate=4.0, start=start / 10, stop=start / 10 + 2.0)
+        for (src, dst), start in draw(
+            st.lists(st.tuples(endpoints, st.integers(5, 30)), min_size=1, max_size=2)
+        )
+    ]
+    return {
+        "nodes": {"count": n, "positions": positions},
+        "topology": {
+            "mode": "mobility",
+            "area": [300.0, 300.0],
+            "speed": [lo, hi],
+            "comm_range": 120.0,
+            "pause_time": draw(st.sampled_from([0.0, 0.3, 1.5])),
+            "step": draw(st.integers(1, 10)) / 10,
+        },
+        "traffic": flows,
+        "end_time_s": draw(st.integers(2, 6)),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def assert_adjacency_matches_geometry(sim) -> None:
+    r = sim.scenario.topology.comm_range
+    for a, peers in sim.adj.items():
+        assert all(a in sim.adj[b] for b in peers), f"adjacency of {a} is one-sided"
+    for a in sim.mobility:
+        for b in sim.mobility:
+            d = math.dist(sim.mobility[a].pos, sim.mobility[b].pos)
+            if a == b or abs(d - r) <= 1e-6:
+                continue
+            assert (b in sim.adj[a]) == (d < r), f"t={sim.now}: {a}-{b} at {d} m"
+
+
+# nodes exactly at range at t=0, moving apart: the link must go down at once
+AT_RANGE = {
+    "nodes": {"count": 3, "positions": [[0.0, 0.0], [0.0, 0.0], [120.0, 0.0]]},
+    "topology": {"mode": "mobility", "area": [300.0, 300.0], "speed": [5.0, 10.0],
+                 "comm_range": 120.0, "step": 0.1},
+    "traffic": [flow(0, 1, rate=4.0, start=0.5, stop=2.5)],
+    "end_time_s": 2,
+    "seed": 8,  # node 2's first leg leads away from node 0
+}
+
+
+@settings(deadline=None, max_examples=40)
+@example(AT_RANGE)
+@given(mobility_scenarios())
+def test_mobility_adjacency_and_ledgers(data):
+    sim = Simulation(parse_scenario(data))
+    step = sim._on_mobility_step
+
+    def checked_step():
+        assert_adjacency_matches_geometry(sim)
+        step()
+
+    # the first step was queued at construction; every later one is
+    # scheduled through the instance attribute, so it runs the check
+    assert_adjacency_matches_geometry(sim)
+    sim._on_mobility_step = checked_step
+    sim.run()
+    assert_ledgers(compute_metrics(sim.trace_lines()), sim)
