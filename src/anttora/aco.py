@@ -6,8 +6,7 @@ pheromone on the link they arrived over, scaled by path quality; pheromone
 decays both at update time (persistence factor) and on a periodic
 evaporation timer. Next-hop choice ranks candidates by a normalized product
 of pheromone and the path metrics; ``path_preference`` floors the drain rate
-at ``DRAIN_FLOOR``, so a path whose nodes have spent no energy yet still
-scores finitely.
+at ``DRAIN_FLOOR``, so a path over nodes that have spent nothing scores finitely.
 """
 
 from __future__ import annotations

@@ -58,7 +58,7 @@ class _Hooks(AgentHooks):
         sim = self.sim
         self.log("height", node, now, dest=dest, new=new)
         if sim.current_failure is not None:
-            sim.reaction_sets.setdefault(sim.current_failure, set()).add(node)
+            sim.reaction_sets[sim.current_failure].add(node)
 
     def route_inserted(self, node, dest, expires_at):
         sim = self.sim
@@ -94,7 +94,6 @@ class Simulation:
         self.reaction_sets: dict[int, set[int]] = {}
         # the link failure the running event descends from, if any
         self.current_failure: int | None = None
-        self._failure_counter = 0
         # node -> nodes it has an up link to; always symmetric
         self.adj: dict[int, set[int]] = {i: set() for i in range(scenario.nodes.count)}
         self.mobility: dict[int, MobilityNode] = {}
@@ -304,23 +303,22 @@ class Simulation:
 
     def _on_link_change(self, a: int, b: int, up: bool) -> None:
         now = self.now
-        key = (min(a, b), max(a, b))
         if up == self._link_up(a, b):
             return
+        key = (min(a, b), max(a, b))
+        ends = (key, key[::-1])
         if up:
             self._connect(a, b)
-            for node, peer in (key, key[::-1]):
+            for node, peer in ends:
                 self.process_emissions(node, self.agents[node].link_up(peer, now), now)
             return
         self.adj[a].discard(b)
         self.adj[b].discard(a)
-        self._failure_counter += 1
-        fid = self._failure_counter
-        self.current_failure = fid
-        self.failure_events.append((fid, now, key[0], key[1]))
-        self.reaction_sets.setdefault(fid, set())
+        fid = self.current_failure = len(self.failure_events) + 1
+        self.failure_events.append((fid, now, *key))
+        self.reaction_sets[fid] = set()
         self.hooks.log("link_failure", -1, now, id=fid, a=key[0], b=key[1])
-        for node, peer in ((key[0], key[1]), (key[1], key[0])):
+        for node, peer in ends:
             self.process_emissions(node, self.agents[node].on_link_failure(peer, now), now)
 
     # -- mobility -----------------------------------------------------------------
@@ -334,8 +332,7 @@ class Simulation:
         t = self.now
         while t < horizon - 1e-12:
             seg_end = horizon
-            for i in sorted(self.mobility):
-                m = self.mobility[i]
+            for m in self.mobility.values():
                 if m.pause_until > t:
                     seg_end = min(seg_end, m.pause_until)
                 elif m.speed > 0:
@@ -343,8 +340,7 @@ class Simulation:
                     if dist > 1e-12:
                         seg_end = min(seg_end, t + dist / m.speed)
             self._crossings(t, seg_end)
-            for i in sorted(self.mobility):
-                m = self.mobility[i]
+            for i, m in sorted(self.mobility.items()):
                 was_paused = m.pause_until > t
                 vx, vy = m.velocity(t)
                 m.pos = (m.pos[0] + vx * (seg_end - t), m.pos[1] + vy * (seg_end - t))
@@ -385,10 +381,8 @@ class Simulation:
                 sq = math.sqrt(disc)
                 # squared distance is convex along linear relative motion, so
                 # the earlier root always enters range and the later one leaves;
-                # segments are half-open, so a root at a segment's start is
-                # that segment's (a pair exactly at range moving out goes down)
-                # and a root at its end is left to the next one, whose motion
-                # decides whether the pair really crosses there
+                # segments are half-open: a root at the end is left to the next
+                # segment, whose motion decides whether the pair crosses there
                 for s, up in (((-qb - sq) / (2 * qa), True), ((-qb + sq) / (2 * qa), False)):
                     if s > -1e-12 and t0 + s < t1 - 1e-12:
                         self.schedule(t0 + max(s, 0.0), self._on_link_change, a, b, up)
@@ -457,7 +451,7 @@ class Simulation:
         for t, total in self.cache_samples:
             lines.append(f"# cachesize t={t:.6f} total={total}")
         for fid, t, a, b in self.failure_events:
-            nodes = len(self.reaction_sets.get(fid, ()))
+            nodes = len(self.reaction_sets[fid])
             lines.append(f"# locality failure={fid} t={t:.6f} a={a} b={b} nodes={nodes}")
         # records are appended in (time, seq) order, so no sort is needed
         lines.extend(r.encode() for r in self.records)

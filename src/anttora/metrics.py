@@ -113,14 +113,6 @@ def read_trace(path: str) -> list[str]:
         return [line.rstrip("\n") for line in fh]
 
 
-def _order_key(line: str) -> tuple[float, int]:
-    try:
-        ts, seq = line.split(" ", 2)[:2]
-        return float(ts), int(seq)
-    except ValueError:
-        raise TraceDecodeError(f"bad timestamp or seq in trace line: {line!r}") from None
-
-
 def validate_trace_order(lines: list[str]) -> None:
     """Packet-event lines must be ordered by (timestamp, seq).
 
@@ -133,6 +125,8 @@ def validate_trace_order(lines: list[str]) -> None:
     for line in lines:
         if not line or line.startswith("#"):
             continue
-        if line < prev and _order_key(line) <= _order_key(prev):
-            raise TraceDecodeError("trace packet events are not in canonical order")
+        if line < prev:
+            cur, last = decode_trace_record(line), decode_trace_record(prev)
+            if (cur.timestamp, cur.seq) <= (last.timestamp, last.seq):
+                raise TraceDecodeError("trace packet events are not in canonical order")
         prev = line
