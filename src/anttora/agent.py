@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .aco import (
     CandidateEntry,
@@ -49,6 +50,9 @@ from .packets import (
     QryRequestAnt,
     UpdPacket,
 )
+
+if TYPE_CHECKING:  # scenario.py imports this module
+    from .scenario import LinkSpec
 
 ERROR_DEDUP_WINDOW = 5.0
 
@@ -90,7 +94,6 @@ class QosConstraints:
 class NeighborInfo:
     """Last heard energy budget and bandwidth estimate for one neighbor."""
 
-    neighbor: int
     residual_energy: float = 0.0
     drain_rate: float = 0.0
     est_bandwidth: float = 0.0
@@ -152,7 +155,6 @@ class Candidate:
     path: tuple[int, ...]
     metrics: PathMetrics
     created_at: float
-    updated_at: float
     expires_at: float
 
 
@@ -182,34 +184,6 @@ class ProtocolParams:
     baseline: bool = False
 
 
-class NetView:
-    """Radio parameters the protocol is configured with.
-
-    Nodes know their own links' capacity and propagation delay and every
-    node's processing delay, the way deployed radios know their specs.
-    """
-
-    def link_params(self, a: int, b: int) -> tuple[float, float]:
-        """(capacity bits/s, propagation delay s) of the a-b link."""
-        raise NotImplementedError
-
-    def processing_delay(self, node: int) -> float:
-        raise NotImplementedError
-
-
-class UniformNetView(NetView):
-    def __init__(self, capacity: float, propagation: float, processing: float):
-        self._capacity = capacity
-        self._propagation = propagation
-        self._processing = processing
-
-    def link_params(self, a: int, b: int) -> tuple[float, float]:
-        return self._capacity, self._propagation
-
-    def processing_delay(self, node: int) -> float:
-        return self._processing
-
-
 class AgentHooks:
     """Observation points the simulator (and tests) can attach to."""
 
@@ -230,13 +204,15 @@ class NodeAgent:
         self,
         node_id: int,
         params: ProtocolParams,
-        net: NetView,
+        links: LinkSpec,
         initial_energy: float,
         hooks: AgentHooks | None = None,
     ):
         self.node = node_id
         self.params = params
-        self.net = net
+        # radios know their own links' capacity and propagation delay and
+        # every node's processing delay, the way deployed radios know specs
+        self.links = links
         self.hooks = hooks or AgentHooks()
         self.energy = NodeEnergy(residual=initial_energy)
 
@@ -248,7 +224,7 @@ class NodeAgent:
         self.preferences: dict[int, dict[int, float]] = {}
         self.cache: dict[int, list[RouteCacheEntry]] = {}
         self.pending_request: dict[int, QryRequestAnt] = {}
-        self.initiated: dict[int, float] = {}
+        self.initiated: set[int] = set()
         self.last_reply_at: dict[int, float] = {}
         self.seen_errors: dict[tuple[int, int], float] = {}
         self.fwd_history: dict[int, set[tuple[int, int]]] = {}
@@ -273,7 +249,7 @@ class NodeAgent:
         self.hooks.height_changed(self.node, state.destination, old, new, now)
 
     def _metric_link_delay(self, neighbor: int) -> float:
-        capacity, propagation = self.net.link_params(self.node, neighbor)
+        capacity, propagation = self.links.params(self.node, neighbor)
         return propagation + self.params.metric_packet_bits / capacity
 
     # -- link layer --------------------------------------------------------
@@ -335,7 +311,6 @@ class NodeAgent:
         if hello.sender not in self.link_activated_at:
             self.link_up(hello.sender, receive_time)
         info = NeighborInfo(
-            neighbor=hello.sender,
             residual_energy=hello.residual_energy,
             drain_rate=hello.drain_rate,
             est_bandwidth=hello.size_bits / (receive_time - hello.send_time),
@@ -383,7 +358,7 @@ class NodeAgent:
         state = self._state_for(dest)
         self._set_height(state, Height.null(self.node), now)
         state.route_required = True
-        self.initiated[dest] = now
+        self.initiated.add(dest)
         req = QryRequestAnt(
             request_start_time=now,
             source=self.node,
@@ -459,7 +434,6 @@ class NodeAgent:
                 path=path,
                 metrics=extended,
                 created_at=old.created_at if old else now,
-                updated_at=now,
                 expires_at=now + self.params.route_ttl,
             )
             if not self.params.baseline:
@@ -722,8 +696,7 @@ class NodeAgent:
     ) -> tuple[PathMetrics, tuple[int, ...]]:
         info = self.neighbors[sender]
         metrics = PathMetrics(
-            delay=rep.delay + self._metric_link_delay(sender)
-            + self.net.processing_delay(self.node),
+            delay=rep.delay + self._metric_link_delay(sender) + self.links.processing,
             bandwidth=min(rep.bandwidth, info.est_bandwidth),
             energy=min(rep.energy, self.energy.residual),
             drain_rate=max(rep.drain_rate, self.energy.drain_rate),
@@ -766,7 +739,7 @@ class NodeAgent:
             return None
         return QryReplyAnt(
             hop_count=1,
-            delay=self.net.processing_delay(self.node),
+            delay=self.links.processing,
             energy=self.energy.residual,
             drain_rate=self.energy.drain_rate,
             bandwidth=info.est_bandwidth,
@@ -795,9 +768,8 @@ class NodeAgent:
         elif dest in self.neighbors and self.neighbors[dest].est_bandwidth > 0:
             info = self.neighbors[dest]
             m = PathMetrics(
-                delay=self._metric_link_delay(dest)
-                + self.net.processing_delay(self.node)
-                + self.net.processing_delay(dest),
+                # this node's processing delay, then the destination's
+                delay=self._metric_link_delay(dest) + self.links.processing + self.links.processing,
                 bandwidth=info.est_bandwidth,
                 energy=min(self.energy.residual, info.residual_energy),
                 drain_rate=max(self.energy.drain_rate, info.drain_rate),

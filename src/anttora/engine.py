@@ -14,9 +14,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .agent import AgentHooks, Emission, NetView, NoRouteError, NodeAgent
+from .agent import AgentHooks, Emission, NoRouteError, NodeAgent
 from .packets import CONTROL_BITS_KEYS, PACKET_KINDS, DataPacket, HelloAnt, Packet, TraceRecord
 from .scenario import Scenario
 
@@ -37,17 +37,6 @@ class MobilityNode:
         if dist <= 1e-12:
             return (0.0, 0.0)
         return (self.speed * dx / dist, self.speed * dy / dist)
-
-
-class ScenarioNetView(NetView):
-    def __init__(self, scenario: Scenario):
-        self._links = scenario.links
-
-    def link_params(self, a: int, b: int) -> tuple[float, float]:
-        return self._links.params(a, b)
-
-    def processing_delay(self, node: int) -> float:
-        return self._links.processing
 
 
 class _Hooks(AgentHooks):
@@ -75,11 +64,12 @@ class Simulation:
         self.mode = mode or scenario.mode
         self.end_time = scenario.end_time
         self.rng = random.Random(self.seed)
-        self.net = ScenarioNetView(scenario)
         self.hooks = _Hooks(self)
-        params = scenario.protocol_params(self.mode)
+        params = scenario.protocol
+        if mode:
+            params = replace(params, baseline=mode == "baseline_tora")
         self.agents = {
-            i: NodeAgent(i, params, self.net, scenario.nodes.initial_energy, self.hooks)
+            i: NodeAgent(i, params, scenario.links, scenario.nodes.initial_energy, self.hooks)
             for i in range(scenario.nodes.count)
         }
 
@@ -274,7 +264,7 @@ class Simulation:
             self.process_emissions(i, self.agents[i].hello_tick(now), now)
         total = sum(len(entries) for a in self.agents.values() for entries in a.cache.values())
         self.cache_samples.append((now, total))
-        nxt = now + self.scenario.hello_interval
+        nxt = now + self.scenario.protocol.hello_interval
         if nxt <= self.end_time:
             self.schedule(nxt, self._on_hello_timer)
 

@@ -117,16 +117,19 @@ def validate_trace_order(lines: list[str]) -> None:
     """Packet-event lines must be ordered by (timestamp, seq).
 
     The writer emits events in engine order without sorting, so this is the
-    one place the order is checked. Comparing whole lines is the fast path;
-    a line that sorts lexically before its predecessor is only out of order
-    if its parsed (timestamp, seq) is too, since ``seq`` widens past eight
-    digits ("100000000" < "99999999")."""
-    prev = ""
+    one place the order is checked. Comparing whole lines is the fast path,
+    exact while the zero-padded timestamp and seq fields keep their widths;
+    ``seq`` widens past eight digits ("100000000" < "99999999"), so a line
+    that sorts lexically before its predecessor, or whose fields differ in
+    width from it, is decoded and must have a greater (timestamp, seq)."""
+    prev, prev_ts_end, prev_seq_end = "", 0, 0
     for line in lines:
         if not line or line.startswith("#"):
             continue
-        if line < prev:
+        ts_end = line.find(" ")
+        seq_end = line.find(" ", ts_end + 1)
+        if prev and (line < prev or ts_end != prev_ts_end or seq_end != prev_seq_end):
             cur, last = decode_trace_record(line), decode_trace_record(prev)
             if (cur.timestamp, cur.seq) <= (last.timestamp, last.seq):
                 raise TraceDecodeError("trace packet events are not in canonical order")
-        prev = line
+        prev, prev_ts_end, prev_seq_end = line, ts_end, seq_end

@@ -9,7 +9,7 @@ file stays reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .aco import DepositWeights, NormalizationBounds, PreferenceWeights
 from .agent import ProtocolParams, QosConstraints
@@ -87,18 +87,8 @@ class Scenario:
     nodes: NodesSpec
     topology: TopologySpec
     links: LinkSpec
-    qos: QosConstraints
-    deposit_weights: DepositWeights
-    preference_weights: PreferenceWeights
-    bounds: NormalizationBounds
-    hello_interval: float
-    hello_bits: int
-    neighbor_loss_hellos: int
-    route_ttl: float
-    initial_pheromone: float
+    protocol: ProtocolParams
     evaporation_period: float
-    metric_packet_bits: int
-    drain_alpha: float
     beta_tx: float
     beta_rx: float
     control_bits: dict[str, int]
@@ -107,22 +97,6 @@ class Scenario:
     end_time: float
     seed: int
     mode: str
-
-    def protocol_params(self, mode: str | None = None) -> ProtocolParams:
-        return ProtocolParams(
-            hello_interval=self.hello_interval,
-            hello_bits=self.hello_bits,
-            neighbor_loss_hellos=self.neighbor_loss_hellos,
-            route_ttl=self.route_ttl,
-            initial_pheromone=self.initial_pheromone,
-            metric_packet_bits=self.metric_packet_bits,
-            drain_alpha=self.drain_alpha,
-            deposit_weights=self.deposit_weights,
-            preference_weights=self.preference_weights,
-            bounds=self.bounds,
-            qos=self.qos,
-            baseline=(mode or self.mode) == "baseline_tora",
-        )
 
 
 class _Ctx:
@@ -166,21 +140,30 @@ class _Ctx:
         value = data.get(key)
         if value is None:
             return default
-        if (
-            not isinstance(value, list)
-            or len(value) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-        ):
+        pair = _number_pair(value)
+        if pair is None:
             self.fail(f"{path}.{key}", f"expected [low, high], got {value!r}")
             return default
-        return (float(value[0]), float(value[1]))
+        return pair
+
+
+def _number_pair(value) -> tuple[float, float] | None:
+    """``value`` as two floats if it is a list of two numbers (not booleans)."""
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    ):
+        return None
+    return (float(value[0]), float(value[1]))
 
 
 def _parse_nodes(ctx: _Ctx, data: dict) -> NodesSpec:
     ctx.section(data, "nodes", {"count", "initial_energy", "positions"})
-    count = ctx.integer(data, "nodes", "count", 0, minimum=0)
-    energy = ctx.number(data, "nodes", "initial_energy", 100.0, positive=True)
-    positions = None
+    defaults = NodesSpec()
+    count = ctx.integer(data, "nodes", "count", defaults.count, minimum=0)
+    energy = ctx.number(data, "nodes", "initial_energy", defaults.initial_energy, positive=True)
+    positions = defaults.positions
     raw = data.get("positions")
     if raw is not None:
         if not isinstance(raw, list) or len(raw) != count:
@@ -188,10 +171,11 @@ def _parse_nodes(ctx: _Ctx, data: dict) -> NodesSpec:
         else:
             out = []
             for i, p in enumerate(raw):
-                if not isinstance(p, list) or len(p) != 2:
+                xy = _number_pair(p)
+                if xy is None:
                     ctx.fail(f"nodes.positions[{i}]", f"expected [x, y], got {p!r}")
                 else:
-                    out.append((float(p[0]), float(p[1])))
+                    out.append(xy)
             positions = tuple(out)
     return NodesSpec(count=count, initial_energy=energy, positions=positions)
 
@@ -199,10 +183,11 @@ def _parse_nodes(ctx: _Ctx, data: dict) -> NodesSpec:
 def _parse_topology(ctx: _Ctx, data: dict, node_count: int) -> TopologySpec:
     allowed = {"mode", "adjacency", "area", "speed", "comm_range", "pause_time", "step", "placement_seed"}
     ctx.section(data, "topology", allowed)
-    mode = data.get("mode", "static")
+    defaults = TopologySpec()
+    mode = data.get("mode", defaults.mode)
     if mode not in ("static", "mobility"):
         ctx.fail("topology.mode", f"expected 'static' or 'mobility', got {mode!r}")
-        mode = "static"
+        mode = defaults.mode
     adjacency: list[tuple[int, int]] = []
     raw = data.get("adjacency", [])
     if mode == "mobility" and "adjacency" in data:
@@ -229,26 +214,27 @@ def _parse_topology(ctx: _Ctx, data: dict, node_count: int) -> TopologySpec:
             continue
         seen.add(key)
         adjacency.append(key)
-    placement_seed = None
+    placement_seed = defaults.placement_seed
     if "placement_seed" in data:
         placement_seed = ctx.integer(data, "topology", "placement_seed", 0)
     return TopologySpec(
         mode=mode,
         adjacency=tuple(adjacency),
-        area=ctx.pair(data, "topology", "area", (500.0, 500.0)),
-        speed=ctx.pair(data, "topology", "speed", (1.0, 5.0)),
-        comm_range=ctx.number(data, "topology", "comm_range", 150.0, positive=True),
-        pause_time=ctx.number(data, "topology", "pause_time", 0.0, minimum=0.0),
-        step=ctx.number(data, "topology", "step", 0.1, positive=True),
+        area=ctx.pair(data, "topology", "area", defaults.area),
+        speed=ctx.pair(data, "topology", "speed", defaults.speed),
+        comm_range=ctx.number(data, "topology", "comm_range", defaults.comm_range, positive=True),
+        pause_time=ctx.number(data, "topology", "pause_time", defaults.pause_time, minimum=0.0),
+        step=ctx.number(data, "topology", "step", defaults.step, positive=True),
         placement_seed=placement_seed,
     )
 
 
 def _parse_links(ctx: _Ctx, data: dict, node_count: int, mobility: bool) -> LinkSpec:
     ctx.section(data, "links", {"capacity_bps", "propagation_delay_s", "processing_delay_s", "overrides"})
-    capacity = ctx.number(data, "links", "capacity_bps", 2e6, positive=True)
-    propagation = ctx.number(data, "links", "propagation_delay_s", 1e-3, positive=True)
-    processing = ctx.number(data, "links", "processing_delay_s", 5e-4, positive=True)
+    defaults = LinkSpec()
+    capacity = ctx.number(data, "links", "capacity_bps", defaults.capacity, positive=True)
+    propagation = ctx.number(data, "links", "propagation_delay_s", defaults.propagation, positive=True)
+    processing = ctx.number(data, "links", "processing_delay_s", defaults.processing, positive=True)
     overrides: dict[tuple[int, int], tuple[float, float]] = {}
     raw = data.get("overrides", [])
     if raw and mobility:
@@ -281,30 +267,39 @@ def _parse_weights(ctx: _Ctx, data: dict):
         {"deposit_weights", "preference_weights", "persistence", "decay",
          "initial_pheromone", "evaporation_period_s"},
     )
+    dw_defaults, pw_defaults = DepositWeights(), PreferenceWeights()
     dw_raw = data.get("deposit_weights", {})
     dw_fields = {"bandwidth", "energy", "delay", "hop_count", "drain_rate"}
     ctx.section(dw_raw, "aco.deposit_weights", dw_fields)
-    dw_kwargs = {k: ctx.number(dw_raw, "aco.deposit_weights", k, 1.0, minimum=0.0) for k in dw_fields}
+    dw_kwargs = {
+        k: ctx.number(dw_raw, "aco.deposit_weights", k, getattr(dw_defaults, k), minimum=0.0)
+        for k in dw_fields
+    }
     pw_raw = data.get("preference_weights", {})
     pw_fields = {"pheromone", "delay", "hop_count", "bandwidth", "energy", "drain_rate"}
     ctx.section(pw_raw, "aco.preference_weights", pw_fields)
-    pw_kwargs = {k: ctx.number(pw_raw, "aco.preference_weights", k, 1.0, minimum=0.0) for k in pw_fields}
-    persistence = ctx.number(data, "aco", "persistence", 0.7, positive=True)
-    decay = ctx.number(data, "aco", "decay", 0.1, positive=True)
+    pw_kwargs = {
+        k: ctx.number(pw_raw, "aco.preference_weights", k, getattr(pw_defaults, k), minimum=0.0)
+        for k in pw_fields
+    }
+    persistence = ctx.number(data, "aco", "persistence", pw_defaults.persistence, positive=True)
+    decay = ctx.number(data, "aco", "decay", pw_defaults.decay, positive=True)
     if not persistence < 1.0:
         ctx.fail("aco.persistence", f"must be below 1, got {persistence}")
-        persistence = 0.7
+        persistence = pw_defaults.persistence
     if decay > 1.0:
         ctx.fail("aco.decay", f"must be at most 1, got {decay}")
-        decay = 0.1
-    tau0 = ctx.number(data, "aco", "initial_pheromone", 0.1, positive=True)
+        decay = pw_defaults.decay
+    tau0 = ctx.number(
+        data, "aco", "initial_pheromone", ProtocolParams().initial_pheromone, positive=True
+    )
     period = ctx.number(data, "aco", "evaporation_period_s", 1.0, positive=True)
     try:
         dw = DepositWeights(**dw_kwargs)
         pw = PreferenceWeights(persistence=persistence, decay=decay, **pw_kwargs)
     except ValueError as exc:
         ctx.fail("aco", str(exc))
-        dw, pw = DepositWeights(), PreferenceWeights()
+        dw, pw = dw_defaults, pw_defaults
     return dw, pw, tau0, period
 
 
@@ -343,34 +338,46 @@ def _parse_qos(ctx: _Ctx, data: dict) -> QosConstraints:
         return defaults
 
 
-def _parse_protocol(ctx: _Ctx, data: dict):
+def _parse_protocol(ctx: _Ctx, data: dict) -> tuple[dict, dict]:
+    """The ``protocol`` section, split into ProtocolParams fields and the
+    radio energy costs and control sizes that only the engine uses."""
     fields_ = {
         "hello_interval_s", "hello_bits", "route_ttl_s", "neighbor_loss_hellos",
         "beta_tx_j_per_bit", "beta_rx_j_per_bit", "drain_ewma_alpha",
         "metric_packet_bits", "control_bits",
     }
     ctx.section(data, "protocol", fields_)
+    defaults = ProtocolParams()
     raw = data.get("control_bits", {})
     ctx.section(raw, "protocol.control_bits", set(CONTROL_BITS_KEYS))
     control = {
         key: ctx.integer(raw, "protocol.control_bits", key, DEFAULT_CONTROL_BITS[key], minimum=1)
         for key in CONTROL_BITS_KEYS
     }
-    alpha = ctx.number(data, "protocol", "drain_ewma_alpha", 0.3, positive=True)
+    alpha = ctx.number(data, "protocol", "drain_ewma_alpha", defaults.drain_alpha, positive=True)
     if alpha > 1.0:
         ctx.fail("protocol.drain_ewma_alpha", f"must be at most 1, got {alpha}")
-        alpha = 0.3
-    return {
-        "hello_interval": ctx.number(data, "protocol", "hello_interval_s", 1.0, positive=True),
-        "hello_bits": ctx.integer(data, "protocol", "hello_bits", 512, minimum=1),
-        "route_ttl": ctx.number(data, "protocol", "route_ttl_s", 10.0, positive=True),
-        "neighbor_loss_hellos": ctx.integer(data, "protocol", "neighbor_loss_hellos", 3, minimum=1),
+        alpha = defaults.drain_alpha
+    timers = {
+        "hello_interval": ctx.number(
+            data, "protocol", "hello_interval_s", defaults.hello_interval, positive=True
+        ),
+        "hello_bits": ctx.integer(data, "protocol", "hello_bits", defaults.hello_bits, minimum=1),
+        "route_ttl": ctx.number(data, "protocol", "route_ttl_s", defaults.route_ttl, positive=True),
+        "neighbor_loss_hellos": ctx.integer(
+            data, "protocol", "neighbor_loss_hellos", defaults.neighbor_loss_hellos, minimum=1
+        ),
+        "drain_alpha": alpha,
+        "metric_packet_bits": ctx.integer(
+            data, "protocol", "metric_packet_bits", defaults.metric_packet_bits, minimum=1
+        ),
+    }
+    radio = {
         "beta_tx": ctx.number(data, "protocol", "beta_tx_j_per_bit", 5e-7, positive=True),
         "beta_rx": ctx.number(data, "protocol", "beta_rx_j_per_bit", 2.5e-7, positive=True),
-        "drain_alpha": alpha,
-        "metric_packet_bits": ctx.integer(data, "protocol", "metric_packet_bits", 512, minimum=1),
         "control_bits": control,
     }
+    return timers, radio
 
 
 def _parse_traffic(ctx: _Ctx, data, node_count: int, end_time: float) -> tuple[Flow, ...]:
@@ -450,7 +457,7 @@ def parse_scenario(data: dict) -> Scenario:
     qos = _parse_qos(ctx, subsection("qos"))
     dw, pw, tau0, evap = _parse_weights(ctx, subsection("aco"))
     bounds = _parse_bounds(ctx, subsection("normalization"))
-    proto = _parse_protocol(ctx, subsection("protocol"))
+    timers, radio = _parse_protocol(ctx, subsection("protocol"))
     end_time = ctx.number(data, "", "end_time_s", 10.0, positive=True)
     traffic = _parse_traffic(ctx, data.get("traffic", []), nodes.count, end_time)
     failures = _parse_failures(ctx, data.get("link_failures", []), nodes.count)
@@ -461,34 +468,31 @@ def parse_scenario(data: dict) -> Scenario:
         mode = "ant_tora"
     if topology.mode == "mobility" and nodes.positions is None and topology.placement_seed is None:
         # fall back to the run seed for placement
-        topology = TopologySpec(**{**topology.__dict__, "placement_seed": seed})
+        topology = replace(topology, placement_seed=seed)
 
     if ctx.problems:
         raise ScenarioError(ctx.problems)
+    protocol = ProtocolParams(
+        **timers,
+        initial_pheromone=tau0,
+        deposit_weights=dw,
+        preference_weights=pw,
+        bounds=bounds,
+        qos=qos,
+        baseline=mode == "baseline_tora",
+    )
     return Scenario(
         nodes=nodes,
         topology=topology,
         links=links,
-        qos=qos,
-        deposit_weights=dw,
-        preference_weights=pw,
-        bounds=bounds,
-        hello_interval=proto["hello_interval"],
-        hello_bits=proto["hello_bits"],
-        neighbor_loss_hellos=proto["neighbor_loss_hellos"],
-        route_ttl=proto["route_ttl"],
-        initial_pheromone=tau0,
+        protocol=protocol,
         evaporation_period=evap,
-        metric_packet_bits=proto["metric_packet_bits"],
-        drain_alpha=proto["drain_alpha"],
-        beta_tx=proto["beta_tx"],
-        beta_rx=proto["beta_rx"],
-        control_bits=proto["control_bits"],
         traffic=traffic,
         link_failures=failures,
         end_time=end_time,
         seed=seed,
         mode=mode,
+        **radio,
     )
 
 

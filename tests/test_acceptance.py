@@ -266,8 +266,8 @@ def _oracle_paths(n, edges, caps, scenario):
         adj[a].add(b)
         adj[b].add(a)
     proc = scenario.links.processing
-    hello = scenario.hello_bits
-    metric_bits = scenario.metric_packet_bits
+    hello = scenario.protocol.hello_bits
+    metric_bits = scenario.protocol.metric_packet_bits
 
     def est_bw(cap):
         return hello / (hello / cap + scenario.links.propagation + proc)
@@ -322,13 +322,13 @@ def test_criterion_6_qos_admission_soundness_and_completeness():
         )
         feasible = {
             p for p, (delay, bw, hops) in oracle.items()
-            if delay <= max_delay and bw >= min_bw and hops <= sc.qos.max_hop_count
+            if delay <= max_delay and bw >= min_bw and hops <= sc.protocol.qos.max_hop_count
         }
         assert feasible, f"graph {i}: thresholds exclude everything"
         _, _, sim = run_single(sc)
         cached = {e.path for e in sim.agents[0].cache.get(n - 1, [])}
         for entry in sim.agents[0].cache.get(n - 1, []):
-            assert sc.qos.admits(entry.metrics), f"graph {i}: unsound cache entry"
+            assert sc.protocol.qos.admits(entry.metrics), f"graph {i}: unsound cache entry"
         assert cached <= feasible, f"graph {i}: cached {cached - feasible} infeasible"
     _passline(6, "QoS admission soundness and desk-scale completeness")
 

@@ -19,7 +19,6 @@ from anttora.agent import (
     ProtocolParams,
     QosConstraints,
     SimClockError,
-    UniformNetView,
 )
 from anttora.heights import Direction, Height, has_downstream
 from anttora.packets import (
@@ -31,6 +30,7 @@ from anttora.packets import (
     QryRequestAnt,
     UpdPacket,
 )
+from anttora.scenario import LinkSpec
 
 CAPACITY, PROP, PROC = 2e6, 1e-3, 5e-4
 HOP_DELAY = 0.002  # nominal control-packet flight time used by the pump
@@ -40,10 +40,10 @@ class MiniNet:
     """Deterministic broadcast pump linking a handful of agents."""
 
     def __init__(self, n, edges, params=None, energy=100.0):
-        self.view = UniformNetView(CAPACITY, PROP, PROC)
+        self.links = LinkSpec(CAPACITY, PROP, PROC)
         self.params = params or ProtocolParams()
         self.agents = {
-            i: NodeAgent(i, self.params, self.view, energy) for i in range(n)
+            i: NodeAgent(i, self.params, self.links, energy) for i in range(n)
         }
         self.adj = {i: set() for i in range(n)}
         for a, b in edges:
@@ -135,7 +135,7 @@ def warmed(n, edges, **kwargs):
 
 
 def test_hello_bandwidth_estimate():
-    agent = NodeAgent(1, ProtocolParams(), UniformNetView(CAPACITY, PROP, PROC), 100.0)
+    agent = NodeAgent(1, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     agent.link_up(2, 0.0)
     info = agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 1.001)
     assert info.est_bandwidth == pytest.approx(1e6)
@@ -143,7 +143,7 @@ def test_hello_bandwidth_estimate():
 
 
 def test_later_hello_wins_entirely():
-    agent = NodeAgent(1, ProtocolParams(), UniformNetView(CAPACITY, PROP, PROC), 100.0)
+    agent = NodeAgent(1, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     agent.link_up(2, 0.0)
     agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 1.001)
     agent.on_hello(HelloAnt(2, 2.0, 40.0, 0.5, 1000), 2.002)
@@ -154,7 +154,7 @@ def test_later_hello_wins_entirely():
 
 
 def test_hello_clock_misuse_raises():
-    agent = NodeAgent(1, ProtocolParams(), UniformNetView(CAPACITY, PROP, PROC), 100.0)
+    agent = NodeAgent(1, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     with pytest.raises(SimClockError):
         agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 1.0)
 
@@ -330,7 +330,7 @@ def test_send_data_picks_highest_preference():
 
 
 def test_send_data_tie_breaks_by_age():
-    agent = NodeAgent(0, ProtocolParams(), UniformNetView(CAPACITY, PROP, PROC), 100.0)
+    agent = NodeAgent(0, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     from anttora.agent import RouteCacheEntry
     from anttora.aco import PathMetrics
 
@@ -344,7 +344,7 @@ def test_send_data_tie_breaks_by_age():
 
 
 def test_send_data_without_route_raises():
-    agent = NodeAgent(0, ProtocolParams(), UniformNetView(CAPACITY, PROP, PROC), 100.0)
+    agent = NodeAgent(0, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     with pytest.raises(NoRouteError):
         agent.send_data(3, 500, seq=0, now=1.0)
 
@@ -456,7 +456,7 @@ def test_error_purge_keeps_unrelated_routes():
     from anttora.aco import PathMetrics
     from anttora.agent import RouteCacheEntry
 
-    agent = NodeAgent(0, ProtocolParams(), UniformNetView(CAPACITY, PROP, PROC), 100.0)
+    agent = NodeAgent(0, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
     agent.cache[9] = [
         RouteCacheEntry((0, 1, 9), m, 0.4, created_at=1.0, expires_at=50.0),
@@ -592,7 +592,7 @@ def test_reply_handler_totality_for_rr_options():
             if rr:
                 a.pending_request[9] = QryRequestAnt(1.4, 0, 9, (0, 1))
             if is_source:
-                a.initiated[9] = 1.4
+                a.initiated.add(9)
             source = 1 if is_source else 0
             rep = QryReplyAnt(2, 0.004, 90.0, 0.01, 2.5e5, source, 9, (2, 9), Height(0.0, 0, 0, 1, 2))
             out = a.on_qry_reply(rep, 2, 2.0)

@@ -74,6 +74,10 @@ def test_order_check_survives_seq_past_eight_digits():
         validate_trace_order([encode_trace(hello, 12.5, seq=100_000_001), after])
     with pytest.raises(TraceDecodeError):
         validate_trace_order([before, encode_trace(hello, 12.4, seq=100_000_000)])
+    # narrowing back to eight digits at one timestamp sorts lexically forwards
+    assert before > after
+    with pytest.raises(TraceDecodeError):
+        validate_trace_order([after, before])
 
 
 # qreq and qrep lines in the format that still carried min_bandwidth_seen and

@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from anttora.scenario import ScenarioError, load_scenario, parse_scenario
+from anttora.agent import ProtocolParams
+from anttora.cli import main as cli_main
+from anttora.scenario import (
+    LinkSpec,
+    NodesSpec,
+    ScenarioError,
+    TopologySpec,
+    load_scenario,
+    parse_scenario,
+)
 
 
 def minimal():
@@ -22,20 +32,23 @@ def minimal():
 
 
 def test_minimal_file_gets_documented_defaults():
+    """Every omitted setting is its dataclass default, compared whole."""
     sc = parse_scenario(minimal())
-    assert sc.links.capacity == 2e6
-    assert sc.hello_interval == 1.0
-    assert sc.route_ttl == 10.0
-    assert sc.initial_pheromone == 0.1
+    assert sc.protocol == ProtocolParams()
+    assert sc.links == LinkSpec()
+    assert replace(sc.topology, adjacency=()) == TopologySpec()
+    assert sc.nodes == NodesSpec(count=2)
     assert sc.evaporation_period == 1.0
-    assert sc.preference_weights.persistence == 0.7
-    assert sc.preference_weights.decay == 0.1
-    assert sc.deposit_weights.bandwidth == 1.0
     assert sc.beta_tx == 5e-7
     assert sc.beta_rx == 2.5e-7
-    assert sc.drain_alpha == 0.3
     assert sc.mode == "ant_tora"
     assert sc.seed == 0
+
+
+def test_baseline_mode_sets_protocol_baseline():
+    data = minimal()
+    data["mode"] = "baseline_tora"
+    assert parse_scenario(data).protocol == ProtocolParams(baseline=True)
 
 
 def test_negative_capacity_names_the_field():
@@ -141,3 +154,20 @@ def test_all_problems_reported_at_once():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(data)
     assert len(err.value.problems) >= 3
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [[["a", 1], [0, 0]], [[None, 1], [0, 0]], [[True, 1], [0, 0]], [[0, 0], [1, False]]],
+)
+def test_malformed_positions_name_the_entry(positions, tmp_path, capsys):
+    data = minimal()
+    data["nodes"]["positions"] = positions
+    bad = next(i for i, p in enumerate(positions) if p != [0, 0])
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert any(p.startswith(f"nodes.positions[{bad}]:") for p in err.value.problems)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["validate", str(path)]) == 2
+    assert f"nodes.positions[{bad}]" in capsys.readouterr().err
