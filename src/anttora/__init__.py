@@ -44,7 +44,6 @@ from .packets import (
     QryReplyAnt,
     QryRequestAnt,
     UpdPacket,
-    decode_trace,
     encode_trace,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
@@ -83,7 +82,6 @@ __all__ = [
     "classify_link",
     "compare_heights",
     "compute_metrics",
-    "decode_trace",
     "encode_trace",
     "evaporate",
     "has_downstream",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .packets import PACKET_KINDS, DataPacket, TraceDecodeError, decode_trace_record
+from .packets import PACKET_KINDS, TRACE_HEAD, DataPacket, TraceDecodeError, decode_trace_record, value_slot
 
 
 @dataclass
@@ -62,8 +62,23 @@ def _parse_annotation(line: str, params: dict, metrics: RunMetrics) -> None:
         raise TraceDecodeError(f"malformed annotation {line!r}") from None
 
 
+# where the fold finds what it reads on an event line split at spaces
+_TIME, _EVENT, _NODE, _TYPE = (TRACE_HEAD.index(n) for n in ("timestamp", "event", "node", "type"))
+_DATA = PACKET_KINDS[DataPacket].token
+(_SRC, _SRC_AT), (_DST, _DST_AT), (_SEQ, _SEQ_AT) = (
+    value_slot(DataPacket, name) for name in ("source", "destination", "seq")
+)
+# a frame's size: its own size_bits field, or else a header parameter
+_SIZE_SLOT = {k.token: value_slot(cls, "size_bits") for cls, k in PACKET_KINDS.items() if not k.bits_key}
+_SIZE_PARAM = {k.token: f"bits_{k.bits_key}" for k in PACKET_KINDS.values() if k.bits_key}
+
+
 def compute_metrics(lines: list[str]) -> RunMetrics:
-    """Recompute the full report from trace lines (header included)."""
+    """Recompute the full report from trace lines (header included).
+
+    Event lines must come from the encoder or have passed
+    :func:`validate_trace_order`: each is split once and only the fields the
+    report needs are read, with no check of the rest of the line."""
     metrics = RunMetrics()
     params: dict[str, str | int | float] = {}
     first_send: dict[tuple[int, int, int], float] = {}
@@ -76,28 +91,28 @@ def compute_metrics(lines: list[str]) -> RunMetrics:
         if line.startswith("#"):
             _parse_annotation(line, params, metrics)
             continue
-        rec = decode_trace_record(line)
-        pkt = rec.packet
-        kind = PACKET_KINDS[type(pkt)]
-        if isinstance(pkt, DataPacket):
-            key = (pkt.source, pkt.destination, pkt.seq)
-            if rec.event == "snd" and rec.node == pkt.source:
+        parts = line.split(" ")
+        event, node, token = parts[_EVENT], int(parts[_NODE]), parts[_TYPE]
+        if token == _DATA:
+            key = (int(parts[_SRC][_SRC_AT:]), int(parts[_DST][_DST_AT:]), int(parts[_SEQ][_SEQ_AT:]))
+            if event == "snd" and node == key[0]:
                 offered.add(key)
                 if key not in first_send:
-                    first_send[key] = rec.timestamp
-            elif rec.event == "drp" and rec.node == pkt.source and key not in offered:
+                    first_send[key] = float(parts[_TIME])
+            elif event == "drp" and node == key[0] and key not in offered:
                 offered.add(key)  # queued at the source and never transmitted
-            elif rec.event == "rcv" and rec.node == pkt.destination:
-                delivered_at[key] = rec.timestamp
-        elif rec.event == "snd":
-            metrics.control_packets[kind.token] = metrics.control_packets.get(kind.token, 0) + 1
-        if rec.event in ("snd", "rcv"):
+            elif event == "rcv" and node == key[1]:
+                delivered_at[key] = float(parts[_TIME])
+        elif event == "snd":
+            metrics.control_packets[token] = metrics.control_packets.get(token, 0) + 1
+        if event in ("snd", "rcv"):
+            own = _SIZE_SLOT.get(token)
             try:
-                bits = pkt.size_bits if kind.bits_key is None else params[f"bits_{kind.bits_key}"]
-                beta = params["beta_tx"] if rec.event == "snd" else params["beta_rx"]
+                bits = int(parts[own[0]][own[1] :]) if own else params[_SIZE_PARAM[token]]
+                beta = params["beta_tx"] if event == "snd" else params["beta_rx"]
             except KeyError as exc:
                 raise TraceDecodeError(f"trace header missing parameter {exc}") from None
-            metrics.energy_spent[rec.node] = metrics.energy_spent.get(rec.node, 0.0) + beta * bits
+            metrics.energy_spent[node] = metrics.energy_spent.get(node, 0.0) + beta * bits
     metrics.data_sent = len(offered)
     metrics.data_delivered = len(delivered_at)
     metrics.pdr = metrics.data_delivered / metrics.data_sent if metrics.data_sent else 0.0
@@ -114,22 +129,18 @@ def read_trace(path: str) -> list[str]:
 
 
 def validate_trace_order(lines: list[str]) -> None:
-    """Packet-event lines must be ordered by (timestamp, seq).
+    """Strictly decode every packet-event line and require its
+    (timestamp, seq) to be greater than the line before.
 
     The writer emits events in engine order without sorting, so this is the
-    one place the order is checked. Comparing whole lines is the fast path,
-    exact while the zero-padded timestamp and seq fields keep their widths;
-    ``seq`` widens past eight digits ("100000000" < "99999999"), so a line
-    that sorts lexically before its predecessor, or whose fields differ in
-    width from it, is decoded and must have a greater (timestamp, seq)."""
-    prev, prev_ts_end, prev_seq_end = "", 0, 0
+    one place the order is checked, and the one pass that checks each event
+    line against the canonical grammar before :func:`compute_metrics` folds
+    it."""
+    last = None
     for line in lines:
         if not line or line.startswith("#"):
             continue
-        ts_end = line.find(" ")
-        seq_end = line.find(" ", ts_end + 1)
-        if prev and (line < prev or ts_end != prev_ts_end or seq_end != prev_seq_end):
-            cur, last = decode_trace_record(line), decode_trace_record(prev)
-            if (cur.timestamp, cur.seq) <= (last.timestamp, last.seq):
-                raise TraceDecodeError("trace packet events are not in canonical order")
-        prev, prev_ts_end, prev_seq_end = line, ts_end, seq_end
+        rec = decode_trace_record(line)
+        if last is not None and (rec.timestamp, rec.seq) <= last:
+            raise TraceDecodeError("trace packet events are not in canonical order")
+        last = rec.timestamp, rec.seq

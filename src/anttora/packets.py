@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import Callable, Union
 
 from .heights import Height
 
@@ -188,23 +188,29 @@ PACKET_OF_TOKEN = {kind.token: cls for cls, kind in PACKET_KINDS.items()}
 CONTROL_BITS_KEYS = tuple(kind.bits_key for kind in PACKET_KINDS.values() if kind.bits_key)
 
 
+def _fmt_int(name: str, value: int) -> str:
+    if type(value) is not int:  # a bool is an int subclass and is refused too
+        raise ValueError(f"cannot encode field {name}={value!r}: expected an int")
+    return str(value)
+
+
 def _fmt_float(name: str, value: float) -> str:
-    if not math.isfinite(value):
-        raise ValueError(f"cannot encode non-finite field {name}={value!r}")
+    if isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"cannot encode field {name}={value!r}: expected a finite number")
     return f"{value:.6f}"
 
 
-def _fmt_ids(ids: tuple[int, ...]) -> str:
+def _fmt_ids(name: str, ids: tuple[int, ...]) -> str:
     return ",".join(str(i) for i in ids) if ids else "-"
 
 
-def _fmt_height(h: Height) -> str:
+def _fmt_height(name: str, h: Height) -> str:
     if h.is_null:
         return f"null:{h.node}"
     return f"{_fmt_float('tau', h.tau)}:{h.oid}:{h.r}:{h.delta}:{h.node}"
 
 
-def _fmt_level(level: tuple[float, int, int]) -> str:
+def _fmt_level(name: str, level: tuple[float, int, int]) -> str:
     return f"{_fmt_float('tau', level[0])}:{level[1]}:{level[2]}"
 
 
@@ -253,56 +259,31 @@ def _parse_level(name: str, raw: str) -> tuple[float, int, int]:
     return (_parse_float(name, parts[0]), _parse_int(name, parts[1]), _parse_int(name, parts[2]))
 
 
-def _encode_fields(packet: Packet) -> list[str]:
-    out = []
-    for f in fields(packet):
-        v = getattr(packet, f.name)
-        if isinstance(v, bool):
-            raise ValueError(f"unexpected bool field {f.name}")
-        if isinstance(v, int):
-            out.append(f"{f.name}={v}")
-        elif isinstance(v, float):
-            out.append(f"{f.name}={_fmt_float(f.name, v)}")
-        elif isinstance(v, tuple) and f.name == "reference_level":
-            out.append(f"{f.name}={_fmt_level(v)}")
-        elif isinstance(v, tuple):
-            out.append(f"{f.name}={_fmt_ids(v)}")
-        elif isinstance(v, Height):
-            out.append(f"{f.name}={_fmt_height(v)}")
-        else:
-            raise ValueError(f"cannot encode field {f.name} of type {type(v).__name__}")
-    return out
+# (format, parse) by field annotation; a packet field of any other type
+# fails the import that builds FIELD_CODECS
+_CODEC_OF_TYPE = {
+    "int": (_fmt_int, _parse_int),
+    "float": (_fmt_float, _parse_float),
+    "tuple[int, ...]": (_fmt_ids, _parse_ids),
+    "tuple[float, int, int]": (_fmt_level, _parse_level),
+    "Height": (_fmt_height, _parse_height),
+}
+
+# per packet class, its fields in line order as (name, format, parse);
+# encode and decode both read this table
+FIELD_CODECS: dict[type, tuple[tuple[str, Callable, Callable], ...]] = {
+    cls: tuple((f.name, *_CODEC_OF_TYPE[f.type]) for f in fields(cls)) for cls in PACKET_KINDS
+}
+
+# the tokens every event line starts with; one name=value token per field follows
+TRACE_HEAD = ("timestamp", "seq", "event", "node", "type")
 
 
-def _decode_fields(cls: type, tokens: list[str]) -> Packet:
-    spec = fields(cls)
-    if len(tokens) != len(spec):
-        raise TraceDecodeError(
-            f"{PACKET_KINDS[cls].token} line has {len(tokens)} fields, expected {len(spec)}"
-        )
-    values = {}
-    for f, token in zip(spec, tokens):
-        if "=" not in token:
-            raise TraceFieldError(f.name, f"expected key=value, got {token!r}")
-        key, raw = token.split("=", 1)
-        if key != f.name:
-            raise TraceFieldError(f.name, f"expected key {f.name!r}, got {key!r}")
-        if f.type in ("int",):
-            values[key] = _parse_int(key, raw)
-        elif f.type in ("float",):
-            values[key] = _parse_float(key, raw)
-        elif f.name == "reference_level":
-            values[key] = _parse_level(key, raw)
-        elif f.type in ("tuple[int, ...]",):
-            values[key] = _parse_ids(key, raw)
-        elif f.type in ("Height",):
-            values[key] = _parse_height(key, raw)
-        else:
-            raise TraceDecodeError(f"unhandled field type {f.type!r}")
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise TraceDecodeError(f"decoded {PACKET_KINDS[cls].token} violates its invariants: {exc}") from exc
+def value_slot(cls: type, name: str) -> tuple[int, int]:
+    """Where field ``name`` of a ``cls`` event line sits in ``line.split(" ")``:
+    the token's index, and the offset of its value after ``name=``."""
+    names = [entry[0] for entry in FIELD_CODECS[cls]]
+    return len(TRACE_HEAD) + names.index(name), len(name) + 1
 
 
 @dataclass(frozen=True)
@@ -333,16 +314,16 @@ def encode_trace(
     if kind is None:
         raise ValueError(f"not a protocol packet: {type(packet).__name__}")
     head = f"{timestamp:017.6f} {seq:08d} {event} {node} {kind.token}"
-    body = _encode_fields(packet)
-    return " ".join([head] + body)
+    body = (f"{name}={fmt(name, getattr(packet, name))}" for name, fmt, _ in FIELD_CODECS[type(packet)])
+    return " ".join((head, *body))
 
 
 def decode_trace_record(line: str) -> TraceRecord:
     """Parse one canonical trace line back into a TraceRecord."""
     tokens = line.rstrip("\n").split(" ")
-    if len(tokens) < 5:
+    if len(tokens) < len(TRACE_HEAD):
         raise TraceDecodeError(f"trace line too short: {line!r}")
-    ts_raw, seq_raw, event, node_raw, type_token = tokens[:5]
+    ts_raw, seq_raw, event, node_raw, type_token = tokens[: len(TRACE_HEAD)]
     timestamp = _parse_float("timestamp", ts_raw)
     seq = _parse_int("seq", seq_raw)
     if event not in TRACE_EVENTS:
@@ -351,11 +332,18 @@ def decode_trace_record(line: str) -> TraceRecord:
     cls = PACKET_OF_TOKEN.get(type_token)
     if cls is None:
         raise UnknownPacketTypeError(f"unknown packet type token {type_token!r}")
-    packet = _decode_fields(cls, tokens[5:])
+    codecs = FIELD_CODECS[cls]
+    body = tokens[len(TRACE_HEAD) :]
+    if len(body) != len(codecs):
+        raise TraceDecodeError(f"{type_token} line has {len(body)} fields, expected {len(codecs)}")
+    values = []
+    for (name, _, parse), token in zip(codecs, body):
+        key, sep, raw = token.partition("=")
+        if key != name or not sep:
+            raise TraceFieldError(name, f"expected {name}=<value>, got {token!r}")
+        values.append(parse(name, raw))
+    try:
+        packet = cls(*values)
+    except ValueError as exc:
+        raise TraceDecodeError(f"decoded {type_token} violates its invariants: {exc}") from exc
     return TraceRecord(timestamp, seq, event, node, packet)
-
-
-def decode_trace(line: str) -> tuple[Packet, float]:
-    """Inverse of :func:`encode_trace` for the (packet, timestamp) pair."""
-    record = decode_trace_record(line)
-    return record.packet, record.timestamp

@@ -20,7 +20,9 @@ import tempfile
 
 import pytest
 
-from anttora.harness import run_experiment, write_report
+from anttora import metrics
+from anttora.harness import replay, run_experiment, write_report
+from anttora.packets import TraceDecodeError
 from anttora.scenario import load_scenario
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -47,6 +49,20 @@ def test_golden_digests(name, tmp_path):
     pin = PINNED[name]
     got = run_digests(pin["scenario"], pin["mode"], tmp_path)
     assert got == {k: pin[k] for k in got}, f"{name} no longer matches its pinned trace"
+
+
+def test_run_folds_without_decoding_and_replay_decodes(tmp_path, monkeypatch):
+    # the run folds the lines it just encoded; only replay's order check
+    # decodes, so a decoder that always fails stops replay and nothing else
+    def refuse(line):
+        raise TraceDecodeError("decoder called")
+
+    monkeypatch.setattr(metrics, "decode_trace_record", refuse)
+    pin = PINNED["barbell_clear"]
+    got = run_digests(pin["scenario"], pin["mode"], tmp_path)
+    assert got["report_sha256"] == pin["report_sha256"]
+    with pytest.raises(TraceDecodeError, match="decoder called"):
+        replay(str(tmp_path / "run.trace"))
 
 
 if __name__ == "__main__":

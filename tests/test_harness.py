@@ -64,7 +64,7 @@ def test_replay_rejects_disordered_trace(tmp_path):
         replay(str(path))
 
 
-def test_order_check_survives_seq_past_eight_digits():
+def test_order_check_survives_seq_past_eight_digits(tmp_path, capsys):
     hello = HelloAnt(0, 0.0, 100.0, 0.0, 512)
     before = encode_trace(hello, 12.5, seq=99_999_999)
     after = encode_trace(hello, 12.5, seq=100_000_000)
@@ -78,6 +78,19 @@ def test_order_check_survives_seq_past_eight_digits():
     assert before > after
     with pytest.raises(TraceDecodeError):
         validate_trace_order([after, before])
+    # hand-edited timestamps of equal width that sort lexically forwards
+    # while time goes backwards
+    edited = [
+        encode_trace(hello, t, seq=seq).replace(f"{t:017.6f}", spelled)
+        for t, seq, spelled in ((10.0, 1, "10.0"), (9.99, 2, "9.99"))
+    ]
+    assert edited[0].startswith("10.0 00000001 ") and edited[1].startswith("9.99 00000002 ")
+    with pytest.raises(TraceDecodeError):
+        validate_trace_order(edited)
+    path = tmp_path / "edited.trace"
+    write_trace(str(path), ["# param beta_tx=1e-06", "# param beta_rx=5e-07"] + edited)
+    assert cli_main(["replay", str(path)]) == 2
+    assert "not in canonical order" in capsys.readouterr().err
 
 
 # qreq and qrep lines in the format that still carried min_bandwidth_seen and

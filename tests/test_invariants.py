@@ -4,7 +4,8 @@ Small graphs with random cuts, flows and initial energy (down to the point
 where batteries run dry mid-run) must keep the engine's counters and the
 trace-derived metrics in agreement. Small mobility runs must do the same,
 and before every mobility step their adjacency must be symmetric and hold
-exactly the pairs within communication range.
+exactly the pairs within communication range. Every run must write only
+event lines that the strict decoder accepts, in (timestamp, seq) order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from anttora.engine import Simulation
 from anttora.harness import run_single
-from anttora.metrics import compute_metrics
+from anttora.metrics import compute_metrics, validate_trace_order
 from anttora.scenario import parse_scenario
 
 from conftest import flow, scenario_dict
@@ -61,7 +62,8 @@ def static_scenarios(draw) -> dict:
 @example(LOW_ENERGY)
 @given(static_scenarios())
 def test_counters_and_trace_agree(data):
-    _lines, metrics, sim = run_single(parse_scenario(data))
+    lines, metrics, sim = run_single(parse_scenario(data))
+    validate_trace_order(lines)
     assert_ledgers(metrics, sim)
 
 
@@ -146,4 +148,6 @@ def test_mobility_adjacency_and_ledgers(data):
     assert_adjacency_matches_geometry(sim)
     sim._on_mobility_step = checked_step
     sim.run()
-    assert_ledgers(compute_metrics(sim.trace_lines()), sim)
+    lines = sim.trace_lines()
+    validate_trace_order(lines)
+    assert_ledgers(compute_metrics(lines), sim)

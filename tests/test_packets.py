@@ -22,7 +22,6 @@ from anttora.packets import (
     TraceFieldError,
     UnknownPacketTypeError,
     UpdPacket,
-    decode_trace,
     decode_trace_record,
     encode_trace,
 )
@@ -55,10 +54,9 @@ def test_encoding_is_deterministic():
 def test_every_type_round_trips():
     for i, pkt in enumerate(_sample_packets()):
         line = encode_trace(pkt, 2.5, seq=i, event="rcv", node=9)
-        got, ts = decode_trace(line)
-        assert got == pkt
-        assert ts == 2.5
         rec = decode_trace_record(line)
+        assert rec.packet == pkt
+        assert rec.timestamp == 2.5
         assert (rec.seq, rec.event, rec.node) == (i, "rcv", 9)
 
 
@@ -81,24 +79,37 @@ def test_non_finite_fields_rejected():
         encode_trace(HelloAnt(3, 1.0, 50.0, math.nan, 512), 1.0)
 
 
+@pytest.mark.parametrize(
+    "pkt",
+    [
+        HelloAnt(3, 1.0, 50.0, 0.25, 512.0),  # would write size_bits=512.000000
+        HelloAnt(True, 1.0, 50.0, 0.25, 512),
+        HelloAnt(3, 1.0, False, 0.25, 512),
+    ],
+)
+def test_encoder_refuses_values_the_decoder_would_refuse(pkt):
+    with pytest.raises(ValueError):
+        encode_trace(pkt, 1.0)
+
+
 def test_truncated_line_is_a_parse_error():
     line = encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0)
     with pytest.raises(TraceDecodeError):
-        decode_trace(line.rsplit(" ", 2)[0])
+        decode_trace_record(line.rsplit(" ", 2)[0])
 
 
 def test_unknown_type_token_is_a_distinct_error():
     line = encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0)
     bad = line.replace(" hello ", " bogus ")
     with pytest.raises(UnknownPacketTypeError):
-        decode_trace(bad)
+        decode_trace_record(bad)
 
 
 def test_malformed_field_names_the_offender():
     line = encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0)
     bad = line.replace("size_bits=512", "size_bits=twelve")
     with pytest.raises(TraceFieldError) as err:
-        decode_trace(bad)
+        decode_trace_record(bad)
     assert err.value.field_name == "size_bits"
     assert not isinstance(err.value, UnknownPacketTypeError)
 
@@ -107,13 +118,14 @@ def test_field_order_is_enforced():
     line = encode_trace(ErrorPacket(0, 3), 1.0)
     swapped = line.replace("source=0 originator=3", "originator=3 source=0")
     with pytest.raises(TraceDecodeError):
-        decode_trace(swapped)
+        decode_trace_record(swapped)
 
 
 @given(sender=_ids, send_time=_q6, energy=_q6, drain=_q6, bits=st.integers(1, 1 << 16), t=_q6)
 def test_hello_round_trip_property(sender, send_time, energy, drain, bits, t):
     pkt = HelloAnt(sender, send_time, energy, drain, bits)
-    assert decode_trace(encode_trace(pkt, t)) == (pkt, t)
+    rec = decode_trace_record(encode_trace(pkt, t))
+    assert (rec.packet, rec.timestamp) == (pkt, t)
 
 
 @given(
@@ -130,7 +142,8 @@ def test_reply_round_trip_property(
 ):
     height = Height.null(owner) if null_height else Height(tau, oid, r, delta, owner)
     pkt = QryReplyAnt(hop, delay, energy, drain, bw, src, dst, tuple(route), height)
-    assert decode_trace(encode_trace(pkt, t)) == (pkt, t)
+    rec = decode_trace_record(encode_trace(pkt, t))
+    assert (rec.packet, rec.timestamp) == (pkt, t)
 
 
 def test_packet_invariants():
