@@ -21,9 +21,10 @@ REPORT_SCHEMA = "anttora-report-v1"
 def run_single(
     scenario: Scenario, seed: int | None = None, mode: str | None = None
 ) -> tuple[list[str], RunMetrics, Simulation]:
-    """One seeded run; metrics are computed from the serialized trace."""
+    """One seeded run; its trace passes replay's strict check, then the fold."""
     sim = Simulation(scenario, seed=seed, mode=mode).run()
     lines = sim.trace_lines()
+    validate_trace_order(lines)
     return lines, compute_metrics(lines), sim
 
 

@@ -22,7 +22,8 @@ import pytest
 
 from anttora import metrics
 from anttora.harness import replay, run_experiment, write_report
-from anttora.packets import TraceDecodeError
+from anttora.metrics import read_trace
+from anttora.packets import decode_trace_record
 from anttora.scenario import load_scenario
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -51,18 +52,23 @@ def test_golden_digests(name, tmp_path):
     assert got == {k: pin[k] for k in got}, f"{name} no longer matches its pinned trace"
 
 
-def test_run_folds_without_decoding_and_replay_decodes(tmp_path, monkeypatch):
-    # the run folds the lines it just encoded; only replay's order check
-    # decodes, so a decoder that always fails stops replay and nothing else
-    def refuse(line):
-        raise TraceDecodeError("decoder called")
+def test_run_and_replay_each_decode_every_event_line_once(tmp_path, monkeypatch):
+    # the fold decodes nothing; the strict order check, which run and replay
+    # both pass their lines through, decodes each event line exactly once
+    decoded = []
 
-    monkeypatch.setattr(metrics, "decode_trace_record", refuse)
+    def counting(line):
+        decoded.append(line)
+        return decode_trace_record(line)
+
+    monkeypatch.setattr(metrics, "decode_trace_record", counting)
     pin = PINNED["barbell_clear"]
     got = run_digests(pin["scenario"], pin["mode"], tmp_path)
     assert got["report_sha256"] == pin["report_sha256"]
-    with pytest.raises(TraceDecodeError, match="decoder called"):
-        replay(str(tmp_path / "run.trace"))
+    events = [line for line in read_trace(str(tmp_path / "run.trace")) if line and line[0] != "#"]
+    assert decoded == events
+    replay(str(tmp_path / "run.trace"))
+    assert decoded == events + events
 
 
 if __name__ == "__main__":
