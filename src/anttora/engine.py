@@ -7,17 +7,26 @@ deterministic, so identical (scenario, seed) pairs replay to byte-identical
 traces. A queued event is the tuple ``(time, seq, handler, args)``; events
 dequeue in (time, seq) order, the loop calls ``handler(*args)``, and every
 delivery strictly follows its send.
+
+Each packet event is encoded the moment it happens and written, one line,
+to the text file the caller hands the ``Simulation`` (an in-memory
+``io.StringIO`` by default), so a run holds no list of its events.
+:meth:`Simulation.trace_lines` gives the header lines, known only once the
+run has ended, that go before those event lines in a trace file.
 """
 
 from __future__ import annotations
 
 import heapq
+import io
 import math
 import random
 from dataclasses import dataclass, replace
+from typing import TextIO
 
+from . import packets
 from .agent import AgentHooks, Emission, NoRouteError, NodeAgent
-from .packets import CONTROL_BITS_KEYS, PACKET_KINDS, DataPacket, HelloAnt, Packet, TraceRecord
+from .packets import CONTROL_BITS_KEYS, PACKET_KINDS, DataPacket, HelloAnt, Packet
 from .scenario import Scenario
 
 
@@ -56,9 +65,15 @@ class _Hooks(AgentHooks):
 
 
 class Simulation:
-    """One seeded run of a scenario."""
+    """One seeded run of a scenario; its event lines go to ``trace_file``."""
 
-    def __init__(self, scenario: Scenario, seed: int | None = None, mode: str | None = None):
+    def __init__(
+        self,
+        scenario: Scenario,
+        seed: int | None = None,
+        mode: str | None = None,
+        trace_file: TextIO | None = None,
+    ):
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.mode = mode or scenario.mode
@@ -78,7 +93,7 @@ class Simulation:
         self.trace_seq = 0
         self.now = 0.0
         self.pop_count = 0
-        self.records: list[TraceRecord] = []
+        self.trace_file = io.StringIO() if trace_file is None else trace_file
         self.cache_samples: list[tuple[float, int]] = []
         self.failure_events: list[tuple[int, float, int, int]] = []
         self.reaction_sets: dict[int, set[int]] = {}
@@ -185,7 +200,9 @@ class Simulation:
 
     def _trace(self, event: str, node: int, packet: Packet, time: float) -> None:
         self.trace_seq += 1
-        self.records.append(TraceRecord(time, self.trace_seq, event, node, packet))
+        # looked up in packets at call time, so a patched encoder is seen
+        line = packets.encode_trace(packet, time, seq=self.trace_seq, event=event, node=node)
+        self.trace_file.write(line + "\n")
 
     # -- transmission ----------------------------------------------------------
 
@@ -425,7 +442,9 @@ class Simulation:
     # -- trace assembly -----------------------------------------------------------
 
     def trace_lines(self) -> list[str]:
-        """Full canonical trace: parameter header, annotations, packet events."""
+        """The lines a trace file starts with: parameter header, then the
+        cache-size and locality annotations. The event lines follow them, as
+        written to ``trace_file`` during the run."""
         if self.scenario.nodes.count == 0:
             return []
         sc = self.scenario
@@ -443,6 +462,4 @@ class Simulation:
         for fid, t, a, b in self.failure_events:
             nodes = len(self.reaction_sets[fid])
             lines.append(f"# locality failure={fid} t={t:.6f} a={a} b={b} nodes={nodes}")
-        # records are appended in (time, seq) order, so no sort is needed
-        lines.extend(r.encode() for r in self.records)
         return lines

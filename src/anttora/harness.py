@@ -4,12 +4,22 @@ A run is (scenario, seed, mode) -> (trace, metrics). An experiment repeats
 the run over derived seeds (base seed + repetition index), aggregates the
 scalar metrics, and writes machine-readable reports plus the trace files
 used for golden regression and replay.
+
+The trace streams from the engine to disk and back: the engine writes each
+event line to a temporary spool as it happens, the run then writes the
+header and copies the spool into the trace file, and both the run and
+``replay`` read that file back line by line, once through the strict order
+check and once through the fold. No step holds the whole trace in memory.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
+import tempfile
+from contextlib import ExitStack
+from typing import BinaryIO, Iterable
 
 from .engine import Simulation
 from .metrics import RunMetrics, compute_metrics, read_trace, validate_trace_order
@@ -19,13 +29,28 @@ REPORT_SCHEMA = "anttora-report-v1"
 
 
 def run_single(
-    scenario: Scenario, seed: int | None = None, mode: str | None = None
-) -> tuple[list[str], RunMetrics, Simulation]:
-    """One seeded run; its trace passes replay's strict check, then the fold."""
-    sim = Simulation(scenario, seed=seed, mode=mode).run()
-    lines = sim.trace_lines()
-    validate_trace_order(lines)
-    return lines, compute_metrics(lines), sim
+    scenario: Scenario,
+    seed: int | None = None,
+    mode: str | None = None,
+    trace_path: str | None = None,
+) -> tuple[str | None, RunMetrics, Simulation]:
+    """One seeded run, its trace written to ``trace_path`` (to a temporary
+    file when None) and then read back through replay's strict check, so a
+    run never reports on a trace that replay would refuse, and the fold.
+    Returns the trace path, or None for a temporary trace, with the metrics
+    and the finished ``Simulation``."""
+    with ExitStack() as stack:
+        path = trace_path
+        if path is None:
+            path = os.path.join(stack.enter_context(tempfile.TemporaryDirectory()), "run.trace")
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+            sim = Simulation(scenario, seed=seed, mode=mode, trace_file=spool).run()
+            spool.flush()
+            spool.buffer.seek(0)
+            write_trace(path, sim.trace_lines(), spool.buffer)
+        validate_trace_order(read_trace(path))
+        metrics = compute_metrics(read_trace(path))
+    return trace_path, metrics, sim
 
 
 def _summary_stat(values: list[float]) -> dict:
@@ -53,10 +78,8 @@ def run_experiment(
     runs = []
     for k in range(repetitions):
         seed = base + k
-        lines, metrics, _sim = run_single(scenario, seed=seed, mode=mode)
-        if trace_path is not None:
-            path = trace_path if repetitions == 1 else _numbered(trace_path, k)
-            write_trace(path, lines)
+        path = trace_path if repetitions == 1 or trace_path is None else _numbered(trace_path, k)
+        _path, metrics, _sim = run_single(scenario, seed=seed, mode=mode, trace_path=path)
         runs.append({"seed": seed, "metrics": metrics.to_dict()})
     report = {
         "schema": REPORT_SCHEMA,
@@ -85,10 +108,15 @@ def _numbered(path: str, k: int) -> str:
     return f"{root}_r{k}{ext}"
 
 
-def write_trace(path: str, lines: list[str]) -> None:
+def write_trace(path: str, lines: Iterable[str], events: BinaryIO | None = None) -> None:
+    """Write ``lines`` to ``path``, one a line, then copy after them the
+    bytes of ``events``: lines already encoded and newline-terminated."""
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
+        if events is not None:
+            fh.flush()
+            shutil.copyfileobj(events, fh.buffer)
 
 
 def write_report(path: str, report: dict) -> None:
@@ -98,10 +126,12 @@ def write_report(path: str, report: dict) -> None:
 
 
 def replay(trace_path: str) -> RunMetrics:
-    """Recompute metrics from a trace file; must equal the original report."""
-    lines = read_trace(trace_path)
-    validate_trace_order(lines)
-    return compute_metrics(lines)
+    """Recompute metrics from a trace file; must equal the original report.
+
+    The file is streamed twice: through the strict order check, then
+    through the fold."""
+    validate_trace_order(read_trace(trace_path))
+    return compute_metrics(read_trace(trace_path))
 
 
 def summary_table(report: dict) -> str:

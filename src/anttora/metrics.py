@@ -8,6 +8,7 @@ report exactly: the report is a pure function of the trace bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .packets import PACKET_KINDS, TRACE_HEAD, DataPacket, TraceDecodeError, decode_trace_record, value_slot
 
@@ -73,7 +74,7 @@ _SIZE_SLOT = {k.token: value_slot(cls, "size_bits") for cls, k in PACKET_KINDS.i
 _SIZE_PARAM = {k.token: f"bits_{k.bits_key}" for k in PACKET_KINDS.values() if k.bits_key}
 
 
-def compute_metrics(lines: list[str]) -> RunMetrics:
+def compute_metrics(lines: Iterable[str]) -> RunMetrics:
     """Recompute the full report from trace lines (header included).
 
     Event lines must come from the encoder or have passed
@@ -123,12 +124,17 @@ def compute_metrics(lines: list[str]) -> RunMetrics:
     return metrics
 
 
-def read_trace(path: str) -> list[str]:
+def read_trace(path: str) -> Iterator[str]:
+    """Yield the lines of the trace file at ``path``, without their
+    newlines, as they are read. The file is opened on the first ``next``
+    and closed when the lines run out or the generator is closed or
+    dropped; like any generator it can be iterated only once."""
     with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+        for line in fh:
+            yield line.rstrip("\n")
 
 
-def validate_trace_order(lines: list[str]) -> None:
+def validate_trace_order(lines: Iterable[str]) -> None:
     """Strictly decode every packet-event line and require its
     (timestamp, seq) to be greater than the line before.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .heights import Height
 
@@ -286,8 +286,7 @@ def value_slot(cls: type, name: str) -> tuple[int, int]:
     return len(TRACE_HEAD) + names.index(name), len(name) + 1
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One packet event: when, where, and which way it moved."""
 
     timestamp: float
@@ -295,11 +294,6 @@ class TraceRecord:
     event: str
     node: int
     packet: Packet
-
-    def encode(self) -> str:
-        return encode_trace(
-            self.packet, self.timestamp, seq=self.seq, event=self.event, node=self.node
-        )
 
 
 def encode_trace(

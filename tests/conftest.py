@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from anttora.packets import TraceRecord, decode_trace_record
 from anttora.scenario import Scenario, parse_scenario
 
 
@@ -44,6 +45,17 @@ def attach_log(sim) -> list[tuple[int, float, int, str, dict]]:
 
     sim.hooks.log = append
     return log
+
+
+def trace_of(sim) -> list[str]:
+    """The full trace of a finished run whose event lines went to the
+    default in-memory ``trace_file``: header lines, then event lines."""
+    return sim.trace_lines() + sim.trace_file.getvalue().splitlines()
+
+
+def records_of(sim) -> list[TraceRecord]:
+    """The event lines of such a run, decoded, in trace order."""
+    return [decode_trace_record(line) for line in sim.trace_file.getvalue().splitlines()]
 
 
 def connected_random_graph(n: int, p: float, seed: int) -> list[tuple[int, int]]:

@@ -21,7 +21,7 @@ from anttora.aco import (
     pheromone_update,
 )
 from anttora.engine import Simulation
-from anttora.harness import replay, run_experiment, run_single, write_trace
+from anttora.harness import replay, run_experiment, run_single
 from anttora.heights import (
     Direction,
     Height,
@@ -30,9 +30,18 @@ from anttora.heights import (
     Trigger,
     maintenance_case,
 )
+from anttora.metrics import compute_metrics
 from anttora.packets import ClrPacket, DataPacket, QryReplyAnt, QryRequestAnt, UpdPacket
 
-from conftest import _connected, attach_log, connected_random_graph, flow, static_scenario
+from conftest import (
+    _connected,
+    attach_log,
+    connected_random_graph,
+    flow,
+    records_of,
+    static_scenario,
+    trace_of,
+)
 
 
 def _passline(n: int, name: str) -> None:
@@ -251,7 +260,7 @@ def test_criterion_5_partition_detection_on_barbell():
         assert state is not None and state.own_height.is_null
         assert all(not entries for entries in agent.cache.values())
     crossed = [
-        r for r in sim.records
+        r for r in records_of(sim)
         if r.event == "rcv" and isinstance(r.packet, ClrPacket) and r.node >= 4
     ]
     assert crossed == []
@@ -344,7 +353,7 @@ def _find_cut(n, edges, sim):
     away from the data path, leaving the graph connected."""
     dest = n - 1
     data_hops = set()
-    for r in sim.records:
+    for r in records_of(sim):
         if isinstance(r.packet, DataPacket) and r.event == "snd":
             p = r.packet.path
             data_hops.update((min(a, b), max(a, b)) for a, b in zip(p, p[1:]))
@@ -375,9 +384,10 @@ def test_criterion_7_reaction_locality():
         4, edges, flows=[flow(0, 3, rate=1.0, start=2.0, stop=2.5)],
         link_failures=[{"time_s": 5.0, "a": 2, "b": 3}], end_time_s=7.0, seed=1,
     )
-    _, case1_metrics, sim = run_single(sc)
+    sim = Simulation(sc).run()
+    case1_metrics = compute_metrics(trace_of(sim))
     late_control = [
-        r for r in sim.records
+        r for r in records_of(sim)
         if r.event == "snd" and r.timestamp >= 5.0
         and isinstance(r.packet, (UpdPacket, ClrPacket))
     ]
@@ -393,7 +403,8 @@ def test_criterion_7_reaction_locality():
             n, edges, flows=[flow(0, n - 1, rate=1.0, start=2.0, stop=2.5)],
             end_time_s=3.5, seed=run_seed,
         )
-        _, probe_metrics, probe = run_single(probe_sc)
+        probe = Simulation(probe_sc).run()
+        probe_metrics = compute_metrics(trace_of(probe))
         assert probe_metrics.pdr == 1.0
         cut = _find_cut(n, edges, probe)
         assert cut is not None, f"graph seed {graph_seed} lost its cut edge"
@@ -415,9 +426,9 @@ def test_criterion_7_reaction_locality():
             flows=[flow(0, n - 1, rate=1.0, start=2.0, stop=2.5)],
             end_time_s=3.5, seed=run_seed,
         )
-        _, _, fresh = run_single(fresh_sc)
+        fresh = Simulation(fresh_sc).run()
         touched = {
-            r.node for r in fresh.records
+            r.node for r in records_of(fresh)
             if r.event == "rcv" and isinstance(r.packet, (QryRequestAnt, QryReplyAnt))
         }
         assert len(reaction) < len(touched), (
@@ -438,11 +449,12 @@ def test_criterion_8_static_lossless_delivery():
         flows=[flow(0, 7, rate=2.0, bits=1000, start=3.0, stop=7.99)],
         end_time_s=9.0, seed=2,
     )
-    lines, metrics, sim = run_single(sc)
+    sim = Simulation(sc).run()
+    metrics = compute_metrics(trace_of(sim))
     assert metrics.data_sent == 10
     assert metrics.pdr == 1.0
     paths = {
-        r.packet.path for r in sim.records
+        r.packet.path for r in records_of(sim)
         if r.event == "snd" and isinstance(r.packet, DataPacket) and r.node == 0
     }
     assert len(paths) == 1, f"route flapped: {paths}"
@@ -464,11 +476,9 @@ def test_criterion_9_determinism_and_replay(tmp_path):
         link_failures=[{"time_s": 5.05, "a": 3, "b": 4}],
         end_time_s=8.0, seed=3,
     )
-    first, metrics_a, _ = run_single(sc, seed=3)
-    second, metrics_b, _ = run_single(sc, seed=3)
     path_a, path_b = tmp_path / "a.trace", tmp_path / "b.trace"
-    write_trace(str(path_a), first)
-    write_trace(str(path_b), second)
+    _, metrics_a, _ = run_single(sc, seed=3, trace_path=str(path_a))
+    _, metrics_b, _ = run_single(sc, seed=3, trace_path=str(path_b))
     assert path_a.read_bytes() == path_b.read_bytes()
     report = run_experiment(sc, repetitions=1, base_seed=3, trace_path=str(tmp_path / "r.trace"))
     replayed = replay(str(tmp_path / "r.trace"))

@@ -12,7 +12,7 @@ from anttora.metrics import compute_metrics
 from anttora.packets import DataPacket, HelloAnt, decode_trace_record
 from anttora.scenario import parse_scenario
 
-from conftest import attach_log, flow, static_scenario
+from conftest import attach_log, flow, records_of, static_scenario, trace_of
 
 
 def run(scenario, seed=None, mode=None):
@@ -26,8 +26,8 @@ def run(scenario, seed=None, mode=None):
 def test_empty_scenario_is_a_vacuous_run():
     sc = parse_scenario({"nodes": {"count": 0}, "end_time_s": 5.0})
     sim = run(sc)
-    assert sim.trace_lines() == []
-    metrics = compute_metrics(sim.trace_lines())
+    assert trace_of(sim) == []
+    metrics = compute_metrics(trace_of(sim))
     assert metrics.pdr == 0.0
     assert metrics.data_sent == 0
     assert metrics.energy_spent == {}
@@ -35,15 +35,15 @@ def test_empty_scenario_is_a_vacuous_run():
 
 def test_same_seed_gives_identical_trace_bytes():
     sc = static_scenario(4, [(0, 1), (1, 2), (2, 3)], flows=[flow(0, 3)])
-    a = "\n".join(run(sc).trace_lines())
-    b = "\n".join(run(sc).trace_lines())
+    a = "\n".join(trace_of(run(sc)))
+    b = "\n".join(trace_of(run(sc)))
     assert a == b
 
 
 def test_static_line_delivers_everything_with_analytic_delay():
     sc = static_scenario(4, [(0, 1), (1, 2), (2, 3)], flows=[flow(0, 3, rate=2.0, start=2.0, stop=4.0)])
     sim = run(sc)
-    metrics = compute_metrics(sim.trace_lines())
+    metrics = compute_metrics(trace_of(sim))
     assert metrics.pdr == 1.0
     per_hop = 1000 / 2e6 + 1e-3 + 5e-4
     assert metrics.mean_end_to_end_delay == pytest.approx(3 * per_hop, abs=1e-9)
@@ -54,7 +54,7 @@ def test_event_order_and_causality():
     sim = run(sc)
     # every receive strictly follows the matching send
     sends = {}
-    for rec in sim.records:
+    for rec in records_of(sim):
         key = rec.packet
         if rec.event == "snd":
             sends.setdefault(key, rec.timestamp)
@@ -137,7 +137,7 @@ def test_inflight_frame_dies_with_its_link():
     )
     sim = run(sc)
     assert sim.counters["drop_cancelled_in_flight"] >= 1
-    drops = [r for r in sim.records if r.event == "drp" and isinstance(r.packet, DataPacket)]
+    drops = [r for r in records_of(sim) if r.event == "drp" and isinstance(r.packet, DataPacket)]
     assert drops
 
 
@@ -343,8 +343,8 @@ def test_mobility_run_is_deterministic():
         "end_time_s": 6.0,
         "seed": 9,
     }
-    a = run(parse_scenario(data)).trace_lines()
-    b = run(parse_scenario(data)).trace_lines()
+    a = trace_of(run(parse_scenario(data)))
+    b = trace_of(run(parse_scenario(data)))
     assert a == b
 
 
@@ -363,7 +363,7 @@ def test_dead_node_stops_transmitting():
     sim = run(sc)
     # hello costs 512 * 5e-7 = 2.56e-4 J to send: the second beacon is refused
     assert sim.counters["tx_suppressed"] >= 1
-    for rec in sim.records:
+    for rec in records_of(sim):
         if rec.event == "snd":
             assert isinstance(rec.packet, HelloAnt)
 
@@ -411,7 +411,7 @@ def test_energy_dead_neighbor_detected_by_hello_silence():
 def test_trace_energy_matches_agent_debits():
     sc = static_scenario(4, [(0, 1), (1, 2), (2, 3)], flows=[flow(0, 3)])
     sim = run(sc)
-    metrics = compute_metrics(sim.trace_lines())
+    metrics = compute_metrics(trace_of(sim))
     for node, agent in sim.agents.items():
         spent = sc.nodes.initial_energy - agent.energy.residual
         assert metrics.energy_spent.get(node, 0.0) == pytest.approx(spent, abs=1e-12)
@@ -419,7 +419,7 @@ def test_trace_energy_matches_agent_debits():
 
 def test_trace_records_decode_and_stay_ordered():
     sc = static_scenario(4, [(0, 1), (1, 2), (2, 3)], flows=[flow(0, 3)])
-    lines = run(sc).trace_lines()
+    lines = trace_of(run(sc))
     events = [l for l in lines if not l.startswith("#")]
     assert events == sorted(events)
     for line in events:

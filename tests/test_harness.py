@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
+import anttora
 from anttora.cli import main as cli_main
+from anttora.engine import Simulation
 from anttora.harness import replay, run_experiment, run_single, write_trace
 from anttora.metrics import validate_trace_order
 from anttora.packets import HelloAnt, TraceDecodeError, decode_trace_record, encode_trace
 
-from conftest import flow, scenario_dict, static_scenario
+from conftest import flow, records_of, scenario_dict, static_scenario, trace_of
 
 RING8 = [(i, (i + 1) % 8) for i in range(8)]
 
@@ -45,16 +51,16 @@ def test_modes_share_the_report_schema_and_both_deliver():
 
 def test_replay_reproduces_metrics_exactly(tmp_path):
     sc = static_scenario(4, [(0, 1), (1, 2), (2, 3)], flows=[flow(0, 3)])
-    lines, metrics, _sim = run_single(sc)
     path = tmp_path / "run.trace"
-    write_trace(str(path), lines)
+    written, metrics, _sim = run_single(sc, trace_path=str(path))
+    assert written == str(path)
     again = replay(str(path))
     assert again.to_dict() == metrics.to_dict()
 
 
 def test_replay_rejects_disordered_trace(tmp_path):
     sc = static_scenario(4, [(0, 1), (1, 2), (2, 3)], flows=[flow(0, 3)])
-    lines, _, _ = run_single(sc)
+    lines = trace_of(Simulation(sc).run())
     events = [l for l in lines if not l.startswith("#")]
     headers = [l for l in lines if l.startswith("#")]
     shuffled = headers + [events[-1]] + events[:-1]
@@ -119,13 +125,37 @@ def test_old_format_reply_and_request_lines_are_rejected(token, tmp_path, capsys
     "bad", ["# cachesize t=abc total=3", "# param seed", "# param beta_tx=oops"]
 )
 def test_cli_replay_rejects_malformed_annotation(bad, tmp_path, capsys):
-    lines, _, _ = run_single(static_scenario(3, [(0, 1), (1, 2)], flows=[flow(0, 2)]))
+    lines = trace_of(Simulation(static_scenario(3, [(0, 1), (1, 2)], flows=[flow(0, 2)])).run())
     headers = [l for l in lines if l.startswith("#")]
     events = [l for l in lines if not l.startswith("#")]
     path = tmp_path / "bad.trace"
     write_trace(str(path), headers + [bad] + events)
     assert cli_main(["replay", str(path)]) == 2
     assert f"error: malformed annotation {bad!r}" in capsys.readouterr().err
+
+
+def test_run_and_replay_memory_stays_flat_as_the_trace_grows(tmp_path):
+    # the trace streams through files, so a run four times as long needs
+    # about the same peak memory; holding the trace in memory costs over
+    # three bytes per trace byte
+    def peak_and_size(end_time):
+        sc = static_scenario(
+            6, [(i, i + 1) for i in range(5)], flows=[flow(0, 5)], end_time_s=end_time
+        )
+        path = str(tmp_path / f"{end_time}.trace")
+        tracemalloc.start()
+        try:
+            run_experiment(sc, trace_path=path)
+            replay(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, os.path.getsize(path)
+
+    short_peak, short_size = peak_and_size(50.0)
+    long_peak, long_size = peak_and_size(200.0)
+    assert long_size > 3 * short_size
+    assert long_peak - short_peak < 0.1 * (long_size - short_size)
 
 
 def test_metrics_include_locality_and_cache_series():
@@ -170,15 +200,50 @@ def test_cli_run_writes_report_and_trace(tmp_path, capsys):
     assert trace_path.exists()
 
 
-def test_cli_run_multiple_reps_numbers_traces(tmp_path):
+def test_cli_run_multiple_reps_numbers_traces(tmp_path, capsys):
     spath = _write_scenario(
         tmp_path, scenario_dict(4, [(0, 1), (1, 2), (2, 3)], flows=[flow(0, 3)])
     )
     trace_path = tmp_path / "t.trace"
-    code = cli_main(["run", spath, "--reps", "2", "--trace", str(trace_path)])
+    report_path = tmp_path / "report.json"
+    code = cli_main(["run", spath, "--reps", "2", "--trace", str(trace_path), "--report", str(report_path)])
     assert code == 0
     assert (tmp_path / "t_r0.trace").exists()
     assert (tmp_path / "t_r1.trace").exists()
+    runs = json.loads(report_path.read_text())["runs"]
+    capsys.readouterr()
+    for k in range(2):
+        assert cli_main(["replay", str(tmp_path / f"t_r{k}.trace")]) == 0
+        assert json.loads(capsys.readouterr().out) == runs[k]["metrics"]
+
+
+def test_cli_leaves_no_file_open(tmp_path):
+    # -X dev reports a file that is never closed as a ResourceWarning, which
+    # -W error makes an error; a generator dropped mid-file must close it too
+    spath = _write_scenario(
+        tmp_path, scenario_dict(4, [(0, 1), (1, 2), (2, 3)], flows=[flow(0, 3)])
+    )
+    trace, report = tmp_path / "run.trace", tmp_path / "report.json"
+    src = os.path.dirname(os.path.dirname(anttora.__file__))
+
+    def cli(*args):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "anttora.cli", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert "ResourceWarning" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+        return proc.returncode
+
+    assert cli("run", spath, "--trace", str(trace), "--report", str(report)) == 0
+    assert cli("replay", str(trace)) == 0
+    lines = trace.read_text().splitlines()
+    disordered = tmp_path / "disordered.trace"
+    disordered.write_text("\n".join(lines[:-2] + [lines[-1], lines[-2]]) + "\n")
+    assert cli("replay", str(disordered)) == 2
 
 
 def test_cli_validate_accepts_and_rejects(tmp_path, capsys):
@@ -230,8 +295,8 @@ def test_baseline_prefers_first_discovered_route():
     src = ant.agents[0]
     chosen = max(src.cache[3], key=lambda e: e.preference)
     assert chosen.path == (0, 1, 3)
-    _, _, base = run_single(sc, mode="baseline_tora")
+    base = Simulation(sc, mode="baseline_tora").run()
     first = min(base.agents[0].cache[3], key=lambda e: (e.created_at, e.path))
-    sent_paths = {r.packet.path for r in base.records
+    sent_paths = {r.packet.path for r in records_of(base)
                   if r.event == "snd" and type(r.packet).__name__ == "DataPacket"}
     assert sent_paths == {first.path}

@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import pathlib
+import tempfile
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anttora.engine import Simulation
 from anttora.harness import run_single
-from anttora.metrics import compute_metrics, validate_trace_order
+from anttora.metrics import compute_metrics, read_trace, validate_trace_order
 from anttora.scenario import parse_scenario
 
-from conftest import flow, scenario_dict
+from conftest import flow, scenario_dict, trace_of
 
 LOW_ENERGY = json.loads((pathlib.Path(__file__).parent / "golden" / "low_energy.json").read_text())
 
@@ -62,8 +64,9 @@ def static_scenarios(draw) -> dict:
 @example(LOW_ENERGY)
 @given(static_scenarios())
 def test_counters_and_trace_agree(data):
-    lines, metrics, sim = run_single(parse_scenario(data))
-    validate_trace_order(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, metrics, sim = run_single(parse_scenario(data), trace_path=os.path.join(tmp, "run.trace"))
+        validate_trace_order(read_trace(path))
     assert_ledgers(metrics, sim)
 
 
@@ -148,6 +151,6 @@ def test_mobility_adjacency_and_ledgers(data):
     assert_adjacency_matches_geometry(sim)
     sim._on_mobility_step = checked_step
     sim.run()
-    lines = sim.trace_lines()
+    lines = trace_of(sim)
     validate_trace_order(lines)
     assert_ledgers(compute_metrics(lines), sim)
