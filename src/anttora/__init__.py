@@ -25,7 +25,6 @@ from .engine import Simulation
 from .harness import replay, run_experiment, run_single
 from .heights import (
     Height,
-    LinkState,
     MaintenanceOutcome,
     NodeToraState,
     apply_clr,
@@ -58,7 +57,6 @@ __all__ = [
     "ErrorPacket",
     "Height",
     "HelloAnt",
-    "LinkState",
     "MaintenanceOutcome",
     "NeighborInfo",
     "NodeAgent",

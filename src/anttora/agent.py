@@ -514,9 +514,7 @@ class NodeAgent:
         """Local route erasure run by the node that detected the partition."""
         dest = state.destination
         self._set_height(state, Height.null(self.node), now)
-        for j, ls in sorted(state.links.items()):
-            mirror = Height.zero(j) if j == dest else Height.null(j)
-            state.set_mirror(j, mirror)
+        state.reset_mirrors()
         self.candidates.pop(dest, None)
         self.preferences.pop(dest, None)
         self._purge_cache(dest, now, everything=True)

@@ -131,73 +131,58 @@ def classify_link(own: Height, neighbor: Height) -> Direction:
 
 
 @dataclass
-class LinkState:
-    """Per-neighbor mirror of the last height heard, plus link direction."""
-
-    neighbor: int
-    mirrored_height: Height
-    direction: Direction
-
-
-@dataclass
 class NodeToraState:
-    """One node's routing state toward one destination."""
+    """One node's routing state toward one destination. ``links`` maps each
+    neighbor to the last height heard from it; a link's direction is derived
+    from that mirror and ``own_height`` where it is read."""
 
     node: int
     destination: int
-    links: dict[int, LinkState] = field(default_factory=dict)
+    links: dict[int, Height] = field(default_factory=dict)
     route_required: bool = False
     own_height: Height = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.node == self.destination:
-            self.own_height = Height.zero(self.node)
-        else:
-            self.own_height = Height.null(self.node)
+        self.own_height = self.initial_height(self.node)
+
+    def initial_height(self, node: int) -> Height:
+        """Zero for the destination, NULL for every other node."""
+        return Height.zero(node) if node == self.destination else Height.null(node)
 
     def add_link(self, neighbor: int) -> None:
-        """Register a new neighbor; a destination neighbor mirrors zero."""
-        if neighbor in self.links:
-            return
-        if neighbor == self.destination:
-            mirror = Height.zero(neighbor)
-        else:
-            mirror = Height.null(neighbor)
-        self.links[neighbor] = LinkState(
-            neighbor, mirror, classify_link(self.own_height, mirror)
-        )
+        self.links.setdefault(neighbor, self.initial_height(neighbor))
 
     def remove_link(self, neighbor: int) -> None:
         self.links.pop(neighbor, None)
 
     def set_mirror(self, neighbor: int, height: Height) -> None:
-        if neighbor not in self.links:
-            self.add_link(neighbor)
-        ls = self.links[neighbor]
-        ls.mirrored_height = height
-        ls.direction = classify_link(self.own_height, height)
+        self.links[neighbor] = height
+
+    def reset_mirrors(self) -> list[int]:
+        """Mirror every neighbor's initial height again; returns them in id order."""
+        for j in self.links:
+            self.links[j] = self.initial_height(j)
+        return sorted(self.links)
 
     def set_own_height(self, height: Height) -> None:
         if self.node == self.destination and height != Height.zero(self.node):
             raise ValueError("the destination's height is immutable")
         self.own_height = height
-        for ls in self.links.values():
-            ls.direction = classify_link(self.own_height, ls.mirrored_height)
 
     def concrete_mirrors(self) -> list[Height]:
-        return [
-            ls.mirrored_height
-            for _, ls in sorted(self.links.items())
-            if not ls.mirrored_height.is_null
-        ]
-
-    def has_upstream(self) -> bool:
-        return any(ls.direction is Direction.UP for ls in self.links.values())
+        return [h for _, h in sorted(self.links.items()) if not h.is_null]
 
 
 def has_downstream(state: NodeToraState) -> bool:
     """True iff some concrete-height neighbor sits strictly below the node."""
-    return any(ls.direction is Direction.DN for ls in state.links.values())
+    own = state.own_height
+    return any(classify_link(own, h) is Direction.DN for h in state.links.values())
+
+
+def has_upstream(state: NodeToraState) -> bool:
+    """True iff some concrete-height neighbor sits strictly above the node."""
+    own = state.own_height
+    return any(classify_link(own, h) is Direction.UP for h in state.links.values())
 
 
 def new_height_on_reply(neighbor_heights: set[Height] | list[Height], own_id: int) -> Height:
@@ -245,7 +230,7 @@ def maintenance_case(state: NodeToraState, trigger: Trigger, now: float) -> Main
     me = state.node
 
     def generate() -> MaintenanceOutcome:
-        if not state.has_upstream():
+        if not has_upstream(state):
             return MaintenanceOutcome(
                 MaintenanceCase.GENERATE, Height.null(me), BroadcastKind.NONE
             )
@@ -295,24 +280,14 @@ def apply_clr(
 
     Returns (rebroadcast, neighbors whose mirror was reset).
     """
-    affected: list[int] = []
     own_level = state.own_height.level
     if own_level == clr_reference_level and state.node != state.destination:
         state.own_height = Height.null(state.node)
-        for j, ls in sorted(state.links.items()):
-            if j == state.destination:
-                ls.mirrored_height = Height.zero(j)
-            else:
-                ls.mirrored_height = Height.null(j)
-            affected.append(j)
-        for ls in state.links.values():
-            ls.direction = classify_link(state.own_height, ls.mirrored_height)
-        return True, affected
+        return True, state.reset_mirrors()
 
-    for j, ls in sorted(state.links.items()):
-        mirror = ls.mirrored_height
-        if not mirror.is_null and mirror.level == clr_reference_level:
-            ls.mirrored_height = Height.null(j)
-            ls.direction = classify_link(state.own_height, ls.mirrored_height)
+    affected: list[int] = []
+    for j, mirror in sorted(state.links.items()):
+        if mirror.level == clr_reference_level:
+            state.links[j] = Height.null(j)
             affected.append(j)
     return False, affected

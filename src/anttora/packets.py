@@ -243,13 +243,17 @@ def _parse_height(name: str, raw: str) -> Height:
         return Height.null(_parse_int(name, parts[1]))
     if len(parts) != 5:
         raise TraceFieldError(name, f"expected 5-part height, got {raw!r}")
-    return Height(
+    values = (
         _parse_float(name, parts[0]),
         _parse_int(name, parts[1]),
         _parse_int(name, parts[2]),
         _parse_int(name, parts[3]),
         _parse_int(name, parts[4]),
     )
+    try:
+        return Height(*values)
+    except ValueError as exc:  # e.g. a reflection bit other than 0 or 1
+        raise TraceFieldError(name, f"{exc} in {raw!r}") from None
 
 
 def _parse_level(name: str, raw: str) -> tuple[float, int, int]:

@@ -9,6 +9,7 @@ file stays reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .aco import DepositWeights, NormalizationBounds, PreferenceWeights
@@ -99,6 +100,11 @@ class Scenario:
     mode: str
 
 
+def _join(path: str, key: str) -> str:
+    """Field path of ``key`` inside section ``path`` ("" at the top level)."""
+    return f"{path}.{key}" if path else key
+
+
 class _Ctx:
     """Collects validation problems with their field paths."""
 
@@ -110,29 +116,40 @@ class _Ctx:
 
     def section(self, data: dict, path: str, allowed: set[str]) -> None:
         for key in sorted(set(data) - allowed):
-            self.fail(f"{path}.{key}" if path else key, "unknown key")
+            self.fail(_join(path, key), "unknown key")
+
+    def subsection(self, data: dict, path: str, key: str) -> dict:
+        """The object under ``key``, or {} after a complaint if it is not one."""
+        raw = data.get(key, {})
+        if not isinstance(raw, dict):
+            self.fail(_join(path, key), f"expected an object, got {raw!r}")
+            return {}
+        return raw
 
     def number(self, data, path, key, default, minimum=None, positive=False):
         value = data.get(key, default)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            self.fail(f"{path}.{key}", f"expected a number, got {value!r}")
+            self.fail(_join(path, key), f"expected a number, got {value!r}")
             return default
         value = float(value)
+        if not math.isfinite(value):
+            self.fail(_join(path, key), f"expected a finite number, got {value}")
+            return default
         if positive and value <= 0:
-            self.fail(f"{path}.{key}", f"must be positive, got {value}")
+            self.fail(_join(path, key), f"must be positive, got {value}")
             return default
         if minimum is not None and value < minimum:
-            self.fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
+            self.fail(_join(path, key), f"must be >= {minimum}, got {value}")
             return default
         return value
 
     def integer(self, data, path, key, default, minimum=None):
         value = data.get(key, default)
         if not isinstance(value, int) or isinstance(value, bool):
-            self.fail(f"{path}.{key}", f"expected an integer, got {value!r}")
+            self.fail(_join(path, key), f"expected an integer, got {value!r}")
             return default
         if minimum is not None and value < minimum:
-            self.fail(f"{path}.{key}", f"must be >= {minimum}, got {value}")
+            self.fail(_join(path, key), f"must be >= {minimum}, got {value}")
             return default
         return value
 
@@ -142,20 +159,21 @@ class _Ctx:
             return default
         pair = _number_pair(value)
         if pair is None:
-            self.fail(f"{path}.{key}", f"expected [low, high], got {value!r}")
+            self.fail(_join(path, key), f"expected [low, high], got {value!r}")
             return default
         return pair
 
 
 def _number_pair(value) -> tuple[float, float] | None:
-    """``value`` as two floats if it is a list of two numbers (not booleans)."""
+    """``value`` as two floats if it is a list of two finite numbers (not booleans)."""
     if (
         not isinstance(value, list)
         or len(value) != 2
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         return None
-    return (float(value[0]), float(value[1]))
+    pair = (float(value[0]), float(value[1]))
+    return pair if all(map(math.isfinite, pair)) else None
 
 
 def _parse_nodes(ctx: _Ctx, data: dict) -> NodesSpec:
@@ -268,14 +286,14 @@ def _parse_weights(ctx: _Ctx, data: dict):
          "initial_pheromone", "evaporation_period_s"},
     )
     dw_defaults, pw_defaults = DepositWeights(), PreferenceWeights()
-    dw_raw = data.get("deposit_weights", {})
+    dw_raw = ctx.subsection(data, "aco", "deposit_weights")
     dw_fields = {"bandwidth", "energy", "delay", "hop_count", "drain_rate"}
     ctx.section(dw_raw, "aco.deposit_weights", dw_fields)
     dw_kwargs = {
         k: ctx.number(dw_raw, "aco.deposit_weights", k, getattr(dw_defaults, k), minimum=0.0)
         for k in dw_fields
     }
-    pw_raw = data.get("preference_weights", {})
+    pw_raw = ctx.subsection(data, "aco", "preference_weights")
     pw_fields = {"pheromone", "delay", "hop_count", "bandwidth", "energy", "drain_rate"}
     ctx.section(pw_raw, "aco.preference_weights", pw_fields)
     pw_kwargs = {
@@ -348,7 +366,7 @@ def _parse_protocol(ctx: _Ctx, data: dict) -> tuple[dict, dict]:
     }
     ctx.section(data, "protocol", fields_)
     defaults = ProtocolParams()
-    raw = data.get("control_bits", {})
+    raw = ctx.subsection(data, "protocol", "control_bits")
     ctx.section(raw, "protocol.control_bits", set(CONTROL_BITS_KEYS))
     control = {
         key: ctx.integer(raw, "protocol.control_bits", key, DEFAULT_CONTROL_BITS[key], minimum=1)
@@ -445,11 +463,7 @@ def parse_scenario(data: dict) -> Scenario:
     ctx.section(data, "", TOP_LEVEL_KEYS)
 
     def subsection(key):
-        raw = data.get(key, {})
-        if not isinstance(raw, dict):
-            ctx.fail(key, f"expected an object, got {raw!r}")
-            return {}
-        return raw
+        return ctx.subsection(data, "", key)
 
     nodes = _parse_nodes(ctx, subsection("nodes"))
     topology = _parse_topology(ctx, subsection("topology"), nodes.count)

@@ -4,8 +4,19 @@ from __future__ import annotations
 
 import random
 
-from anttora.packets import TraceRecord, decode_trace_record
+from anttora.heights import Height
+from anttora.packets import HelloAnt, TraceRecord, UpdPacket, decode_trace_record
 from anttora.scenario import Scenario, parse_scenario
+
+# event lines with one malformed field: (packet, its field token, the
+# malformed replacement, the field the decoder must blame)
+MALFORMED_EVENT_FIELDS = {
+    "size_bits": (HelloAnt(3, 1.0, 50.0, 0.25, 512), "size_bits=512", "size_bits=twelve", "size_bits"),
+    # the height token splits into five numbers, but its reflection bit is 7
+    "reflection_bit": (
+        UpdPacket(7, Height(1.0, 2, 0, 0, 4)), "height=1.000000:2:0:0:4", "height=1.000000:2:7:0:4", "height"
+    ),
+}
 
 
 def scenario_dict(n, edges, flows=(), **overrides) -> dict:

@@ -28,6 +28,7 @@ from anttora.heights import (
     MaintenanceCase,
     NodeToraState,
     Trigger,
+    classify_link,
     maintenance_case,
 )
 from anttora.metrics import compute_metrics
@@ -54,8 +55,8 @@ def _dn_edges(sim, dest):
         state = sim.agents[node].tora.get(dest)
         if state is None:
             continue
-        for j, ls in sorted(state.links.items()):
-            if ls.direction is Direction.DN:
+        for j, mirror in sorted(state.links.items()):
+            if classify_link(state.own_height, mirror) is Direction.DN:
                 edges.append((node, j))
     return edges
 
@@ -363,8 +364,9 @@ def _find_cut(n, edges, sim):
         state = sim.agents[u].tora.get(dest)
         if state is None:
             continue
-        dn = [j for j, ls in sorted(state.links.items()) if ls.direction is Direction.DN]
-        up = [j for j, ls in sorted(state.links.items()) if ls.direction is Direction.UP]
+        direction = {j: classify_link(state.own_height, h) for j, h in state.links.items()}
+        dn = [j for j, d in sorted(direction.items()) if d is Direction.DN]
+        up = [j for j, d in sorted(direction.items()) if d is Direction.UP]
         if len(dn) != 1 or not up:
             continue
         e = (min(u, dn[0]), max(u, dn[0]))

@@ -20,7 +20,7 @@ from anttora.agent import (
     QosConstraints,
     SimClockError,
 )
-from anttora.heights import Direction, Height, has_downstream
+from anttora.heights import Direction, Height, classify_link, has_downstream
 from anttora.packets import (
     ClrPacket,
     DataPacket,
@@ -273,7 +273,7 @@ def test_rr_unset_reply_updates_links_without_relay():
     rep = QryReplyAnt(1, PROC, 90.0, 0.01, 1e6, 5, 2, (2,), Height.zero(2))
     out = a.on_qry_reply(rep, 2, 2.0)
     assert out == []  # not route-required, nothing to relay
-    assert a.tora[2].links[2].mirrored_height == Height.zero(2)
+    assert a.tora[2].links[2] == Height.zero(2)
     assert 2 in a.candidates[2]
 
 
@@ -509,8 +509,9 @@ def test_clr_matching_level_resets_and_rebroadcasts():
     assert len(out) == 1
     assert a.tora[2].own_height.is_null
     # only the adjacent destination itself may remain downstream
-    for ls in a.tora[2].links.values():
-        assert ls.direction is Direction.UN or ls.neighbor == 2
+    state = a.tora[2]
+    for j, mirror in state.links.items():
+        assert classify_link(state.own_height, mirror) is Direction.UN or j == 2
 
 
 def test_clr_nonmatching_level_is_not_rebroadcast():
@@ -569,17 +570,6 @@ def test_drain_rate_matches_ewma_closed_form():
         assert math.isclose(e.drain_rate, expect, abs_tol=1e-9)
 
 
-def test_link_classification_stays_consistent_after_trace():
-    from anttora.heights import classify_link
-
-    net = warmed(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    net.discover(0, 3, 1.5)
-    for agent in net.agents.values():
-        for state in agent.tora.values():
-            for ls in state.links.values():
-                assert ls.direction is classify_link(state.own_height, ls.mirrored_height)
-
-
 def test_reply_handler_totality_for_rr_options():
     """Reply receipt lands in exactly one outcome per (rr, is_source) pair:
     adopters relay once, everyone else only refreshes link state."""
@@ -596,7 +586,7 @@ def test_reply_handler_totality_for_rr_options():
             source = 1 if is_source else 0
             rep = QryReplyAnt(2, 0.004, 90.0, 0.01, 2.5e5, source, 9, (2, 9), Height(0.0, 0, 0, 1, 2))
             out = a.on_qry_reply(rep, 2, 2.0)
-            assert state.links[2].mirrored_height == Height(0.0, 0, 0, 1, 2)
+            assert state.links[2] == Height(0.0, 0, 0, 1, 2)
             if rr:
                 assert not state.route_required
                 assert not state.own_height.is_null

@@ -17,7 +17,7 @@ from anttora.harness import replay, run_experiment, run_single, write_trace
 from anttora.metrics import validate_trace_order
 from anttora.packets import HelloAnt, TraceDecodeError, decode_trace_record, encode_trace
 
-from conftest import flow, records_of, scenario_dict, static_scenario, trace_of
+from conftest import MALFORMED_EVENT_FIELDS, flow, records_of, scenario_dict, static_scenario, trace_of
 
 RING8 = [(i, (i + 1) % 8) for i in range(8)]
 
@@ -119,6 +119,19 @@ def test_old_format_reply_and_request_lines_are_rejected(token, tmp_path, capsys
     write_trace(str(path), ["# param mode=ant_tora", line])
     assert cli_main(["replay", str(path)]) == 2
     assert f"error: {token} line has" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_EVENT_FIELDS))
+def test_cli_replay_names_a_malformed_event_field(case, tmp_path, capsys):
+    packet, good, bad, field_name = MALFORMED_EVENT_FIELDS[case]
+    line = encode_trace(packet, 1.0, seq=1).replace(good, bad)
+    assert bad in line
+    with pytest.raises(TraceDecodeError):
+        decode_trace_record(line)
+    path = tmp_path / "bad.trace"
+    write_trace(str(path), ["# param mode=ant_tora", line])
+    assert cli_main(["replay", str(path)]) == 2
+    assert f"error: field {field_name!r}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

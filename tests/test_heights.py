@@ -339,8 +339,8 @@ def test_new_height_never_collides_with_neighbors():
         out = maintenance_case(s, trigger, now=300.0)
         if out.new_height.is_null:
             continue
-        for ls in s.links.values():
-            assert out.new_height != ls.mirrored_height
+        for mirror in s.links.values():
+            assert out.new_height != mirror
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +356,7 @@ def test_clr_matching_level_resets_everything():
     assert rebroadcast
     assert s.own_height.is_null
     assert sorted(affected) == [2, 3]
-    assert all(ls.mirrored_height.is_null for ls in s.links.values())
+    assert all(mirror.is_null for mirror in s.links.values())
     assert not has_downstream(s)
 
 
@@ -369,8 +369,8 @@ def test_clr_nonmatching_level_resets_shared_mirrors_only():
     assert not rebroadcast
     assert affected == [2]
     assert s.own_height == Height(5.0, 6, 0, 0, 1)
-    assert s.links[2].mirrored_height.is_null
-    assert s.links[3].mirrored_height == Height(0.0, 0, 0, 4, 3)
+    assert s.links[2].is_null
+    assert s.links[3] == Height(0.0, 0, 0, 4, 3)
 
 
 def test_clr_keeps_destination_mirror_zero():
@@ -380,9 +380,10 @@ def test_clr_keeps_destination_mirror_zero():
     }, own=Height(3.0, 5, 1, -1, 1))
     rebroadcast, _ = apply_clr(s, (3.0, 5, 1))
     assert rebroadcast
-    assert s.links[9].mirrored_height == Height.zero(9)
+    assert s.links[9] == Height.zero(9)
     # after a full reset every link is undirected or points at the destination
-    for ls in s.links.values():
-        assert ls.direction in (Direction.UN, Direction.DN)
-        if ls.direction is Direction.DN:
-            assert ls.neighbor == 9
+    for j, mirror in s.links.items():
+        direction = classify_link(s.own_height, mirror)
+        assert direction in (Direction.UN, Direction.DN)
+        if direction is Direction.DN:
+            assert j == 9

@@ -27,6 +27,8 @@ from anttora.packets import (
 )
 from anttora.scenario import DEFAULT_CONTROL_BITS
 
+from conftest import MALFORMED_EVENT_FIELDS
+
 # six-fractional-digit grid: values that survive the canonical rounding
 _q6 = st.integers(0, 10_000_000).map(lambda n: n / 1e6)
 _ids = st.integers(0, 99)
@@ -106,12 +108,14 @@ def test_unknown_type_token_is_a_distinct_error():
 
 
 def test_malformed_field_names_the_offender():
-    line = encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0)
-    bad = line.replace("size_bits=512", "size_bits=twelve")
-    with pytest.raises(TraceFieldError) as err:
-        decode_trace_record(bad)
-    assert err.value.field_name == "size_bits"
-    assert not isinstance(err.value, UnknownPacketTypeError)
+    for packet, good, bad_token, field_name in MALFORMED_EVENT_FIELDS.values():
+        line = encode_trace(packet, 1.0)
+        bad = line.replace(good, bad_token)
+        assert bad != line
+        with pytest.raises(TraceFieldError) as err:
+            decode_trace_record(bad)
+        assert err.value.field_name == field_name
+        assert not isinstance(err.value, UnknownPacketTypeError)
 
 
 def test_field_order_is_enforced():

@@ -171,3 +171,56 @@ def test_malformed_positions_name_the_entry(positions, tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert cli_main(["validate", str(path)]) == 2
     assert f"nodes.positions[{bad}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("protocol", "control_bits", 5),
+        ("aco", "deposit_weights", 5),
+        ("aco", "preference_weights", [1]),
+    ],
+)
+def test_nested_section_must_be_an_object(section, key, value, tmp_path, capsys):
+    data = minimal()
+    data[section] = {key: value}
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert f"{section}.{key}: expected an object, got {value!r}" in err.value.problems
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["validate", str(path)]) == 2
+    assert f"{section}.{key}: expected an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["1e400", "-1e400", "NaN", "Infinity"])
+def test_non_finite_numbers_are_rejected(raw, tmp_path, capsys):
+    # Python's json reads 1e400 as inf and accepts the NaN/Infinity literals
+    text = json.dumps(minimal()).replace('"end_time_s": 5.0', f'"end_time_s": {raw}')
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(str(path))
+    assert [p for p in err.value.problems if p.startswith("end_time_s:")]
+    assert cli_main(["validate", str(path)]) == 2
+    assert "end_time_s: expected a finite number" in capsys.readouterr().err
+
+
+def test_non_finite_pair_is_rejected():
+    data = minimal()
+    data["topology"]["area"] = [float("inf"), 100.0]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert any(p.startswith("topology.area:") for p in err.value.problems)
+
+
+def test_top_level_field_paths_have_no_leading_dot():
+    data = minimal()
+    data["seed"] = "seven"
+    data["end_time_s"] = -1
+    data["qos"] = 3
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    heads = sorted(p.split(":")[0] for p in err.value.problems)
+    assert heads == ["end_time_s", "qos", "seed"]
+    assert "seed: expected an integer, got 'seven'" in err.value.problems
