@@ -14,6 +14,16 @@ Trace line layout::
 with the timestamp zero-padded to sort lexically, ``seq`` the engine event
 counter, ``event`` one of ``snd``/``rcv``/``drp``, and ``node`` the node the
 event happened at.
+
+A line is a head, ``<timestamp> <seq> <event> <node>``, and a body, the type
+token and its fields. The head is formatted, parsed and checked on every
+line. The body is a pure function of the packet, and a broadcast's ``snd``
+line and its neighbours' ``rcv`` lines, or a data packet's hops, repeat the
+same body one line after another. So each side remembers its last body: the
+encoder reuses the text when it is handed the very packet object it encoded
+last, and the decoder reuses the packet when a line's body is the previous
+line's text. A call that raises leaves the memo as it was, so a hit returns
+exactly what a strict decode of the same text returned.
 """
 
 from __future__ import annotations
@@ -201,17 +211,20 @@ def _fmt_float(name: str, value: float) -> str:
 
 
 def _fmt_ids(name: str, ids: tuple[int, ...]) -> str:
-    return ",".join(str(i) for i in ids) if ids else "-"
+    return ",".join(_fmt_int(name, i) for i in ids) if ids else "-"
 
 
 def _fmt_height(name: str, h: Height) -> str:
     if h.is_null:
-        return f"null:{h.node}"
-    return f"{_fmt_float('tau', h.tau)}:{h.oid}:{h.r}:{h.delta}:{h.node}"
+        return f"null:{_fmt_int('node', h.node)}"
+    return (
+        f"{_fmt_float('tau', h.tau)}:{_fmt_int('oid', h.oid)}:{_fmt_int('r', h.r)}"
+        f":{_fmt_int('delta', h.delta)}:{_fmt_int('node', h.node)}"
+    )
 
 
 def _fmt_level(name: str, level: tuple[float, int, int]) -> str:
-    return f"{_fmt_float('tau', level[0])}:{level[1]}:{level[2]}"
+    return f"{_fmt_float('tau', level[0])}:{_fmt_int('oid', level[1])}:{_fmt_int('r', level[2])}"
 
 
 def _parse_int(name: str, raw: str) -> int:
@@ -300,38 +313,48 @@ class TraceRecord(NamedTuple):
     packet: Packet
 
 
+# the last packet encoded and its body text, and the last body text decoded
+# and its packet; each is read and written as one tuple, and only after the
+# call that fills it has succeeded
+_encoded: tuple[object, str] = (object(), "")
+_decoded: tuple[str | None, Packet | None] = (None, None)
+
+
+def _encode_body(packet: Packet) -> str:
+    """Format a packet as a line's body, ``<type> <field>=<value> ...``."""
+    kind = PACKET_KINDS.get(type(packet))
+    if kind is None:
+        raise ValueError(f"not a protocol packet: {type(packet).__name__}")
+    fields_text = (f"{name}={fmt(name, getattr(packet, name))}" for name, fmt, _ in FIELD_CODECS[type(packet)])
+    return " ".join((kind.token, *fields_text))
+
+
 def encode_trace(
     packet: Packet, timestamp: float, *, seq: int = 0, event: str = "snd", node: int = 0
 ) -> str:
     """Serialize one packet event to its canonical single-line form."""
+    global _encoded
     if not math.isfinite(timestamp) or timestamp < 0:
         raise ValueError(f"timestamp must be finite and nonnegative, got {timestamp!r}")
     if event not in TRACE_EVENTS:
         raise ValueError(f"event must be one of {TRACE_EVENTS}, got {event!r}")
-    kind = PACKET_KINDS.get(type(packet))
-    if kind is None:
-        raise ValueError(f"not a protocol packet: {type(packet).__name__}")
-    head = f"{timestamp:017.6f} {seq:08d} {event} {node} {kind.token}"
-    body = (f"{name}={fmt(name, getattr(packet, name))}" for name, fmt, _ in FIELD_CODECS[type(packet)])
-    return " ".join((head, *body))
+    head = f"{timestamp:017.6f} {_fmt_int('seq', seq).zfill(8)} {event} {_fmt_int('node', node)}"
+    last, body = _encoded
+    if last is not packet:
+        body = _encode_body(packet)
+        _encoded = (packet, body)
+    return f"{head} {body}"
 
 
-def decode_trace_record(line: str) -> TraceRecord:
-    """Parse one canonical trace line back into a TraceRecord."""
-    tokens = line.rstrip("\n").split(" ")
-    if len(tokens) < len(TRACE_HEAD):
-        raise TraceDecodeError(f"trace line too short: {line!r}")
-    ts_raw, seq_raw, event, node_raw, type_token = tokens[: len(TRACE_HEAD)]
-    timestamp = _parse_float("timestamp", ts_raw)
-    seq = _parse_int("seq", seq_raw)
-    if event not in TRACE_EVENTS:
-        raise TraceDecodeError(f"unknown trace event {event!r}")
-    node = _parse_int("node", node_raw)
+def _decode_body(rest: str) -> Packet:
+    """Strictly parse a line's body, ``<type> <field>=<value> ...``."""
+    tokens = rest.split(" ")
+    type_token = tokens[0]
     cls = PACKET_OF_TOKEN.get(type_token)
     if cls is None:
         raise UnknownPacketTypeError(f"unknown packet type token {type_token!r}")
     codecs = FIELD_CODECS[cls]
-    body = tokens[len(TRACE_HEAD) :]
+    body = tokens[1:]
     if len(body) != len(codecs):
         raise TraceDecodeError(f"{type_token} line has {len(body)} fields, expected {len(codecs)}")
     values = []
@@ -341,7 +364,25 @@ def decode_trace_record(line: str) -> TraceRecord:
             raise TraceFieldError(name, f"expected {name}=<value>, got {token!r}")
         values.append(parse(name, raw))
     try:
-        packet = cls(*values)
+        return cls(*values)
     except ValueError as exc:
         raise TraceDecodeError(f"decoded {type_token} violates its invariants: {exc}") from exc
+
+
+def decode_trace_record(line: str) -> TraceRecord:
+    """Parse one canonical trace line back into a TraceRecord."""
+    global _decoded
+    parts = line.rstrip("\n").split(" ", 4)  # the four head tokens, then the body
+    if len(parts) < 5:
+        raise TraceDecodeError(f"trace line too short: {line!r}")
+    ts_raw, seq_raw, event, node_raw, rest = parts
+    timestamp = _parse_float("timestamp", ts_raw)
+    seq = _parse_int("seq", seq_raw)
+    if event not in TRACE_EVENTS:
+        raise TraceDecodeError(f"unknown trace event {event!r}")
+    node = _parse_int("node", node_raw)
+    last, packet = _decoded
+    if rest != last:
+        packet = _decode_body(rest)
+        _decoded = (rest, packet)
     return TraceRecord(timestamp, seq, event, node, packet)

@@ -20,7 +20,7 @@ import tempfile
 
 import pytest
 
-from anttora import metrics
+from anttora import metrics, packets
 from anttora.harness import replay, run_experiment, write_report
 from anttora.metrics import read_trace
 from anttora.packets import decode_trace_record
@@ -69,6 +69,29 @@ def test_run_and_replay_each_decode_every_event_line_once(tmp_path, monkeypatch)
     assert decoded == events
     replay(str(tmp_path / "run.trace"))
     assert decoded == events + events
+
+
+def test_run_and_replay_decode_each_run_of_repeated_bodies_once(tmp_path, monkeypatch):
+    # barbell_clear has 391 event lines, and 184 of them carry a body (type
+    # and fields) other than the line above's; run and replay decode all 391
+    # lines each, but strictly parse at most 2 * 184 = 368 bodies, which is
+    # fewer than half of the 782 lines decoded
+    bodies = []
+
+    def counting(rest):
+        bodies.append(rest)
+        return decode_body(rest)
+
+    decode_body = packets._decode_body
+    monkeypatch.setattr(packets, "_decode_body", counting)
+    pin = PINNED["barbell_clear"]
+    run_digests(pin["scenario"], pin["mode"], tmp_path)
+    replay(str(tmp_path / "run.trace"))
+    events = [line for line in read_trace(str(tmp_path / "run.trace")) if line and line[0] != "#"]
+    texts = [line.split(" ", 4)[4] for line in events]
+    changes = sum(text != above for above, text in zip([None] + texts, texts))
+    assert len(bodies) <= 2 * changes
+    assert len(bodies) < len(events)  # half of the 2 * len(events) lines decoded
 
 
 if __name__ == "__main__":

@@ -18,8 +18,10 @@ from anttora.packets import (
     HelloAnt,
     QryReplyAnt,
     QryRequestAnt,
+    TRACE_EVENTS,
     TraceDecodeError,
     TraceFieldError,
+    TraceRecord,
     UnknownPacketTypeError,
     UpdPacket,
     decode_trace_record,
@@ -87,11 +89,21 @@ def test_non_finite_fields_rejected():
         HelloAnt(3, 1.0, 50.0, 0.25, 512.0),  # would write size_bits=512.000000
         HelloAnt(True, 1.0, 50.0, 0.25, 512),
         HelloAnt(3, 1.0, False, 0.25, 512),
+        DataPacket(0, 1, 2, 512, (0, True)),  # would write path=0,True
+        UpdPacket(1, Height(0.5, 1.0, 0, 2, 3)),  # would write height=0.500000:1.0:0:2:3
+        UpdPacket(1, Height.null(True)),  # would write height=null:True
+        ClrPacket(1, (0.5, 2.0, 1)),  # would write reference_level=0.500000:2.0:1
     ],
 )
 def test_encoder_refuses_values_the_decoder_would_refuse(pkt):
     with pytest.raises(ValueError):
         encode_trace(pkt, 1.0)
+
+
+@pytest.mark.parametrize("head", [{"seq": True, "node": True}, {"seq": True}, {"node": 2.0}, {"seq": 1.0}])
+def test_encoder_refuses_a_head_the_decoder_would_refuse(head):
+    with pytest.raises(ValueError):
+        encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0, **head)
 
 
 def test_truncated_line_is_a_parse_error():
@@ -112,10 +124,12 @@ def test_malformed_field_names_the_offender():
         line = encode_trace(packet, 1.0)
         bad = line.replace(good, bad_token)
         assert bad != line
-        with pytest.raises(TraceFieldError) as err:
-            decode_trace_record(bad)
-        assert err.value.field_name == field_name
-        assert not isinstance(err.value, UnknownPacketTypeError)
+        decode_trace_record(line)  # the bad line differs from this one in one field
+        for _ in range(2):  # and fails as often as it is decoded
+            with pytest.raises(TraceFieldError) as err:
+                decode_trace_record(bad)
+            assert err.value.field_name == field_name
+            assert not isinstance(err.value, UnknownPacketTypeError)
 
 
 def test_field_order_is_enforced():
@@ -148,6 +162,96 @@ def test_reply_round_trip_property(
     pkt = QryReplyAnt(hop, delay, energy, drain, bw, src, dst, tuple(route), height)
     rec = decode_trace_record(encode_trace(pkt, t))
     assert (rec.packet, rec.timestamp) == (pkt, t)
+
+
+# what an integer slot may be handed: an int nine times in ten, else a bool or
+# a float, which the decoder would refuse or read back as another type
+_int_slot = st.integers(0, 9).flatmap(
+    lambda k: st.integers(-3, 99) if k else st.one_of(st.booleans(), st.integers(0, 9).map(float), st.floats(-10, 10))
+)
+_height = st.one_of(
+    st.builds(Height.null, _int_slot),
+    st.builds(Height, _q6, _int_slot, st.sampled_from([0, 1, False, True, 0.0, 1.0]), _int_slot, _int_slot),
+)
+
+
+def _packets(make, *parts):
+    """Packets ``make(*values)`` over draws of ``parts``; draws that the
+    packet's own invariants refuse are dropped."""
+
+    def build(values):
+        try:
+            return make(*values)
+        except ValueError:
+            return None
+
+    return st.tuples(*parts).map(build).filter(lambda packet: packet is not None)
+
+
+_hops = st.lists(_int_slot, max_size=3)
+_any_packet = st.one_of(
+    _packets(HelloAnt, _int_slot, _q6, _q6, _q6, _int_slot),
+    _packets(lambda t, s, d, hops: QryRequestAnt(t, s, d, (s, *hops)), _q6, _int_slot, _int_slot, _hops),
+    _packets(QryReplyAnt, _int_slot, _q6, _q6, _q6, _q6, _int_slot, _int_slot, _hops.map(tuple), _height),
+    _packets(UpdPacket, _int_slot, _height),
+    _packets(ErrorPacket, _int_slot, _int_slot),
+    _packets(ClrPacket, _int_slot, st.tuples(_q6, _int_slot, st.sampled_from([1, True, 1.0]))),
+    _packets(
+        lambda s, d, seq, bits, hops: DataPacket(s, d, seq, bits, (s, *hops, d)),
+        _int_slot, _int_slot, _int_slot, _int_slot, _hops,
+    ),
+)
+
+
+@given(packet=_any_packet, t=_q6, seq=_int_slot, node=_int_slot, event=st.sampled_from(TRACE_EVENTS))
+def test_encoder_writes_only_what_the_decoder_reads_back(packet, t, seq, node, event):
+    try:
+        line = encode_trace(packet, t, seq=seq, event=event, node=node)
+    except ValueError:
+        return
+    rec = decode_trace_record(line)
+    assert rec == (t, seq, event, node, packet)
+    # == cannot tell True from 1 or 2.0 from 2; the spelling can
+    assert repr(rec) == repr(TraceRecord(t, seq, event, node, packet))
+    assert encode_trace(rec.packet, rec.timestamp, seq=rec.seq, event=rec.event, node=rec.node) == line
+
+
+def test_encode_memo_gives_each_packet_its_own_text():
+    a = HelloAnt(3, 1.0, 50.0, 0.25, 512)
+    b = HelloAnt(4, 1.0, 50.0, 0.25, 512)
+    first, other, again = (encode_trace(p, 1.0) for p in (a, b, a))
+    assert first == again != other
+    assert "sender=4" in other and "sender=3" in again
+    twin = HelloAnt(3, 1.0, 50.0, 0.25, 512)  # equal to a, another object
+    assert twin is not a and encode_trace(twin, 1.0) == first
+
+
+def test_encode_that_raises_raises_again():
+    bad = HelloAnt(3, 1.0, math.inf, 0.25, 512)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            encode_trace(bad, 1.0)
+
+
+@pytest.mark.parametrize("field_name, index, bad", [("timestamp", 0, "1.0x"), ("node", 3, "n9")])
+def test_a_repeated_body_still_checks_the_head(field_name, index, bad):
+    line = encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0, seq=1, node=9)
+    decode_trace_record(line)
+    tokens = line.split(" ")
+    tokens[index] = bad
+    with pytest.raises(TraceFieldError) as err:
+        decode_trace_record(" ".join(tokens))
+    assert err.value.field_name == field_name
+
+
+def test_records_that_share_a_body_keep_their_own_head():
+    data = DataPacket(0, 7, 12, 1000, (0, 2, 5, 7))
+    heads = [(1.5, 4, "snd", 0), (1.5, 5, "rcv", 2), (1.75, 6, "drp", 2)]
+    lines = [encode_trace(data, t, seq=seq, event=event, node=node) for t, seq, event, node in heads]
+    assert len({line.split(" ", 4)[4] for line in lines}) == 1
+    records = [decode_trace_record(line) for line in lines]
+    assert [tuple(rec[:4]) for rec in records] == heads
+    assert all(rec.packet == data for rec in records)
 
 
 def test_packet_invariants():
