@@ -6,6 +6,8 @@ fed by hello beacons, the per-destination candidate table built from
 discovery replies, and the route cache holding QoS-admitted source routes
 for flows this node originates.
 
+Every received packet, data included, reaches the agent through the
+handler its ``PacketKind`` names, as ``handler(packet, sender, now)``.
 Handlers are pure with respect to everything outside the agent: they take
 packets and the current simulation time, mutate the agent, and return the
 packets to transmit. Agents never share state; all coordination happens
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .aco import (
     CandidateEntry,
@@ -30,7 +32,6 @@ from .aco import (
     evaporate,
 )
 from .heights import (
-    BroadcastKind,
     Height,
     MaintenanceCase,
     NodeToraState,
@@ -282,8 +283,8 @@ class NodeAgent:
             if failed not in state.links:
                 continue
             state.remove_link(failed)
-            self.candidates.get(dest, {}).pop(failed, None)
-            self._purge_cache(dest, now, first_hop=failed)
+            self._drop_candidates(dest, lambda c: c.next_hop == failed)
+            self._drop_routes(dest, now, lambda e: e.next_hop == failed)
             self._recompute_preferences(dest, now)
             if self.node == dest:
                 continue
@@ -303,21 +304,18 @@ class NodeAgent:
 
     # -- hello plane ---------------------------------------------------------
 
-    def on_hello(self, hello: HelloAnt, receive_time: float) -> NeighborInfo:
-        if receive_time <= hello.send_time:
-            raise SimClockError(
-                f"hello received at {receive_time} not after send time {hello.send_time}"
-            )
-        if hello.sender not in self.link_activated_at:
-            self.link_up(hello.sender, receive_time)
-        info = NeighborInfo(
+    def on_hello(self, hello: HelloAnt, sender: int, now: float) -> list[Emission]:
+        if now <= hello.send_time:
+            raise SimClockError(f"hello received at {now} not after send time {hello.send_time}")
+        if sender not in self.link_activated_at:
+            self.link_up(sender, now)
+        self.neighbors[sender] = NeighborInfo(
             residual_energy=hello.residual_energy,
             drain_rate=hello.drain_rate,
-            est_bandwidth=hello.size_bits / (receive_time - hello.send_time),
-            last_hello=receive_time,
+            est_bandwidth=hello.size_bits / (now - hello.send_time),
+            last_hello=now,
         )
-        self.neighbors[hello.sender] = info
-        return info
+        return []
 
     def hello_tick(self, now: float) -> list[Emission]:
         """Periodic beacon: refresh the drain estimate, detect silent
@@ -349,7 +347,7 @@ class NodeAgent:
             for j in sorted(self.pheromone):
                 self.pheromone[j] = evaporate(self.pheromone[j], q)
         for dest in sorted(self.candidates):
-            self._prune_candidates(dest, now)
+            self._drop_candidates(dest, lambda c: c.expires_at <= now)
             self._recompute_preferences(dest, now)
 
     # -- route discovery -----------------------------------------------------
@@ -506,9 +504,9 @@ class NodeAgent:
             self._erase_state(state, now)
             return [Emission(ClrPacket(destination=dest, reference_level=level))]
         self._set_height(state, outcome.new_height, now)
-        if outcome.broadcast is BroadcastKind.UPD:
-            return [Emission(UpdPacket(destination=dest, height=state.own_height))]
-        return []
+        if outcome.new_height.is_null:
+            return []
+        return [Emission(UpdPacket(destination=dest, height=state.own_height))]
 
     def _erase_state(self, state: NodeToraState, now: float) -> None:
         """Local route erasure run by the node that detected the partition."""
@@ -517,7 +515,7 @@ class NodeAgent:
         state.reset_mirrors()
         self.candidates.pop(dest, None)
         self.preferences.pop(dest, None)
-        self._purge_cache(dest, now, everything=True)
+        self._drop_routes(dest, now, lambda e: True)
 
     def on_error(self, err: ErrorPacket, sender: int, now: float) -> list[Emission]:
         key = (err.source, err.originator)
@@ -525,7 +523,14 @@ class NodeAgent:
         if last is not None and now - last < ERROR_DEDUP_WINDOW:
             return []
         self.seen_errors[key] = now
-        affected = self._purge_routes_containing(err.originator, now)
+        origin = err.originator
+        affected = [
+            dest for dest in sorted(self.cache)
+            if self._drop_routes(dest, now, lambda e: origin in e.path[1:])
+        ]
+        for dest in sorted(self.candidates):
+            if self._drop_candidates(dest, lambda c: origin in c.path):
+                self._recompute_preferences(dest, now)
         emissions: list[Emission] = []
         if self.node == err.source:
             for dest in affected:
@@ -541,11 +546,9 @@ class NodeAgent:
         state = self._state_for(clr.destination)
         rebroadcast, affected = apply_clr(state, clr.reference_level)
         if affected:
-            dest = clr.destination
-            cand = self.candidates.get(dest, {})
-            for j in affected:
-                cand.pop(j, None)
-            self._purge_cache(dest, now, through_any=set(affected))
+            dest, reset = clr.destination, set(affected)
+            self._drop_candidates(dest, lambda c: c.next_hop in reset)
+            self._drop_routes(dest, now, lambda e: not reset.isdisjoint(e.path[1:]))
             self._recompute_preferences(dest, now)
         if rebroadcast:
             return [Emission(clr)]
@@ -567,8 +570,14 @@ class NodeAgent:
     def queue_data(self, dest: int, size_bits: int, seq: int) -> None:
         self.data_queue.setdefault(dest, []).append((seq, size_bits))
 
-    def note_forwarded(self, source: int, dest: int, next_hop: int) -> None:
-        self.fwd_history.setdefault(next_hop, set()).add((source, dest))
+    def on_data(self, packet: DataPacket, sender: int, now: float) -> list[Emission]:
+        """Forward along the packet's source route, remembering which flows
+        went over which link; the destination keeps it."""
+        if self.node == packet.destination:
+            return []
+        nxt = packet.path[packet.path.index(self.node) + 1]
+        self.fwd_history.setdefault(nxt, set()).add((packet.source, packet.destination))
+        return [Emission(packet, to=nxt)]
 
     def _flush_queue(self, dest: int, now: float) -> list[Emission]:
         queued = self.data_queue.get(dest)
@@ -588,15 +597,8 @@ class NodeAgent:
         return emissions
 
     def route_expiry(self, dest: int, now: float) -> None:
-        entries = self.cache.get(dest)
-        if entries:
-            kept = [e for e in entries if e.expires_at > now]
-            if len(kept) != len(entries):
-                self.hooks.log(
-                    "cache_expired", self.node, now, dest=dest, dropped=len(entries) - len(kept)
-                )
-                self.cache[dest] = kept
-        self._prune_candidates(dest, now)
+        self._drop_routes(dest, now, lambda e: e.expires_at <= now, tag="cache_expired")
+        self._drop_candidates(dest, lambda c: c.expires_at <= now)
         self._recompute_preferences(dest, now)
 
     # -- internals ------------------------------------------------------------
@@ -605,71 +607,49 @@ class NodeAgent:
         return [e for e in self.cache.get(dest, []) if e.expires_at > now]
 
     def _select_route(self, dest: int, now: float) -> RouteCacheEntry | None:
+        # baseline preferences are all 1.0, so there the oldest route wins
         live = self._live_entries(dest, now)
         if not live:
             return None
-        if self.params.baseline:
-            return min(live, key=lambda e: (e.created_at, e.path))
         return min(live, key=lambda e: (-e.preference, e.created_at, e.path))
 
-    def _purge_cache(
+    def _drop_routes(
         self,
         dest: int,
         now: float,
-        first_hop: int | None = None,
-        through_any: set[int] | None = None,
-        everything: bool = False,
-    ) -> None:
+        doomed: Callable[[RouteCacheEntry], bool],
+        tag: str = "cache_purged",
+    ) -> bool:
+        """Remove the cached routes toward ``dest`` that ``doomed`` picks;
+        returns whether any went."""
         entries = self.cache.get(dest)
         if not entries:
-            return
-        kept = []
-        for e in entries:
-            doomed = everything
-            if first_hop is not None and e.next_hop == first_hop:
-                doomed = True
-            if through_any and set(e.path[1:]) & through_any:
-                doomed = True
-            if not doomed:
-                kept.append(e)
-        if len(kept) != len(entries):
-            self.hooks.log(
-                "cache_purged", self.node, now, dest=dest, dropped=len(entries) - len(kept)
-            )
-            self.cache[dest] = kept
+            return False
+        kept = [e for e in entries if not doomed(e)]
+        if len(kept) == len(entries):
+            return False
+        self.hooks.log(tag, self.node, now, dest=dest, dropped=len(entries) - len(kept))
+        self.cache[dest] = kept
+        return True
 
-    def _purge_routes_containing(self, node: int, now: float) -> list[int]:
-        """Drop every cached route and candidate whose path visits ``node``;
-        returns the destinations whose cache shrank."""
-        affected = []
-        for dest in sorted(self.cache):
-            entries = self.cache[dest]
-            kept = [e for e in entries if node not in e.path[1:]]
-            if len(kept) != len(entries):
-                self.cache[dest] = kept
-                affected.append(dest)
-                self.hooks.log(
-                    "cache_purged", self.node, now, dest=dest, dropped=len(entries) - len(kept)
-                )
-        for dest in sorted(self.candidates):
-            cand = self.candidates[dest]
-            doomed = [j for j, c in cand.items() if node in c.path]
-            for j in doomed:
-                cand.pop(j)
-            if doomed:
-                self._recompute_preferences(dest, now)
-        return affected
-
-    def _prune_candidates(self, dest: int, now: float) -> None:
+    def _drop_candidates(self, dest: int, doomed: Callable[[Candidate], bool]) -> bool:
+        """Remove the candidates toward ``dest`` that ``doomed`` picks;
+        returns whether any went."""
         cand = self.candidates.get(dest)
         if not cand:
-            return
-        for j in [j for j, c in cand.items() if c.expires_at <= now]:
-            cand.pop(j)
+            return False
+        gone = [j for j, c in cand.items() if doomed(c)]
+        for j in gone:
+            del cand[j]
+        return bool(gone)
+
+    def _live_candidates(self, dest: int, now: float) -> list[Candidate]:
+        """Unexpired candidates toward ``dest``, by next hop."""
+        cand = self.candidates.get(dest, {})
+        return [cand[j] for j in sorted(cand) if cand[j].expires_at > now]
 
     def _recompute_preferences(self, dest: int, now: float) -> None:
-        cand = self.candidates.get(dest, {})
-        live = [c for _, c in sorted(cand.items()) if c.expires_at > now]
+        live = self._live_candidates(dest, now)
         if self.params.baseline or not live:
             self.preferences[dest] = {c.next_hop: 1.0 for c in live}
         else:
@@ -748,8 +728,7 @@ class NodeAgent:
         )
 
     def _best_candidate(self, dest: int, now: float) -> Candidate | None:
-        cand = self.candidates.get(dest, {})
-        live = [c for _, c in sorted(cand.items()) if c.expires_at > now]
+        live = self._live_candidates(dest, now)
         if not live:
             return None
         if self.params.baseline:

@@ -6,7 +6,9 @@ generator used only by mobility and placement; the protocol itself is
 deterministic, so identical (scenario, seed) pairs replay to byte-identical
 traces. A queued event is the tuple ``(time, seq, handler, args)``; events
 dequeue in (time, seq) order, the loop calls ``handler(*args)``, and every
-delivery strictly follows its send.
+delivery strictly follows its send. The engine decides whether a frame
+arrives (link up, energy to receive it); what the node does with it, data
+forwarding included, is the agent handler its ``PACKET_KINDS`` entry names.
 
 Each packet event is encoded the moment it happens and written, one line,
 to the text file the caller hands the ``Simulation`` (an in-memory
@@ -26,7 +28,7 @@ from typing import TextIO
 
 from . import packets
 from .agent import AgentHooks, Emission, NoRouteError, NodeAgent
-from .packets import CONTROL_BITS_KEYS, PACKET_KINDS, DataPacket, HelloAnt, Packet
+from .packets import CONTROL_BITS_KEYS, PACKET_KINDS, DataPacket, Packet
 from .scenario import Scenario
 
 
@@ -256,24 +258,11 @@ class Simulation:
             return
         self.counters["frames_delivered"] += 1
         self._trace("rcv", to, packet, now)
-        if isinstance(packet, HelloAnt):
-            agent.on_hello(packet, now)
-            return
-        if isinstance(packet, DataPacket):
-            out = self._on_data(agent, packet)
-        else:
-            # looked up on the agent at call time, so a patched handler is seen
-            out = getattr(agent, PACKET_KINDS[type(packet)].handler)(packet, frm, now)
-        self.process_emissions(to, out, now)
-
-    def _on_data(self, agent: NodeAgent, packet: DataPacket) -> list[Emission]:
-        if agent.node == packet.destination:
+        if isinstance(packet, DataPacket) and packet.destination == to:
             self.counters["data_delivered"] += 1
-            return []
-        idx = packet.path.index(agent.node)
-        nxt = packet.path[idx + 1]
-        agent.note_forwarded(packet.source, packet.destination, nxt)
-        return [Emission(packet, to=nxt)]
+        # looked up on the agent at call time, so a patched handler is seen
+        out = getattr(agent, PACKET_KINDS[type(packet)].handler)(packet, frm, now)
+        self.process_emissions(to, out, now)
 
     def _on_hello_timer(self) -> None:
         now = self.now

@@ -43,12 +43,6 @@ class MaintenanceCase(Enum):
     GENERATE_NO_REACTION = "generate_no_reaction"
 
 
-class BroadcastKind(Enum):
-    UPD = "upd"
-    CLR = "clr"
-    NONE = "none"
-
-
 @dataclass(frozen=True)
 class Height:
     """Ordering tag of one node relative to one destination.
@@ -201,11 +195,15 @@ def new_height_on_reply(neighbor_heights: set[Height] | list[Height], own_id: in
 
 @dataclass(frozen=True)
 class MaintenanceOutcome:
-    """Result of running the reaction table after losing all downstream links."""
+    """Result of running the reaction table after losing all downstream links.
+
+    What the node broadcasts follows from the two fields: a CLR on
+    ``DETECT_PARTITION``, else an UPD when ``new_height`` is concrete and
+    nothing when it is NULL.
+    """
 
     case: MaintenanceCase
     new_height: Height
-    broadcast: BroadcastKind
 
 
 def maintenance_case(state: NodeToraState, trigger: Trigger, now: float) -> MaintenanceOutcome:
@@ -231,12 +229,8 @@ def maintenance_case(state: NodeToraState, trigger: Trigger, now: float) -> Main
 
     def generate() -> MaintenanceOutcome:
         if not has_upstream(state):
-            return MaintenanceOutcome(
-                MaintenanceCase.GENERATE, Height.null(me), BroadcastKind.NONE
-            )
-        return MaintenanceOutcome(
-            MaintenanceCase.GENERATE, Height(now, me, 0, 0, me), BroadcastKind.UPD
-        )
+            return MaintenanceOutcome(MaintenanceCase.GENERATE, Height.null(me))
+        return MaintenanceOutcome(MaintenanceCase.GENERATE, Height(now, me, 0, 0, me))
 
     if trigger is Trigger.LINK_FAILURE:
         return generate()
@@ -252,20 +246,14 @@ def maintenance_case(state: NodeToraState, trigger: Trigger, now: float) -> Main
         top = max(levels)
         floor = min(h.delta for h in mirrors if h.level == top)
         new = Height(top[0], top[1], top[2], floor - 1, me)
-        return MaintenanceOutcome(MaintenanceCase.PROPAGATE, new, BroadcastKind.UPD)
+        return MaintenanceOutcome(MaintenanceCase.PROPAGATE, new)
 
     (tau, oid, r) = next(iter(levels))
     if r == 0:
-        return MaintenanceOutcome(
-            MaintenanceCase.REFLECT, Height(tau, oid, 1, 0, me), BroadcastKind.UPD
-        )
+        return MaintenanceOutcome(MaintenanceCase.REFLECT, Height(tau, oid, 1, 0, me))
     if oid == me:
-        return MaintenanceOutcome(
-            MaintenanceCase.DETECT_PARTITION, Height.null(me), BroadcastKind.CLR
-        )
-    return MaintenanceOutcome(
-        MaintenanceCase.GENERATE_NO_REACTION, Height(now, me, 0, 0, me), BroadcastKind.UPD
-    )
+        return MaintenanceOutcome(MaintenanceCase.DETECT_PARTITION, Height.null(me))
+    return MaintenanceOutcome(MaintenanceCase.GENERATE_NO_REACTION, Height(now, me, 0, 0, me))
 
 
 def apply_clr(

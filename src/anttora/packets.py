@@ -176,13 +176,14 @@ class PacketKind:
 
     ``token`` names the type on trace lines. ``bits_key`` indexes the
     scenario's ``control_bits``; it is None for packets that carry their own
-    ``size_bits``. ``handler`` is the ``NodeAgent`` method that receives the
-    packet; it is None for data, which the engine forwards itself.
+    ``size_bits``. ``handler`` names the ``NodeAgent`` method that receives
+    every packet of the type, called as ``handler(packet, sender, now)`` and
+    returning the emissions to transmit.
     """
 
     token: str
     bits_key: str | None
-    handler: str | None
+    handler: str
 
 
 PACKET_KINDS: dict[type, PacketKind] = {
@@ -192,7 +193,7 @@ PACKET_KINDS: dict[type, PacketKind] = {
     UpdPacket: PacketKind("upd", "upd", "on_upd"),
     ErrorPacket: PacketKind("err", "error", "on_error"),
     ClrPacket: PacketKind("clr", "clr", "on_clr"),
-    DataPacket: PacketKind("data", None, None),
+    DataPacket: PacketKind("data", None, "on_data"),
 }
 PACKET_OF_TOKEN = {kind.token: cls for cls, kind in PACKET_KINDS.items()}
 CONTROL_BITS_KEYS = tuple(kind.bits_key for kind in PACKET_KINDS.values() if kind.bits_key)

@@ -247,7 +247,7 @@ def _parse_topology(ctx: _Ctx, data: dict, node_count: int) -> TopologySpec:
     )
 
 
-def _parse_links(ctx: _Ctx, data: dict, node_count: int, mobility: bool) -> LinkSpec:
+def _parse_links(ctx: _Ctx, data: dict, topology: TopologySpec) -> LinkSpec:
     ctx.section(data, "links", {"capacity_bps", "propagation_delay_s", "processing_delay_s", "overrides"})
     defaults = LinkSpec()
     capacity = ctx.number(data, "links", "capacity_bps", defaults.capacity, positive=True)
@@ -255,12 +255,13 @@ def _parse_links(ctx: _Ctx, data: dict, node_count: int, mobility: bool) -> Link
     processing = ctx.number(data, "links", "processing_delay_s", defaults.processing, positive=True)
     overrides: dict[tuple[int, int], tuple[float, float]] = {}
     raw = data.get("overrides", [])
-    if raw and mobility:
+    if raw and topology.mode == "mobility":
         ctx.fail("links.overrides", "per-link overrides require a static topology")
         raw = []
     if not isinstance(raw, list):
         ctx.fail("links.overrides", f"expected a list, got {raw!r}")
         raw = []
+    edges = set(topology.adjacency)
     for i, entry in enumerate(raw):
         path = f"links.overrides[{i}]"
         if not isinstance(entry, dict):
@@ -269,12 +270,16 @@ def _parse_links(ctx: _Ctx, data: dict, node_count: int, mobility: bool) -> Link
         ctx.section(entry, path, {"a", "b", "capacity_bps", "propagation_delay_s"})
         a = ctx.integer(entry, path, "a", -1, minimum=0)
         b = ctx.integer(entry, path, "b", -1, minimum=0)
-        if not (0 <= a < node_count and 0 <= b < node_count) or a == b:
-            ctx.fail(path, f"bad link endpoints ({a}, {b})")
+        key = (min(a, b), max(a, b))
+        if key not in edges:
+            ctx.fail(path, f"link {key} is not in topology.adjacency")
+            continue
+        if key in overrides:
+            ctx.fail(path, f"duplicate link {key}")
             continue
         cap = ctx.number(entry, path, "capacity_bps", capacity, positive=True)
         prop = ctx.number(entry, path, "propagation_delay_s", propagation, positive=True)
-        overrides[(min(a, b), max(a, b))] = (cap, prop)
+        overrides[key] = (cap, prop)
     return LinkSpec(capacity=capacity, propagation=propagation, processing=processing, overrides=overrides)
 
 
@@ -467,7 +472,7 @@ def parse_scenario(data: dict) -> Scenario:
 
     nodes = _parse_nodes(ctx, subsection("nodes"))
     topology = _parse_topology(ctx, subsection("topology"), nodes.count)
-    links = _parse_links(ctx, subsection("links"), nodes.count, topology.mode == "mobility")
+    links = _parse_links(ctx, subsection("links"), topology)
     qos = _parse_qos(ctx, subsection("qos"))
     dw, pw, tau0, evap = _parse_weights(ctx, subsection("aco"))
     bounds = _parse_bounds(ctx, subsection("normalization"))

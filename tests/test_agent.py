@@ -12,7 +12,6 @@ import math
 import pytest
 
 from anttora.agent import (
-    Emission,
     NoRouteError,
     NodeAgent,
     NodeEnergy,
@@ -22,6 +21,7 @@ from anttora.agent import (
 )
 from anttora.heights import Direction, Height, classify_link, has_downstream
 from anttora.packets import (
+    PACKET_KINDS,
     ClrPacket,
     DataPacket,
     ErrorPacket,
@@ -78,34 +78,10 @@ class MiniNet:
             t, _, frm, to, pkt = heapq.heappop(self.queue)
             if to not in self.adj[frm]:
                 continue
-            agent = self.agents[to]
-            if isinstance(pkt, HelloAnt):
-                agent.on_hello(pkt, t)
-                out = []
-            elif isinstance(pkt, QryRequestAnt):
-                out = agent.on_qry_request(pkt, frm, t)
-            elif isinstance(pkt, QryReplyAnt):
-                out = agent.on_qry_reply(pkt, frm, t)
-            elif isinstance(pkt, UpdPacket):
-                out = agent.on_upd(pkt, frm, t)
-            elif isinstance(pkt, ErrorPacket):
-                out = agent.on_error(pkt, frm, t)
-            elif isinstance(pkt, ClrPacket):
-                out = agent.on_clr(pkt, frm, t)
-            elif isinstance(pkt, DataPacket):
-                out = self._handle_data(agent, pkt, t)
-            else:
-                raise AssertionError(f"unexpected packet {pkt}")
-            self.push_emissions(to, out, t)
-
-    def _handle_data(self, agent, pkt, t):
-        if agent.node == pkt.destination:
-            self.delivered.append(pkt)
-            return []
-        idx = pkt.path.index(agent.node)
-        nxt = pkt.path[idx + 1]
-        agent.note_forwarded(pkt.source, pkt.destination, nxt)
-        return [Emission(pkt, to=nxt)]
+            if isinstance(pkt, DataPacket) and pkt.destination == to:
+                self.delivered.append(pkt)
+            handler = getattr(self.agents[to], PACKET_KINDS[type(pkt)].handler)
+            self.push_emissions(to, handler(pkt, frm, t), t)
 
     def cut(self, a, b, t):
         self.adj[a].discard(b)
@@ -137,7 +113,8 @@ def warmed(n, edges, **kwargs):
 def test_hello_bandwidth_estimate():
     agent = NodeAgent(1, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     agent.link_up(2, 0.0)
-    info = agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 1.001)
+    assert agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 2, 1.001) == []
+    info = agent.neighbors[2]
     assert info.est_bandwidth == pytest.approx(1e6)
     assert info.residual_energy == 50.0
 
@@ -145,8 +122,8 @@ def test_hello_bandwidth_estimate():
 def test_later_hello_wins_entirely():
     agent = NodeAgent(1, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     agent.link_up(2, 0.0)
-    agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 1.001)
-    agent.on_hello(HelloAnt(2, 2.0, 40.0, 0.5, 1000), 2.002)
+    agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 2, 1.001)
+    agent.on_hello(HelloAnt(2, 2.0, 40.0, 0.5, 1000), 2, 2.002)
     info = agent.neighbors[2]
     assert info.residual_energy == 40.0
     assert info.est_bandwidth == pytest.approx(1000 / 0.002)
@@ -156,7 +133,7 @@ def test_later_hello_wins_entirely():
 def test_hello_clock_misuse_raises():
     agent = NodeAgent(1, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     with pytest.raises(SimClockError):
-        agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 1.0)
+        agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 2, 1.0)
 
 
 def test_silent_neighbor_is_dropped_after_three_intervals():
@@ -521,6 +498,54 @@ def test_clr_nonmatching_level_is_not_rebroadcast():
     out = a.on_clr(ClrPacket(2, (9.0, 5, 1)), 0, 9.9)
     assert out == []
     assert not a.tora[2].own_height.is_null
+
+
+# ---------------------------------------------------------------------------
+# route removal rules
+
+
+def _agent_with_routes_to_9(neighbors):
+    """Node 0 linked to ``neighbors``, holding three cached routes and a
+    candidate via each of 1 and 2 toward destination 9."""
+    from anttora.aco import PathMetrics
+    from anttora.agent import Candidate, RouteCacheEntry
+
+    agent = NodeAgent(0, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
+    for j in neighbors:
+        agent.link_up(j, 0.0)
+    agent._state_for(9)
+    m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
+    agent.cache[9] = [
+        RouteCacheEntry(path, m, 0.5, created_at=1.0, expires_at=50.0)
+        for path in [(0, 1, 9), (0, 2, 1, 9), (0, 2, 9)]
+    ]
+    agent.candidates[9] = {
+        1: Candidate(1, (0, 1, 9), m, created_at=1.0, expires_at=50.0),
+        2: Candidate(2, (0, 2, 1, 9), m, created_at=1.0, expires_at=50.0),
+    }
+    return agent
+
+
+def test_link_failure_drops_only_routes_whose_first_hop_failed():
+    agent = _agent_with_routes_to_9([1, 2])
+    agent.on_link_failure(1, 6.0)
+    # (0, 2, 1, 9) crosses node 1 further along and stays, as does its candidate
+    assert [e.path for e in agent.cache[9]] == [(0, 2, 1, 9), (0, 2, 9)]
+    assert sorted(agent.candidates[9]) == [2]
+
+
+def test_clr_drops_routes_through_any_reset_neighbor_but_candidates_only_via_one():
+    agent = _agent_with_routes_to_9([1, 2, 3])
+    state = agent.tora[9]
+    state.set_own_height(Height(4.0, 7, 0, 0, 0))
+    state.set_mirror(1, Height(9.0, 5, 1, 0, 1))  # only node 1 carries the erased level
+    state.set_mirror(2, Height(4.0, 7, 0, -1, 2))
+    assert agent.on_clr(ClrPacket(9, (9.0, 5, 1)), 3, 9.9) == []
+    assert state.links[1].is_null and not state.links[2].is_null
+    # every route through node 1 goes, wherever on the path it sits ...
+    assert [e.path for e in agent.cache[9]] == [(0, 2, 9)]
+    # ... but a candidate goes only when node 1 is its next hop
+    assert sorted(agent.candidates[9]) == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from anttora.heights import (
     EQUAL,
     GREATER,
     LESS,
-    BroadcastKind,
     Direction,
     Height,
     MaintenanceCase,
@@ -210,15 +209,14 @@ def test_generate_on_link_failure_with_upstream():
     out = maintenance_case(s, Trigger.LINK_FAILURE, now=7.0)
     assert out.case is MaintenanceCase.GENERATE
     assert out.new_height == Height(7.0, 1, 0, 0, 1)
-    assert out.broadcast is BroadcastKind.UPD
+    assert not out.new_height.is_null  # announced with an UPD
 
 
 def test_generate_without_upstream_goes_null():
     s = _state(1, 9, {2: Height.null(2)}, own=Height(0.0, 0, 0, 1, 1))
     out = maintenance_case(s, Trigger.LINK_FAILURE, now=7.0)
     assert out.case is MaintenanceCase.GENERATE
-    assert out.new_height.is_null
-    assert out.broadcast is BroadcastKind.NONE
+    assert out.new_height.is_null  # nothing to announce
 
 
 def test_propagate_adopts_highest_level():
@@ -230,7 +228,7 @@ def test_propagate_adopts_highest_level():
     out = maintenance_case(s, Trigger.UPD_REVERSAL, now=8.0)
     assert out.case is MaintenanceCase.PROPAGATE
     assert out.new_height == Height(5.0, 4, 0, 1, 1)  # min delta 2 at top level, minus 1
-    assert out.broadcast is BroadcastKind.UPD
+    assert not out.new_height.is_null  # announced with an UPD
 
 
 def test_reflect_on_uniform_unreflected_level():
@@ -241,7 +239,7 @@ def test_reflect_on_uniform_unreflected_level():
     out = maintenance_case(s, Trigger.UPD_REVERSAL, now=8.0)
     assert out.case is MaintenanceCase.REFLECT
     assert out.new_height == Height(3.0, 7, 1, 0, 1)
-    assert out.broadcast is BroadcastKind.UPD
+    assert not out.new_height.is_null  # announced with an UPD
 
 
 def test_detect_partition_on_own_reflected_level():
@@ -251,8 +249,7 @@ def test_detect_partition_on_own_reflected_level():
     }, own=Height(3.0, 3, 0, 0, 3))
     out = maintenance_case(s, Trigger.UPD_REVERSAL, now=8.0)
     assert out.case is MaintenanceCase.DETECT_PARTITION
-    assert out.new_height.is_null
-    assert out.broadcast is BroadcastKind.CLR
+    assert out.new_height.is_null  # the CLR follows from the case
 
 
 def test_foreign_reflected_level_generates_fresh_level():
@@ -263,7 +260,7 @@ def test_foreign_reflected_level_generates_fresh_level():
     out = maintenance_case(s, Trigger.UPD_REVERSAL, now=8.5)
     assert out.case is MaintenanceCase.GENERATE_NO_REACTION
     assert out.new_height == Height(8.5, 1, 0, 0, 1)
-    assert out.broadcast is BroadcastKind.UPD
+    assert not out.new_height.is_null  # announced with an UPD
 
 
 def test_precondition_rejects_surviving_downstream():

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from anttora.agent import NodeAgent
+from anttora.agent import NodeAgent, ProtocolParams
 from anttora.heights import Height
 from anttora.packets import (
     CONTROL_BITS_KEYS,
@@ -27,7 +28,7 @@ from anttora.packets import (
     decode_trace_record,
     encode_trace,
 )
-from anttora.scenario import DEFAULT_CONTROL_BITS
+from anttora.scenario import DEFAULT_CONTROL_BITS, LinkSpec
 
 from conftest import MALFORMED_EVENT_FIELDS
 
@@ -268,6 +269,15 @@ def test_packet_invariants():
 
 
 def test_registry_names_agent_handlers_and_defaulted_bits_keys():
-    for kind in PACKET_KINDS.values():
-        assert kind.handler is None or callable(getattr(NodeAgent, kind.handler))
+    # every packet type is received by one NodeAgent method, called as
+    # handler(packet, sender, now), that returns the emissions as a list
+    samples = {type(pkt): pkt for pkt in _sample_packets()}
+    assert set(samples) == set(PACKET_KINDS)
+    for cls, kind in PACKET_KINDS.items():
+        handler = getattr(NodeAgent, kind.handler)
+        assert list(inspect.signature(handler).parameters)[2:] == ["sender", "now"]
+        agent = NodeAgent(2, ProtocolParams(), LinkSpec(), 100.0)
+        sender = samples[cls].sender if cls is HelloAnt else 0
+        agent.link_up(sender, 0.0)
+        assert isinstance(getattr(agent, kind.handler)(samples[cls], sender, 2.0), list)
     assert set(CONTROL_BITS_KEYS) == set(DEFAULT_CONTROL_BITS)

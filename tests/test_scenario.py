@@ -129,6 +129,27 @@ def test_link_overrides_apply_per_edge():
     assert sc.links.params(1, 2) == (2e6, 1e-3)
 
 
+@pytest.mark.parametrize(
+    "overrides, bad, message",
+    [
+        ([{"a": 0, "b": 1}, {"a": 1, "b": 0, "capacity_bps": 1e5}], 1, "duplicate link (0, 1)"),
+        ([{"a": 1, "b": 2}, {"a": 0, "b": 2, "capacity_bps": 1e5}], 1, "link (0, 2) is not in topology.adjacency"),
+    ],
+)
+def test_link_overrides_reject_duplicate_and_dead_entries(overrides, bad, message, tmp_path, capsys):
+    data = minimal()
+    data["nodes"]["count"] = 3
+    data["topology"]["adjacency"] = [[0, 1], [1, 2]]
+    data["links"] = {"overrides": overrides}
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert err.value.problems == [f"links.overrides[{bad}]: {message}"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["validate", str(path)]) == 2
+    assert f"links.overrides[{bad}]: {message}" in capsys.readouterr().err
+
+
 def test_load_scenario_from_disk(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(minimal()))
