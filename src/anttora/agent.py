@@ -11,7 +11,9 @@ handler its ``PacketKind`` names, as ``handler(packet, sender, now)``.
 Handlers are pure with respect to everything outside the agent: they take
 packets and the current simulation time, mutate the agent, and return the
 packets to transmit. Agents never share state; all coordination happens
-through emissions.
+through emissions. A new data packet enters through ``send_data``, which
+queues it when no live route exists; whether a discovery starts is decided
+in one place, ``_rediscover``.
 """
 
 from __future__ import annotations
@@ -56,10 +58,6 @@ if TYPE_CHECKING:  # scenario.py imports this module
     from .scenario import LinkSpec
 
 ERROR_DEDUP_WINDOW = 5.0
-
-
-class NoRouteError(Exception):
-    """No unexpired cached route toward the requested destination."""
 
 
 class SimClockError(Exception):
@@ -292,14 +290,13 @@ class NodeAgent:
                 # another downstream link survives: data falls back to the
                 # best remaining cached route, no control traffic at all
                 continue
-            sources = sorted({s for (s, d) in flows if d == dest and s != self.node})
-            for s in sources:
+            # only relays write fwd_history, so these flows are never our own
+            for s in sorted({s for (s, d) in flows if d == dest}):
                 self.seen_errors[(s, self.node)] = now  # ignore our own flood echo
                 emissions.append(Emission(ErrorPacket(source=s, originator=self.node)))
             emissions.extend(self._run_maintenance(state, Trigger.LINK_FAILURE, now))
-            if self.node in {s for (s, d) in flows if d == dest} or self.data_queue.get(dest):
-                if not self._live_entries(dest, now) and not state.route_required:
-                    emissions.extend(self.start_discovery(dest, now))
+            if self.data_queue.get(dest):
+                emissions.extend(self._rediscover(dest, now))
         return emissions
 
     # -- hello plane ---------------------------------------------------------
@@ -531,16 +528,9 @@ class NodeAgent:
         for dest in sorted(self.candidates):
             if self._drop_candidates(dest, lambda c: origin in c.path):
                 self._recompute_preferences(dest, now)
-        emissions: list[Emission] = []
-        if self.node == err.source:
-            for dest in affected:
-                if not self._live_entries(dest, now):
-                    state = self._state_for(dest)
-                    if not state.route_required:
-                        emissions.extend(self.start_discovery(dest, now))
-        else:
-            emissions.append(Emission(err))
-        return emissions
+        if self.node != err.source:
+            return [Emission(err)]
+        return [em for dest in affected for em in self._rediscover(dest, now)]
 
     def on_clr(self, clr: ClrPacket, sender: int, now: float) -> list[Emission]:
         state = self._state_for(clr.destination)
@@ -557,18 +547,18 @@ class NodeAgent:
     # -- data plane ---------------------------------------------------------
 
     def send_data(self, dest: int, size_bits: int, seq: int, now: float) -> list[Emission]:
+        """Send a new data packet on the best live route; with none, queue
+        it until a route is admitted and rediscover."""
         entry = self._select_route(dest, now)
         if entry is None:
-            raise NoRouteError(f"node {self.node} has no route to {dest}")
+            self.data_queue.setdefault(dest, []).append((seq, size_bits))
+            return self._rediscover(dest, now)
         entry.expires_at = now + self.params.route_ttl  # refreshed on use
         self.hooks.route_inserted(self.node, dest, entry.expires_at)
         packet = DataPacket(
             source=self.node, destination=dest, seq=seq, size_bits=size_bits, path=entry.path
         )
         return [Emission(packet, to=entry.next_hop)]
-
-    def queue_data(self, dest: int, size_bits: int, seq: int) -> None:
-        self.data_queue.setdefault(dest, []).append((seq, size_bits))
 
     def on_data(self, packet: DataPacket, sender: int, now: float) -> list[Emission]:
         """Forward along the packet's source route, remembering which flows
@@ -580,21 +570,11 @@ class NodeAgent:
         return [Emission(packet, to=nxt)]
 
     def _flush_queue(self, dest: int, now: float) -> list[Emission]:
-        queued = self.data_queue.get(dest)
-        if not queued:
-            return []
-        emissions: list[Emission] = []
-        remaining: list[tuple[int, int]] = []
-        for seq, bits in queued:
-            try:
-                emissions.extend(self.send_data(dest, bits, seq, now))
-            except NoRouteError:
-                remaining.append((seq, bits))
-        if remaining:
-            self.data_queue[dest] = remaining
-        else:
-            self.data_queue.pop(dest, None)
-        return emissions
+        return [
+            em
+            for seq, bits in self.data_queue.pop(dest, [])
+            for em in self.send_data(dest, bits, seq, now)
+        ]
 
     def route_expiry(self, dest: int, now: float) -> None:
         self._drop_routes(dest, now, lambda e: e.expires_at <= now, tag="cache_expired")
@@ -603,15 +583,19 @@ class NodeAgent:
 
     # -- internals ------------------------------------------------------------
 
-    def _live_entries(self, dest: int, now: float) -> list[RouteCacheEntry]:
-        return [e for e in self.cache.get(dest, []) if e.expires_at > now]
-
     def _select_route(self, dest: int, now: float) -> RouteCacheEntry | None:
+        """The best unexpired cached route toward ``dest``, if any."""
         # baseline preferences are all 1.0, so there the oldest route wins
-        live = self._live_entries(dest, now)
-        if not live:
-            return None
-        return min(live, key=lambda e: (-e.preference, e.created_at, e.path))
+        live = [e for e in self.cache.get(dest, []) if e.expires_at > now]
+        return min(live, key=lambda e: (-e.preference, e.created_at, e.path), default=None)
+
+    def _rediscover(self, dest: int, now: float) -> list[Emission]:
+        """Start a discovery toward ``dest`` unless a live route exists or
+        one is already running."""
+        running = dest in self.tora and self.tora[dest].route_required
+        if running or self._select_route(dest, now) is not None:
+            return []
+        return self.start_discovery(dest, now)
 
     def _drop_routes(
         self,

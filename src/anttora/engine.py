@@ -9,6 +9,8 @@ dequeue in (time, seq) order, the loop calls ``handler(*args)``, and every
 delivery strictly follows its send. The engine decides whether a frame
 arrives (link up, energy to receive it); what the node does with it, data
 forwarding included, is the agent handler its ``PACKET_KINDS`` entry names.
+A flow's new data packet goes to its source's ``NodeAgent.send_data``, which
+sends, or queues and rediscovers.
 
 Each packet event is encoded the moment it happens and written, one line,
 to the text file the caller hands the ``Simulation`` (an in-memory
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import TextIO
 
 from . import packets
-from .agent import AgentHooks, Emission, NoRouteError, NodeAgent
+from .agent import AgentHooks, Emission, NodeAgent
 from .packets import CONTROL_BITS_KEYS, PACKET_KINDS, DataPacket, Packet
 from .scenario import Scenario
 
@@ -285,14 +287,7 @@ class Simulation:
     def _on_data_injection(self, src: int, dst: int, bits: int, seq: int) -> None:
         now = self.now
         self.counters["data_offered"] += 1
-        agent = self.agents[src]
-        try:
-            self.process_emissions(src, agent.send_data(dst, bits, seq, now), now)
-        except NoRouteError:
-            agent.queue_data(dst, bits, seq)
-            state = agent.tora.get(dst)
-            if state is None or not state.route_required:
-                self.process_emissions(src, agent.start_discovery(dst, now), now)
+        self.process_emissions(src, self.agents[src].send_data(dst, bits, seq, now), now)
 
     def _on_route_expiry(self, node: int, dest: int) -> None:
         self.agents[node].route_expiry(dest, self.now)

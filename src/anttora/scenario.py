@@ -144,6 +144,11 @@ class _Ctx:
         return value
 
     def integer(self, data, path, key, default, minimum=None):
+        """The integer under ``key``; a ``default`` of None makes the key
+        required, and None comes back after one complaint about it."""
+        if default is None and key not in data:
+            self.fail(_join(path, key), "missing key")
+            return None
         value = data.get(key, default)
         if not isinstance(value, int) or isinstance(value, bool):
             self.fail(_join(path, key), f"expected an integer, got {value!r}")
@@ -268,8 +273,10 @@ def _parse_links(ctx: _Ctx, data: dict, topology: TopologySpec) -> LinkSpec:
             ctx.fail(path, f"expected an object, got {entry!r}")
             continue
         ctx.section(entry, path, {"a", "b", "capacity_bps", "propagation_delay_s"})
-        a = ctx.integer(entry, path, "a", -1, minimum=0)
-        b = ctx.integer(entry, path, "b", -1, minimum=0)
+        a = ctx.integer(entry, path, "a", None, minimum=0)
+        b = ctx.integer(entry, path, "b", None, minimum=0)
+        if a is None or b is None:
+            continue
         key = (min(a, b), max(a, b))
         if key not in edges:
             ctx.fail(path, f"link {key} is not in topology.adjacency")
@@ -414,9 +421,11 @@ def _parse_traffic(ctx: _Ctx, data, node_count: int, end_time: float) -> tuple[F
             ctx.fail(path, f"expected an object, got {raw!r}")
             continue
         ctx.section(raw, path, {"source", "destination", "rate_pps", "packet_bits", "start_s", "stop_s"})
-        src = ctx.integer(raw, path, "source", -1, minimum=0)
-        dst = ctx.integer(raw, path, "destination", -1, minimum=0)
-        if not (0 <= src < node_count and 0 <= dst < node_count):
+        src = ctx.integer(raw, path, "source", None, minimum=0)
+        dst = ctx.integer(raw, path, "destination", None, minimum=0)
+        if src is None or dst is None:
+            continue
+        if not (src < node_count and dst < node_count):
             ctx.fail(path, f"flow endpoints out of range [0, {node_count})")
             continue
         if src == dst:
@@ -445,9 +454,11 @@ def _parse_failures(ctx: _Ctx, data, node_count: int) -> tuple[LinkFailure, ...]
             continue
         ctx.section(raw, path, {"time_s", "a", "b"})
         t = ctx.number(raw, path, "time_s", 1.0, positive=True)
-        a = ctx.integer(raw, path, "a", -1, minimum=0)
-        b = ctx.integer(raw, path, "b", -1, minimum=0)
-        if not (0 <= a < node_count and 0 <= b < node_count) or a == b:
+        a = ctx.integer(raw, path, "a", None, minimum=0)
+        b = ctx.integer(raw, path, "b", None, minimum=0)
+        if a is None or b is None:
+            continue
+        if not (a < node_count and b < node_count) or a == b:
             ctx.fail(path, f"bad link endpoints ({a}, {b})")
             continue
         out.append(LinkFailure(t, a, b))

@@ -12,7 +12,6 @@ import math
 import pytest
 
 from anttora.agent import (
-    NoRouteError,
     NodeAgent,
     NodeEnergy,
     ProtocolParams,
@@ -320,18 +319,39 @@ def test_send_data_tie_breaks_by_age():
     assert out[0].packet.path == (0, 1, 3)
 
 
-def test_send_data_without_route_raises():
+def test_send_data_without_route_queues_and_discovers_once():
     agent = NodeAgent(0, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
-    with pytest.raises(NoRouteError):
-        agent.send_data(3, 500, seq=0, now=1.0)
+    out = agent.send_data(3, 500, seq=0, now=1.0)
+    assert [type(em.packet) for em in out] == [QryRequestAnt]
+    # the discovery is still running: queue, but send nothing
+    assert agent.send_data(3, 600, seq=1, now=1.1) == []
+    assert agent.data_queue[3] == [(0, 500), (1, 600)]
 
 
 def test_queued_data_flushes_on_first_route():
     net = warmed(3, [(0, 1), (1, 2)])
     s = net.agents[0]
-    s.queue_data(2, 800, seq=0)
-    net.discover(0, 2, 1.5)
+    net.push_emissions(0, s.send_data(2, 800, seq=0, now=1.5), 1.5)
+    net.pump()
     assert [p.seq for p in net.delivered] == [0]
+    assert 2 not in s.data_queue
+
+
+@pytest.mark.parametrize("queued, requests", [(True, 1), (False, 0)])
+def test_link_failure_rediscovers_only_for_queued_data(queued, requests):
+    # every reply is rejected, so the source ends its discovery without a route
+    params = ProtocolParams(qos=QosConstraints(max_delay=1e-4))
+    net = warmed(3, [(0, 1), (1, 2)], params=params)
+    s = net.agents[0]
+    if queued:
+        net.push_emissions(0, s.send_data(2, 800, seq=0, now=1.5), 1.5)
+        net.pump()
+    else:
+        net.discover(0, 2, 1.5)
+    assert bool(s.data_queue.get(2)) == queued
+    assert not s.tora[2].route_required
+    out = s.on_link_failure(1, 5.0)
+    assert sum(isinstance(em.packet, QryRequestAnt) for em in out) == requests
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ where batteries run dry mid-run) must keep the engine's counters and the
 trace-derived metrics in agreement. Small mobility runs must do the same,
 and before every mobility step their adjacency must be symmetric and hold
 exactly the pairs within communication range. Every run must write only
-event lines that the strict decoder accepts, in (timestamp, seq) order.
+event lines that the strict decoder accepts, in (timestamp, seq) order, and
+must account for every offered data packet exactly once at its source.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import os
 import pathlib
 import tempfile
+from collections import Counter
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from anttora.engine import Simulation
 from anttora.harness import run_single
 from anttora.metrics import compute_metrics, read_trace, validate_trace_order
+from anttora.packets import DataPacket, decode_trace_record
 from anttora.scenario import parse_scenario
 
 from conftest import flow, scenario_dict, trace_of
@@ -66,8 +69,10 @@ def static_scenarios(draw) -> dict:
 def test_counters_and_trace_agree(data):
     with tempfile.TemporaryDirectory() as tmp:
         path, metrics, sim = run_single(parse_scenario(data), trace_path=os.path.join(tmp, "run.trace"))
-        validate_trace_order(read_trace(path))
+        lines = list(read_trace(path))
+    validate_trace_order(lines)
     assert_ledgers(metrics, sim)
+    assert_offered_data_conserved(lines, sim)
 
 
 def assert_ledgers(metrics, sim) -> None:
@@ -78,6 +83,23 @@ def assert_ledgers(metrics, sim) -> None:
     assert c["frames_dropped"] == sum(c[k] for k in drops)
     # a frame dropped at send never counts as sent
     assert c["frames_sent"] + c["drop_link_down_at_send"] == c["frames_delivered"] + c["frames_dropped"]
+
+
+def assert_offered_data_conserved(lines, sim) -> None:
+    """Each offered data packet has exactly one ``snd`` or ``drp`` line at
+    its source: sent once, refused for energy, or still queued at the end.
+    The metrics fold counts offered packets as a set, so there a packet sent
+    twice, or sent and also left queued, counts once."""
+    outcomes = Counter()
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        rec = decode_trace_record(line)
+        pkt = rec.packet
+        if isinstance(pkt, DataPacket) and rec.event in ("snd", "drp") and rec.node == pkt.source:
+            outcomes[pkt.source, pkt.destination, pkt.seq] += 1
+    assert all(n == 1 for n in outcomes.values()), outcomes.most_common(1)
+    assert len(outcomes) == sim.counters["data_offered"]
 
 
 @st.composite
@@ -154,3 +176,4 @@ def test_mobility_adjacency_and_ledgers(data):
     lines = trace_of(sim)
     validate_trace_order(lines)
     assert_ledgers(compute_metrics(lines), sim)
+    assert_offered_data_conserved(lines, sim)

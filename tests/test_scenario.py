@@ -150,6 +150,26 @@ def test_link_overrides_reject_duplicate_and_dead_entries(overrides, bad, messag
     assert f"links.overrides[{bad}]: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [
+        ("links", {"overrides": [{"b": 1}]}, "links.overrides[0].a: missing key"),
+        ("traffic", [{"destination": 1}], "traffic[0].source: missing key"),
+        ("link_failures", [{"time_s": 1.0, "b": 1}], "link_failures[0].a: missing key"),
+    ],
+)
+def test_missing_endpoint_is_reported_once(key, value, problem, tmp_path, capsys):
+    data = minimal()
+    data[key] = value
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert err.value.problems == [problem]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["validate", str(path)]) == 2
+    assert problem in capsys.readouterr().err
+
+
 def test_load_scenario_from_disk(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(minimal()))
