@@ -617,14 +617,16 @@ class NodeAgent:
         return True
 
     def _drop_candidates(self, dest: int, doomed: Callable[[Candidate], bool]) -> bool:
-        """Remove the candidates toward ``dest`` that ``doomed`` picks;
-        returns whether any went."""
+        """Remove the candidates toward ``dest`` that ``doomed`` picks, and
+        the table itself once it is empty; returns whether any went."""
         cand = self.candidates.get(dest)
         if not cand:
             return False
         gone = [j for j, c in cand.items() if doomed(c)]
         for j in gone:
             del cand[j]
+        if not cand:
+            del self.candidates[dest]
         return bool(gone)
 
     def _live_candidates(self, dest: int, now: float) -> list[Candidate]:

@@ -7,10 +7,11 @@ report exactly: the report is a pure function of the trace bytes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .packets import PACKET_KINDS, TRACE_HEAD, DataPacket, TraceDecodeError, decode_trace_record, value_slot
+from .packets import PACKET_KINDS, DataPacket, TraceDecodeError, decode_trace_record, remember, value_slot
 
 
 @dataclass
@@ -63,8 +64,7 @@ def _parse_annotation(line: str, params: dict, metrics: RunMetrics) -> None:
         raise TraceDecodeError(f"malformed annotation {line!r}") from None
 
 
-# where the fold finds what it reads on an event line split at spaces
-_TIME, _EVENT, _NODE, _TYPE = (TRACE_HEAD.index(n) for n in ("timestamp", "event", "node", "type"))
+# where the fold finds what it reads on an event line's body split at spaces
 _DATA = PACKET_KINDS[DataPacket].token
 (_SRC, _SRC_AT), (_DST, _DST_AT), (_SEQ, _SEQ_AT) = (
     value_slot(DataPacket, name) for name in ("source", "destination", "seq")
@@ -73,18 +73,36 @@ _DATA = PACKET_KINDS[DataPacket].token
 _SIZE_SLOT = {k.token: value_slot(cls, "size_bits") for cls, k in PACKET_KINDS.items() if not k.bits_key}
 _SIZE_PARAM = {k.token: f"bits_{k.bits_key}" for k in PACKET_KINDS.values() if k.bits_key}
 
+# body text -> what the fold reads of it: (type token, own size_bits or None,
+# (source, destination, seq) of a data packet or None); bounded like the
+# codec's memos
+_folded: dict[str, tuple[str, int | None, tuple[int, int, int] | None]] = {}
+
+
+def _body_facts(body: str) -> tuple[str, int | None, tuple[int, int, int] | None]:
+    parts = body.split(" ")
+    token = parts[0]
+    own = _SIZE_SLOT.get(token)
+    bits = int(parts[own[0]][own[1] :]) if own else None
+    key = None
+    if token == _DATA:
+        key = (int(parts[_SRC][_SRC_AT:]), int(parts[_DST][_DST_AT:]), int(parts[_SEQ][_SEQ_AT:]))
+    return token, bits, key
+
 
 def compute_metrics(lines: Iterable[str]) -> RunMetrics:
     """Recompute the full report from trace lines (header included).
 
     Event lines must come from the encoder or have passed
-    :func:`validate_trace_order`: each is split once and only the fields the
-    report needs are read, with no check of the rest of the line."""
+    :func:`validate_trace_order`, since nothing on them is checked: each
+    line's head is split off and read, and the few facts the report needs
+    of its body are read once per distinct body text and remembered."""
     metrics = RunMetrics()
     params: dict[str, str | int | float] = {}
     first_send: dict[tuple[int, int, int], float] = {}
     delivered_at: dict[tuple[int, int, int], float] = {}
     offered: set[tuple[int, int, int]] = set()
+    energy, control = metrics.energy_spent, metrics.control_packets
     for raw in lines:
         line = raw.rstrip("\n")
         if not line:
@@ -92,28 +110,31 @@ def compute_metrics(lines: Iterable[str]) -> RunMetrics:
         if line.startswith("#"):
             _parse_annotation(line, params, metrics)
             continue
-        parts = line.split(" ")
-        event, node, token = parts[_EVENT], int(parts[_NODE]), parts[_TYPE]
-        if token == _DATA:
-            key = (int(parts[_SRC][_SRC_AT:]), int(parts[_DST][_DST_AT:]), int(parts[_SEQ][_SEQ_AT:]))
+        ts, _seq, event, node_raw, body = line.split(" ", 4)
+        node = int(node_raw)
+        facts = _folded.get(body)
+        if facts is None:
+            facts = _body_facts(body)
+            remember(_folded, body, facts)
+        token, own_bits, key = facts
+        if key is not None:
             if event == "snd" and node == key[0]:
                 offered.add(key)
                 if key not in first_send:
-                    first_send[key] = float(parts[_TIME])
+                    first_send[key] = float(ts)
             elif event == "drp" and node == key[0] and key not in offered:
                 offered.add(key)  # queued at the source and never transmitted
             elif event == "rcv" and node == key[1]:
-                delivered_at[key] = float(parts[_TIME])
+                delivered_at[key] = float(ts)
         elif event == "snd":
-            metrics.control_packets[token] = metrics.control_packets.get(token, 0) + 1
+            control[token] = control.get(token, 0) + 1
         if event in ("snd", "rcv"):
-            own = _SIZE_SLOT.get(token)
             try:
-                bits = int(parts[own[0]][own[1] :]) if own else params[_SIZE_PARAM[token]]
+                bits = own_bits if own_bits is not None else params[_SIZE_PARAM[token]]
                 beta = params["beta_tx"] if event == "snd" else params["beta_rx"]
             except KeyError as exc:
                 raise TraceDecodeError(f"trace header missing parameter {exc}") from None
-            metrics.energy_spent[node] = metrics.energy_spent.get(node, 0.0) + beta * bits
+            energy[node] = energy.get(node, 0.0) + beta * bits
     metrics.data_sent = len(offered)
     metrics.data_delivered = len(delivered_at)
     metrics.pdr = metrics.data_delivered / metrics.data_sent if metrics.data_sent else 0.0
@@ -142,11 +163,12 @@ def validate_trace_order(lines: Iterable[str]) -> None:
     one place the order is checked, and the one pass that checks each event
     line against the canonical grammar before :func:`compute_metrics` folds
     it."""
-    last = None
+    last_time, last_seq = -math.inf, 0
     for line in lines:
         if not line or line.startswith("#"):
             continue
         rec = decode_trace_record(line)
-        if last is not None and (rec.timestamp, rec.seq) <= last:
+        timestamp, seq = rec.timestamp, rec.seq
+        if timestamp < last_time or (timestamp == last_time and seq <= last_seq):
             raise TraceDecodeError("trace packet events are not in canonical order")
-        last = rec.timestamp, rec.seq
+        last_time, last_seq = timestamp, seq

@@ -17,13 +17,15 @@ event happened at.
 
 A line is a head, ``<timestamp> <seq> <event> <node>``, and a body, the type
 token and its fields. The head is formatted, parsed and checked on every
-line. The body is a pure function of the packet, and a broadcast's ``snd``
-line and its neighbours' ``rcv`` lines, or a data packet's hops, repeat the
-same body one line after another. So each side remembers its last body: the
-encoder reuses the text when it is handed the very packet object it encoded
-last, and the decoder reuses the packet when a line's body is the previous
-line's text. A call that raises leaves the memo as it was, so a hit returns
-exactly what a strict decode of the same text returned.
+line. The body is a pure function of the packet, and a run repeats a few
+bodies many times: a broadcast's ``snd`` line and its neighbours' ``rcv``
+lines, often with other events between them, and a data packet's hops. So
+each side keeps a bounded memo of the bodies it has seen, at most
+``MEMO_SIZE`` entries and emptied when full: the encoder maps a packet object
+(by identity, never by equality, since ``0.0 == -0.0`` spell differently) to
+its text, and the decoder maps a body's text to its packet. A call that
+raises leaves its memo as it was, so a hit returns exactly what a strict
+decode of the same text returned.
 """
 
 from __future__ import annotations
@@ -293,15 +295,12 @@ FIELD_CODECS: dict[type, tuple[tuple[str, Callable, Callable], ...]] = {
     cls: tuple((f.name, *_CODEC_OF_TYPE[f.type]) for f in fields(cls)) for cls in PACKET_KINDS
 }
 
-# the tokens every event line starts with; one name=value token per field follows
-TRACE_HEAD = ("timestamp", "seq", "event", "node", "type")
-
-
 def value_slot(cls: type, name: str) -> tuple[int, int]:
-    """Where field ``name`` of a ``cls`` event line sits in ``line.split(" ")``:
-    the token's index, and the offset of its value after ``name=``."""
+    """Where field ``name`` of a ``cls`` line's body sits in
+    ``body.split(" ")``, after the type token: the token's index, and the
+    offset of its value after ``name=``."""
     names = [entry[0] for entry in FIELD_CODECS[cls]]
-    return len(TRACE_HEAD) + names.index(name), len(name) + 1
+    return 1 + names.index(name), len(name) + 1
 
 
 class TraceRecord(NamedTuple):
@@ -314,11 +313,22 @@ class TraceRecord(NamedTuple):
     packet: Packet
 
 
-# the last packet encoded and its body text, and the last body text decoded
-# and its packet; each is read and written as one tuple, and only after the
-# call that fills it has succeeded
-_encoded: tuple[object, str] = (object(), "")
-_decoded: tuple[str | None, Packet | None] = (None, None)
+# the most entries a body memo holds; a full memo is emptied before its next
+# entry goes in, and the size is read at each call
+MEMO_SIZE = 256
+
+# id(packet) -> (packet, body text), the packet held so that its id cannot be
+# reused while the entry lives; and body text -> packet. An entry goes in only
+# after the call that makes it has succeeded.
+_encoded: dict[int, tuple[Packet, str]] = {}
+_decoded: dict[str, Packet] = {}
+
+
+def remember(memo: dict, key, value) -> None:
+    """Put ``key: value`` in ``memo``, emptying it first if it is full."""
+    if len(memo) >= MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
 
 
 def _encode_body(packet: Packet) -> str:
@@ -334,17 +344,20 @@ def encode_trace(
     packet: Packet, timestamp: float, *, seq: int = 0, event: str = "snd", node: int = 0
 ) -> str:
     """Serialize one packet event to its canonical single-line form."""
-    global _encoded
     if not math.isfinite(timestamp) or timestamp < 0:
         raise ValueError(f"timestamp must be finite and nonnegative, got {timestamp!r}")
     if event not in TRACE_EVENTS:
         raise ValueError(f"event must be one of {TRACE_EVENTS}, got {event!r}")
-    head = f"{timestamp:017.6f} {_fmt_int('seq', seq).zfill(8)} {event} {_fmt_int('node', node)}"
-    last, body = _encoded
-    if last is not packet:
+    if type(seq) is not int or type(node) is not int:  # refuse a bool or a float
+        _fmt_int("seq", seq)
+        _fmt_int("node", node)
+    hit = _encoded.get(id(packet))  # a live entry holds its packet, so a hit is this object
+    if hit is None:
         body = _encode_body(packet)
-        _encoded = (packet, body)
-    return f"{head} {body}"
+        remember(_encoded, id(packet), (packet, body))
+    else:
+        body = hit[1]
+    return f"{timestamp:017.6f} {seq:08d} {event} {node} {body}"
 
 
 def _decode_body(rest: str) -> Packet:
@@ -372,18 +385,29 @@ def _decode_body(rest: str) -> Packet:
 
 def decode_trace_record(line: str) -> TraceRecord:
     """Parse one canonical trace line back into a TraceRecord."""
-    global _decoded
     parts = line.rstrip("\n").split(" ", 4)  # the four head tokens, then the body
     if len(parts) < 5:
         raise TraceDecodeError(f"trace line too short: {line!r}")
     ts_raw, seq_raw, event, node_raw, rest = parts
+    # a good head reads in one try; any other goes through the strict parse,
+    # which raises the error naming its first bad field
+    try:
+        timestamp, seq, node = float(ts_raw), int(seq_raw), int(node_raw)
+    except ValueError:
+        timestamp = math.nan
+    if not math.isfinite(timestamp) or event not in TRACE_EVENTS:
+        timestamp, seq, node = _decode_head(ts_raw, seq_raw, event, node_raw)
+    packet = _decoded.get(rest)
+    if packet is None:
+        packet = _decode_body(rest)
+        remember(_decoded, rest, packet)
+    return TraceRecord(timestamp, seq, event, node, packet)
+
+
+def _decode_head(ts_raw: str, seq_raw: str, event: str, node_raw: str) -> tuple[float, int, int]:
+    """Strictly parse a head field by field, raising on its first bad field."""
     timestamp = _parse_float("timestamp", ts_raw)
     seq = _parse_int("seq", seq_raw)
     if event not in TRACE_EVENTS:
         raise TraceDecodeError(f"unknown trace event {event!r}")
-    node = _parse_int("node", node_raw)
-    last, packet = _decoded
-    if rest != last:
-        packet = _decode_body(rest)
-        _decoded = (rest, packet)
-    return TraceRecord(timestamp, seq, event, node, packet)
+    return timestamp, seq, _parse_int("node", node_raw)

@@ -554,6 +554,17 @@ def test_link_failure_drops_only_routes_whose_first_hop_failed():
     assert sorted(agent.candidates[9]) == [2]
 
 
+def test_a_candidate_table_goes_with_its_last_candidate():
+    agent = _agent_with_routes_to_9([1, 2])
+    agent.on_link_failure(1, 6.0)
+    assert sorted(agent.candidates[9]) == [2]
+    agent.evaporation_tick(60.0)  # candidate 2 expired at 50.0
+    assert 9 not in agent.candidates
+    # the recompute after the last drop left no preference behind, so the
+    # ticks that no longer visit destination 9 would only have repeated it
+    assert agent.preferences[9] == {}
+
+
 def test_clr_drops_routes_through_any_reset_neighbor_but_candidates_only_via_one():
     agent = _agent_with_routes_to_9([1, 2, 3])
     state = agent.tora[9]

@@ -72,10 +72,10 @@ def test_run_and_replay_each_decode_every_event_line_once(tmp_path, monkeypatch)
 
 
 def test_run_and_replay_decode_each_run_of_repeated_bodies_once(tmp_path, monkeypatch):
-    # barbell_clear has 391 event lines, and 184 of them carry a body (type
-    # and fields) other than the line above's; run and replay decode all 391
-    # lines each, but strictly parse at most 2 * 184 = 368 bodies, which is
-    # fewer than half of the 782 lines decoded
+    # barbell_clear has 391 event lines but only 93 distinct bodies (type and
+    # fields); run and replay decode all 391 lines each, but strictly parse at
+    # most 2 * 93 bodies. The memo starts empty, so no earlier test can make
+    # it fill and empty itself partway through the trace.
     bodies = []
 
     def counting(rest):
@@ -84,14 +84,30 @@ def test_run_and_replay_decode_each_run_of_repeated_bodies_once(tmp_path, monkey
 
     decode_body = packets._decode_body
     monkeypatch.setattr(packets, "_decode_body", counting)
+    monkeypatch.setattr(packets, "_decoded", {})
     pin = PINNED["barbell_clear"]
     run_digests(pin["scenario"], pin["mode"], tmp_path)
     replay(str(tmp_path / "run.trace"))
     events = [line for line in read_trace(str(tmp_path / "run.trace")) if line and line[0] != "#"]
-    texts = [line.split(" ", 4)[4] for line in events]
-    changes = sum(text != above for above, text in zip([None] + texts, texts))
-    assert len(bodies) <= 2 * changes
-    assert len(bodies) < len(events)  # half of the 2 * len(events) lines decoded
+    distinct = {line.split(" ", 4)[4] for line in events}
+    assert len(bodies) <= 2 * len(distinct) < len(events)
+
+
+@pytest.mark.parametrize("name", ["barbell_clear", "mobility_30n"])
+def test_golden_digests_hold_when_every_memo_holds_one_body(name, tmp_path, monkeypatch):
+    # a one-entry memo is emptied before almost every entry goes in, so the
+    # encoder, the decoder and the fold all take their eviction paths; each
+    # starts empty, or a memo holding this trace's bodies would only hit
+    monkeypatch.setattr(packets, "MEMO_SIZE", 1)
+    for module, memo in ((packets, "_encoded"), (packets, "_decoded"), (metrics, "_folded")):
+        monkeypatch.setattr(module, memo, {})
+    pin = PINNED[name]
+    got = run_digests(pin["scenario"], pin["mode"], tmp_path)
+    assert got == {k: pin[k] for k in got}
+    assert replay(str(tmp_path / "run.trace")).to_dict() == json.loads(
+        (tmp_path / "report.json").read_text()
+    )["runs"][0]["metrics"]
+    assert max(len(packets._encoded), len(packets._decoded), len(metrics._folded)) <= 1
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from anttora import metrics, packets
 from anttora.agent import NodeAgent, ProtocolParams
 from anttora.heights import Height
+from anttora.metrics import compute_metrics
 from anttora.packets import (
     CONTROL_BITS_KEYS,
     PACKET_KINDS,
@@ -234,15 +236,69 @@ def test_encode_that_raises_raises_again():
             encode_trace(bad, 1.0)
 
 
-@pytest.mark.parametrize("field_name, index, bad", [("timestamp", 0, "1.0x"), ("node", 3, "n9")])
-def test_a_repeated_body_still_checks_the_head(field_name, index, bad):
+@pytest.mark.parametrize("first", ["plus", "minus"])
+def test_equal_packets_keep_their_own_text(first, monkeypatch):
+    # 0.0 == -0.0, so the two hellos are equal (and hash alike), but each is
+    # written as it is, whichever of them the encoder meets first
+    monkeypatch.setattr(packets, "_encoded", {})
+    hellos = {"plus": HelloAnt(3, 1.0, 0.0, 0.25, 512), "minus": HelloAnt(3, 1.0, -0.0, 0.25, 512)}
+    assert hellos["plus"] == hellos["minus"]
+    second = "minus" if first == "plus" else "plus"
+    lines = {name: encode_trace(hellos[name], 1.0) for name in (first, second)}
+    assert " residual_energy=0.000000 " in lines["plus"]
+    assert " residual_energy=-0.000000 " in lines["minus"]
+
+
+def test_decode_that_raises_raises_again():
+    line = encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0).replace("size_bits=512", "size_bits=0")
+    for _ in range(2):
+        with pytest.raises(TraceDecodeError):
+            decode_trace_record(line)
+
+
+def test_memos_stay_bounded_and_never_mix_up_packets(monkeypatch):
+    for module, memo in ((packets, "_encoded"), (packets, "_decoded"), (metrics, "_folded")):
+        monkeypatch.setattr(module, memo, {})
+    for sender in range(2 * packets.MEMO_SIZE + 3):
+        # nothing else holds the packet, so only the memo keeps its id taken
+        line = encode_trace(HelloAnt(sender, 1.0, 50.0, 0.25, 512), 1.0, event="drp")
+        assert f" sender={sender} " in line
+        assert decode_trace_record(line).packet.sender == sender
+        compute_metrics([line])
+        sizes = len(packets._encoded), len(packets._decoded), len(metrics._folded)
+        assert max(sizes) <= packets.MEMO_SIZE
+
+
+@pytest.mark.parametrize(
+    "field_name, index, bad",
+    [("timestamp", 0, "1.0x"), ("timestamp", 0, "inf"), ("seq", 1, "1.5"), ("node", 3, "n9")],
+)
+def test_a_repeated_body_still_checks_the_head(field_name, index, bad, monkeypatch):
+    monkeypatch.setattr(packets, "_decoded", {})
     line = encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0, seq=1, node=9)
     decode_trace_record(line)
+    for i, other in enumerate(_sample_packets()):  # the body is memoized lines ago
+        decode_trace_record(encode_trace(other, 2.0, seq=2 + i))
+    assert line.split(" ", 4)[4] in packets._decoded
     tokens = line.split(" ")
     tokens[index] = bad
     with pytest.raises(TraceFieldError) as err:
         decode_trace_record(" ".join(tokens))
     assert err.value.field_name == field_name
+
+
+@pytest.mark.parametrize(
+    "bad, field_name",
+    [({0: "x", 3: "y"}, "timestamp"), ({1: "1.5", 2: "bogus"}, "seq"), ({2: "bogus", 3: "y"}, None)],
+)
+def test_a_bad_head_is_refused_at_its_first_bad_field(bad, field_name):
+    tokens = encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0, seq=1, node=9).split(" ")
+    for index, token in bad.items():
+        tokens[index] = token
+    with pytest.raises(TraceDecodeError) as err:
+        decode_trace_record(" ".join(tokens))
+    # a bad event is not a field error
+    assert getattr(err.value, "field_name", None) == field_name
 
 
 def test_records_that_share_a_body_keep_their_own_head():
