@@ -8,8 +8,9 @@ used for golden regression and replay.
 The trace streams from the engine to disk and back: the engine writes each
 event line to a temporary spool as it happens, the run then writes the
 header and copies the spool into the trace file, and both the run and
-``replay`` read that file back line by line, once through the strict order
-check and once through the fold. No step holds the whole trace in memory.
+``replay`` read that file back once, line by line, through
+``compute_metrics``: the one strict pass that decodes each event line,
+checks its order and folds it. No step holds the whole trace in memory.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from contextlib import ExitStack
 from typing import BinaryIO, Iterable
 
 from .engine import Simulation
+# validate_trace_order is not called here; perfbench/layers.py wraps it in this module by name
 from .metrics import RunMetrics, compute_metrics, read_trace, validate_trace_order
 from .scenario import Scenario
 
@@ -35,8 +37,8 @@ def run_single(
     trace_path: str | None = None,
 ) -> tuple[str | None, RunMetrics, Simulation]:
     """One seeded run, its trace written to ``trace_path`` (to a temporary
-    file when None) and then read back through replay's strict check, so a
-    run never reports on a trace that replay would refuse, and the fold.
+    file when None) and then read back through replay's strict pass, so a
+    run never reports on a trace that replay would refuse.
     Returns the trace path, or None for a temporary trace, with the metrics
     and the finished ``Simulation``."""
     with ExitStack() as stack:
@@ -48,7 +50,6 @@ def run_single(
             spool.flush()
             spool.buffer.seek(0)
             write_trace(path, sim.trace_lines(), spool.buffer)
-        validate_trace_order(read_trace(path))
         metrics = compute_metrics(read_trace(path))
     return trace_path, metrics, sim
 
@@ -128,9 +129,8 @@ def write_report(path: str, report: dict) -> None:
 def replay(trace_path: str) -> RunMetrics:
     """Recompute metrics from a trace file; must equal the original report.
 
-    The file is streamed twice: through the strict order check, then
-    through the fold."""
-    validate_trace_order(read_trace(trace_path))
+    The file is streamed once, through the strict pass of
+    :func:`compute_metrics`."""
     return compute_metrics(read_trace(trace_path))
 
 

@@ -3,6 +3,10 @@
 Every reported number is derived from the serialized trace rather than from
 live simulation state, so replaying a trace file reproduces the original
 report exactly: the report is a pure function of the trace bytes.
+
+``compute_metrics`` reads a trace in one strict pass: it decodes each event
+line once, checks the line's (timestamp, seq) order, and folds the decoded
+record, so a trace is never split or parsed a second time.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .packets import PACKET_KINDS, DataPacket, TraceDecodeError, decode_trace_record, remember, value_slot
+from .packets import PACKET_KINDS, DataPacket, TraceDecodeError, decode_trace_record
 
 
 @dataclass
@@ -44,6 +48,8 @@ class RunMetrics:
         }
 
 
+_DISORDER = "trace packet events are not in canonical order"
+
 # header parameters that metrics need as numbers, by name prefix
 _PARAM_TYPES = {"beta": float, "bits": int}
 
@@ -64,73 +70,55 @@ def _parse_annotation(line: str, params: dict, metrics: RunMetrics) -> None:
         raise TraceDecodeError(f"malformed annotation {line!r}") from None
 
 
-# where the fold finds what it reads on an event line's body split at spaces
-_DATA = PACKET_KINDS[DataPacket].token
-(_SRC, _SRC_AT), (_DST, _DST_AT), (_SEQ, _SEQ_AT) = (
-    value_slot(DataPacket, name) for name in ("source", "destination", "seq")
-)
-# a frame's size: its own size_bits field, or else a header parameter
-_SIZE_SLOT = {k.token: value_slot(cls, "size_bits") for cls, k in PACKET_KINDS.items() if not k.bits_key}
-_SIZE_PARAM = {k.token: f"bits_{k.bits_key}" for k in PACKET_KINDS.values() if k.bits_key}
-
-# body text -> what the fold reads of it: (type token, own size_bits or None,
-# (source, destination, seq) of a data packet or None); bounded like the
-# codec's memos
-_folded: dict[str, tuple[str, int | None, tuple[int, int, int] | None]] = {}
-
-
-def _body_facts(body: str) -> tuple[str, int | None, tuple[int, int, int] | None]:
-    parts = body.split(" ")
-    token = parts[0]
-    own = _SIZE_SLOT.get(token)
-    bits = int(parts[own[0]][own[1] :]) if own else None
-    key = None
-    if token == _DATA:
-        key = (int(parts[_SRC][_SRC_AT:]), int(parts[_DST][_DST_AT:]), int(parts[_SEQ][_SEQ_AT:]))
-    return token, bits, key
+# per packet class: its type token, the header parameter holding its frame
+# size (None when it carries its own size_bits), and whether it is data
+_FOLD = {
+    cls: (kind.token, f"bits_{kind.bits_key}" if kind.bits_key else None, cls is DataPacket)
+    for cls, kind in PACKET_KINDS.items()
+}
 
 
 def compute_metrics(lines: Iterable[str]) -> RunMetrics:
     """Recompute the full report from trace lines (header included).
 
-    Event lines must come from the encoder or have passed
-    :func:`validate_trace_order`, since nothing on them is checked: each
-    line's head is split off and read, and the few facts the report needs
-    of its body are read once per distinct body text and remembered."""
+    This is the one strict pass over a trace: every event line is decoded
+    by ``decode_trace_record``, its (timestamp, seq) checked against the
+    line before as :func:`validate_trace_order` checks it, and the decoded
+    record folded. A line empty but for its newline is skipped."""
     metrics = RunMetrics()
     params: dict[str, str | int | float] = {}
     first_send: dict[tuple[int, int, int], float] = {}
     delivered_at: dict[tuple[int, int, int], float] = {}
     offered: set[tuple[int, int, int]] = set()
     energy, control = metrics.energy_spent, metrics.control_packets
-    for raw in lines:
-        line = raw.rstrip("\n")
-        if not line:
+    decode = decode_trace_record  # looked up per call, so a wrapped decoder is seen
+    last_time, last_seq = -math.inf, 0
+    for line in lines:
+        if not line or line == "\n":
             continue
-        if line.startswith("#"):
-            _parse_annotation(line, params, metrics)
+        if line[0] == "#":
+            _parse_annotation(line.rstrip("\n"), params, metrics)
             continue
-        ts, _seq, event, node_raw, body = line.split(" ", 4)
-        node = int(node_raw)
-        facts = _folded.get(body)
-        if facts is None:
-            facts = _body_facts(body)
-            remember(_folded, body, facts)
-        token, own_bits, key = facts
-        if key is not None:
+        ts, seq, event, node, packet = decode(line)
+        if ts < last_time or (ts == last_time and seq <= last_seq):
+            raise TraceDecodeError(_DISORDER)
+        last_time, last_seq = ts, seq
+        token, size_param, is_data = _FOLD[type(packet)]
+        if is_data:
+            key = (packet.source, packet.destination, packet.seq)
             if event == "snd" and node == key[0]:
                 offered.add(key)
                 if key not in first_send:
-                    first_send[key] = float(ts)
+                    first_send[key] = ts
             elif event == "drp" and node == key[0] and key not in offered:
                 offered.add(key)  # queued at the source and never transmitted
             elif event == "rcv" and node == key[1]:
-                delivered_at[key] = float(ts)
+                delivered_at[key] = ts
         elif event == "snd":
             control[token] = control.get(token, 0) + 1
         if event in ("snd", "rcv"):
             try:
-                bits = own_bits if own_bits is not None else params[_SIZE_PARAM[token]]
+                bits = packet.size_bits if size_param is None else params[size_param]
                 beta = params["beta_tx"] if event == "snd" else params["beta_rx"]
             except KeyError as exc:
                 raise TraceDecodeError(f"trace header missing parameter {exc}") from None
@@ -159,16 +147,17 @@ def validate_trace_order(lines: Iterable[str]) -> None:
     """Strictly decode every packet-event line and require its
     (timestamp, seq) to be greater than the line before.
 
-    The writer emits events in engine order without sorting, so this is the
-    one place the order is checked, and the one pass that checks each event
-    line against the canonical grammar before :func:`compute_metrics` folds
-    it."""
+    The writer emits events in engine order without sorting, so the order
+    must be checked on reading. :func:`compute_metrics` makes the same check
+    as it folds and refuses a trace with the same message; this is the check
+    alone, for a caller that wants no report. A line empty but for its
+    newline is skipped."""
     last_time, last_seq = -math.inf, 0
     for line in lines:
-        if not line or line.startswith("#"):
+        if not line or line == "\n" or line.startswith("#"):
             continue
         rec = decode_trace_record(line)
         timestamp, seq = rec.timestamp, rec.seq
         if timestamp < last_time or (timestamp == last_time and seq <= last_seq):
-            raise TraceDecodeError("trace packet events are not in canonical order")
+            raise TraceDecodeError(_DISORDER)
         last_time, last_seq = timestamp, seq

@@ -26,6 +26,10 @@ each side keeps a bounded memo of the bodies it has seen, at most
 its text, and the decoder maps a body's text to its packet. A call that
 raises leaves its memo as it was, so a hit returns exactly what a strict
 decode of the same text returned.
+
+``decode_trace_record`` is the one parser of event lines: the metrics fold
+reads the records it returns. It refuses a head the encoder would refuse to
+write, so a timestamp must be a finite, nonnegative decimal.
 """
 
 from __future__ import annotations
@@ -295,13 +299,6 @@ FIELD_CODECS: dict[type, tuple[tuple[str, Callable, Callable], ...]] = {
     cls: tuple((f.name, *_CODEC_OF_TYPE[f.type]) for f in fields(cls)) for cls in PACKET_KINDS
 }
 
-def value_slot(cls: type, name: str) -> tuple[int, int]:
-    """Where field ``name`` of a ``cls`` line's body sits in
-    ``body.split(" ")``, after the type token: the token's index, and the
-    offset of its value after ``name=``."""
-    names = [entry[0] for entry in FIELD_CODECS[cls]]
-    return 1 + names.index(name), len(name) + 1
-
 
 class TraceRecord(NamedTuple):
     """One packet event: when, where, and which way it moved."""
@@ -311,6 +308,11 @@ class TraceRecord(NamedTuple):
     event: str
     node: int
     packet: Packet
+
+
+# builds a TraceRecord from a tuple of its fields without the NamedTuple's
+# Python-level __new__, which the decoder would otherwise call on every line
+_new_record = tuple.__new__
 
 
 # the most entries a body memo holds; a full memo is emptied before its next
@@ -384,8 +386,9 @@ def _decode_body(rest: str) -> Packet:
 
 
 def decode_trace_record(line: str) -> TraceRecord:
-    """Parse one canonical trace line back into a TraceRecord."""
-    parts = line.rstrip("\n").split(" ", 4)  # the four head tokens, then the body
+    """Parse one canonical trace line, with or without its newline, back
+    into a TraceRecord."""
+    parts = line.split(" ", 4)  # the four head tokens, then the body
     if len(parts) < 5:
         raise TraceDecodeError(f"trace line too short: {line!r}")
     ts_raw, seq_raw, event, node_raw, rest = parts
@@ -395,18 +398,20 @@ def decode_trace_record(line: str) -> TraceRecord:
         timestamp, seq, node = float(ts_raw), int(seq_raw), int(node_raw)
     except ValueError:
         timestamp = math.nan
-    if not math.isfinite(timestamp) or event not in TRACE_EVENTS:
+    if not 0.0 <= timestamp < math.inf or event not in TRACE_EVENTS:
         timestamp, seq, node = _decode_head(ts_raw, seq_raw, event, node_raw)
     packet = _decoded.get(rest)
-    if packet is None:
-        packet = _decode_body(rest)
+    if packet is None:  # the key keeps a line's newline; the parse never sees it
+        packet = _decode_body(rest.rstrip("\n"))
         remember(_decoded, rest, packet)
-    return TraceRecord(timestamp, seq, event, node, packet)
+    return _new_record(TraceRecord, (timestamp, seq, event, node, packet))
 
 
 def _decode_head(ts_raw: str, seq_raw: str, event: str, node_raw: str) -> tuple[float, int, int]:
     """Strictly parse a head field by field, raising on its first bad field."""
     timestamp = _parse_float("timestamp", ts_raw)
+    if timestamp < 0:
+        raise TraceFieldError("timestamp", f"expected nonnegative decimal, got {ts_raw!r}")
     seq = _parse_int("seq", seq_raw)
     if event not in TRACE_EVENTS:
         raise TraceDecodeError(f"unknown trace event {event!r}")

@@ -16,6 +16,10 @@ MALFORMED_EVENT_FIELDS = {
     "reflection_bit": (
         UpdPacket(7, Height(1.0, 2, 0, 0, 4)), "height=1.000000:2:0:0:4", "height=1.000000:2:7:0:4", "height"
     ),
+    # a negative timestamp, which the encoder refuses
+    "negative_timestamp": (
+        HelloAnt(3, 1.0, 50.0, 0.25, 512), "0000000001.000000 ", "-000000001.000000 ", "timestamp"
+    ),
 }
 
 

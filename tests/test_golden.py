@@ -53,8 +53,8 @@ def test_golden_digests(name, tmp_path):
 
 
 def test_run_and_replay_each_decode_every_event_line_once(tmp_path, monkeypatch):
-    # the fold decodes nothing; the strict order check, which run and replay
-    # both pass their lines through, decodes each event line exactly once
+    # run and replay each fold the trace in one strict pass, which decodes
+    # each event line exactly once and folds the record it returns
     decoded = []
 
     def counting(line):
@@ -96,18 +96,18 @@ def test_run_and_replay_decode_each_run_of_repeated_bodies_once(tmp_path, monkey
 @pytest.mark.parametrize("name", ["barbell_clear", "mobility_30n"])
 def test_golden_digests_hold_when_every_memo_holds_one_body(name, tmp_path, monkeypatch):
     # a one-entry memo is emptied before almost every entry goes in, so the
-    # encoder, the decoder and the fold all take their eviction paths; each
-    # starts empty, or a memo holding this trace's bodies would only hit
+    # encoder and the decoder both take their eviction paths; each starts
+    # empty, or a memo holding this trace's bodies would only hit
     monkeypatch.setattr(packets, "MEMO_SIZE", 1)
-    for module, memo in ((packets, "_encoded"), (packets, "_decoded"), (metrics, "_folded")):
-        monkeypatch.setattr(module, memo, {})
+    for memo in ("_encoded", "_decoded"):
+        monkeypatch.setattr(packets, memo, {})
     pin = PINNED[name]
     got = run_digests(pin["scenario"], pin["mode"], tmp_path)
     assert got == {k: pin[k] for k in got}
     assert replay(str(tmp_path / "run.trace")).to_dict() == json.loads(
         (tmp_path / "report.json").read_text()
     )["runs"][0]["metrics"]
-    assert max(len(packets._encoded), len(packets._decoded), len(metrics._folded)) <= 1
+    assert max(len(packets._encoded), len(packets._decoded)) <= 1
 
 
 if __name__ == "__main__":

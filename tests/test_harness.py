@@ -11,15 +11,29 @@ import tracemalloc
 import pytest
 
 import anttora
+from anttora import harness
 from anttora.cli import main as cli_main
 from anttora.engine import Simulation
 from anttora.harness import replay, run_experiment, run_single, write_trace
-from anttora.metrics import validate_trace_order
+from anttora.metrics import compute_metrics, validate_trace_order
 from anttora.packets import HelloAnt, TraceDecodeError, decode_trace_record, encode_trace
 
 from conftest import MALFORMED_EVENT_FIELDS, flow, records_of, scenario_dict, static_scenario, trace_of
 
 RING8 = [(i, (i + 1) % 8) for i in range(8)]
+# the header parameters a fold of hello lines needs
+BETAS = ["# param beta_tx=1e-06", "# param beta_rx=5e-07"]
+DISORDER = "trace packet events are not in canonical order"
+
+
+def refusals(lines) -> list[str]:
+    """What the fold and the standalone order check each refuse ``lines`` with."""
+    messages = []
+    for check in (compute_metrics, validate_trace_order):
+        with pytest.raises(TraceDecodeError) as err:
+            check(lines)
+        messages.append(str(err.value))
+    return messages
 
 
 def test_single_repetition_summary_equals_run_metrics():
@@ -68,6 +82,7 @@ def test_replay_rejects_disordered_trace(tmp_path):
     write_trace(str(path), shuffled)
     with pytest.raises(TraceDecodeError):
         replay(str(path))
+    assert refusals(shuffled) == [DISORDER, DISORDER]
 
 
 def test_order_check_survives_seq_past_eight_digits(tmp_path, capsys):
@@ -76,14 +91,12 @@ def test_order_check_survives_seq_past_eight_digits(tmp_path, capsys):
     after = encode_trace(hello, 12.5, seq=100_000_000)
     assert after < before  # lexically backwards, yet in (time, seq) order
     validate_trace_order([before, after])
-    with pytest.raises(TraceDecodeError):
-        validate_trace_order([encode_trace(hello, 12.5, seq=100_000_001), after])
-    with pytest.raises(TraceDecodeError):
-        validate_trace_order([before, encode_trace(hello, 12.4, seq=100_000_000)])
+    compute_metrics(BETAS + [before, after])
+    assert refusals(BETAS + [encode_trace(hello, 12.5, seq=100_000_001), after]) == [DISORDER, DISORDER]
+    assert refusals(BETAS + [before, encode_trace(hello, 12.4, seq=100_000_000)]) == [DISORDER, DISORDER]
     # narrowing back to eight digits at one timestamp sorts lexically forwards
     assert before > after
-    with pytest.raises(TraceDecodeError):
-        validate_trace_order([after, before])
+    assert refusals(BETAS + [after, before]) == [DISORDER, DISORDER]
     # hand-edited timestamps of equal width that sort lexically forwards
     # while time goes backwards
     edited = [
@@ -91,12 +104,34 @@ def test_order_check_survives_seq_past_eight_digits(tmp_path, capsys):
         for t, seq, spelled in ((10.0, 1, "10.0"), (9.99, 2, "9.99"))
     ]
     assert edited[0].startswith("10.0 00000001 ") and edited[1].startswith("9.99 00000002 ")
-    with pytest.raises(TraceDecodeError):
-        validate_trace_order(edited)
+    assert refusals(BETAS + edited) == [DISORDER, DISORDER]
     path = tmp_path / "edited.trace"
-    write_trace(str(path), ["# param beta_tx=1e-06", "# param beta_rx=5e-07"] + edited)
+    write_trace(str(path), BETAS + edited)
     assert cli_main(["replay", str(path)]) == 2
     assert "not in canonical order" in capsys.readouterr().err
+
+
+def test_check_and_fold_both_skip_a_blank_line():
+    line = encode_trace(HelloAnt(0, 0.0, 100.0, 0.0, 512), 1.0, seq=1)
+    lines = BETAS + ["", "\n", line + "\n", "\n"]
+    validate_trace_order(lines)
+    assert compute_metrics(lines).energy_spent == {0: 1e-06 * 512}
+
+
+def test_run_and_replay_each_read_the_trace_once(tmp_path, monkeypatch):
+    opened = []
+
+    def counting(path):
+        opened.append(path)
+        return read_trace(path)
+
+    read_trace = harness.read_trace
+    monkeypatch.setattr(harness, "read_trace", counting)
+    path = str(tmp_path / "run.trace")
+    run_single(static_scenario(4, [(0, 1), (1, 2), (2, 3)], flows=[flow(0, 3)]), trace_path=path)
+    assert opened == [path]
+    replay(path)
+    assert opened == [path, path]
 
 
 # qreq and qrep lines in the format that still carried min_bandwidth_seen and
