@@ -19,7 +19,7 @@ from .agent import (
     NodeEnergy,
     ProtocolParams,
     QosConstraints,
-    RouteCacheEntry,
+    Route,
 )
 from .engine import Simulation
 from .harness import replay, run_experiment, run_single
@@ -69,7 +69,7 @@ __all__ = [
     "QosConstraints",
     "QryReplyAnt",
     "QryRequestAnt",
-    "RouteCacheEntry",
+    "Route",
     "RunMetrics",
     "Scenario",
     "ScenarioError",

@@ -4,7 +4,14 @@ Each node runs one agent. The agent owns the node's height state toward
 every destination it has heard of, the pheromone table, the neighbor table
 fed by hello beacons, the per-destination candidate table built from
 discovery replies, and the route cache holding QoS-admitted source routes
-for flows this node originates.
+for flows this node originates. Candidates and cached routes are the same
+record, a ``Route`` that carries its own preference rank.
+
+A node enters route-required in one place, ``_await_route``, and leaves it
+in one, ``_adopt_height``. Every reply ant is seeded by
+``_destination_reply`` or built from a route by ``_reply``, each hop's
+metrics are folded by ``_extend_metrics``, and every reply leaves through
+``_send_reply``.
 
 Every received packet, data included, reaches the agent through the
 handler its ``PacketKind`` names, as ``handler(packet, sender, now)``.
@@ -124,8 +131,9 @@ class NodeEnergy:
 
 
 @dataclass
-class RouteCacheEntry:
-    """A QoS-admitted source route with its ranking probability."""
+class Route:
+    """A reply-borne source route and its rank: a candidate toward a
+    destination via its first hop, or a QoS-admitted route in the cache."""
 
     path: tuple[int, ...]
     metrics: PathMetrics
@@ -135,26 +143,15 @@ class RouteCacheEntry:
 
     def __post_init__(self) -> None:
         if len(set(self.path)) != len(self.path):
-            raise ValueError("cached path must be loop-free")
+            raise ValueError("route path must be loop-free")
         if self.expires_at <= self.created_at:
-            raise ValueError("cached route must expire after creation")
+            raise ValueError("route must expire after creation")
         if not 0.0 <= self.preference <= 1.0:
             raise ValueError("preference is a probability")
 
     @property
     def next_hop(self) -> int:
         return self.path[1]
-
-
-@dataclass
-class Candidate:
-    """Latest reply-borne route toward a destination via one neighbor."""
-
-    next_hop: int
-    path: tuple[int, ...]
-    metrics: PathMetrics
-    created_at: float
-    expires_at: float
 
 
 @dataclass(frozen=True)
@@ -219,9 +216,8 @@ class NodeAgent:
         self.pheromone: dict[int, float] = {}
         self.neighbors: dict[int, NeighborInfo] = {}
         self.link_activated_at: dict[int, float] = {}
-        self.candidates: dict[int, dict[int, Candidate]] = {}
-        self.preferences: dict[int, dict[int, float]] = {}
-        self.cache: dict[int, list[RouteCacheEntry]] = {}
+        self.candidates: dict[int, dict[int, Route]] = {}  # dest -> first hop -> route
+        self.cache: dict[int, list[Route]] = {}
         self.pending_request: dict[int, QryRequestAnt] = {}
         self.initiated: set[int] = set()
         self.last_reply_at: dict[int, float] = {}
@@ -264,7 +260,7 @@ class NodeAgent:
         # an outstanding discovery gets another chance over the new link
         for dest in sorted(self.tora):
             state = self.tora[dest]
-            if state.route_required and dest in self.pending_request:
+            if state.route_required:
                 emissions.append(Emission(self.pending_request[dest]))
         return emissions
 
@@ -350,9 +346,6 @@ class NodeAgent:
     # -- route discovery -----------------------------------------------------
 
     def start_discovery(self, dest: int, now: float) -> list[Emission]:
-        state = self._state_for(dest)
-        self._set_height(state, Height.null(self.node), now)
-        state.route_required = True
         self.initiated.add(dest)
         req = QryRequestAnt(
             request_start_time=now,
@@ -360,50 +353,46 @@ class NodeAgent:
             destination=dest,
             visited=(self.node,),
         )
-        self.pending_request[dest] = req
+        emissions = self._await_route(self._state_for(dest), req, now)
         self.hooks.log("discovery_started", self.node, now, dest=dest)
-        return [Emission(req)]
+        return emissions
 
     def on_qry_request(self, req: QryRequestAnt, sender: int, now: float) -> list[Emission]:
         if req.source == self.node:
             return []
-        if self.node == req.destination:
-            reply = self._destination_reply(req, sender)
-            if reply is None:
-                self.hooks.log("reply_unbuildable", self.node, now, dest=req.destination)
-                return []
-            self.last_reply_at[req.destination] = now
-            return [Emission(reply)]
-        if self.node in req.visited:
-            return []
-        state = self._state_for(req.destination)
-        if not has_downstream(state):
-            if state.route_required:
-                return []
-            self._set_height(state, Height.null(self.node), now)
-            state.route_required = True
-            fwd = dataclasses.replace(req, visited=req.visited + (self.node,))
-            self.pending_request[req.destination] = fwd
-            return [Emission(fwd)]
-        if state.own_height.is_null:
-            self._set_height(
-                state, new_height_on_reply(state.concrete_mirrors(), self.node), now
-            )
-            state.route_required = False
+        dest = req.destination
+        if self.node == dest:
+            info = self.neighbors.get(sender)
+            reply = None
+            if info is not None and info.est_bandwidth > 0:
+                energy = self.energy
+                reply = self._destination_reply(
+                    req.source, dest, energy.residual, energy.drain_rate, info.est_bandwidth
+                )
         else:
-            # one reply per destination and discovery wave over each link:
-            # suppression resets when the link re-activates or a fresh wave
-            # starts, else rediscovery could never be answered
-            activated = self.link_activated_at.get(sender, now)
-            threshold = max(activated, req.request_start_time)
-            if self.last_reply_at.get(req.destination, -1.0) >= threshold:
+            if self.node in req.visited:
                 return []
-        reply = self._build_reply(req, now)
+            state = self._state_for(dest)
+            if not has_downstream(state):
+                if state.route_required:
+                    return []
+                fwd = dataclasses.replace(req, visited=req.visited + (self.node,))
+                return self._await_route(state, fwd, now)
+            if state.own_height.is_null:
+                self._adopt_height(state, now)
+            else:
+                # one reply per destination and discovery wave over each link:
+                # suppression resets when the link re-activates or a fresh wave
+                # starts, else rediscovery could never be answered
+                activated = self.link_activated_at.get(sender, now)
+                threshold = max(activated, req.request_start_time)
+                if self.last_reply_at.get(dest, -1.0) >= threshold:
+                    return []
+            reply = self._relay_reply(req, state, now)
         if reply is None:
-            self.hooks.log("reply_unbuildable", self.node, now, dest=req.destination)
+            self.hooks.log("reply_unbuildable", self.node, now, dest=dest)
             return []
-        self.last_reply_at[req.destination] = now
-        return [Emission(reply)]
+        return self._send_reply(reply, now)
 
     def on_qry_reply(self, rep: QryReplyAnt, sender: int, now: float) -> list[Emission]:
         state = self._state_for(rep.destination)
@@ -424,10 +413,10 @@ class NodeAgent:
             extended, path = self._extend_metrics(rep, sender)
             cand = self.candidates.setdefault(dest, {})
             old = cand.get(sender)
-            cand[sender] = Candidate(
-                next_hop=sender,
+            cand[sender] = Route(
                 path=path,
                 metrics=extended,
+                preference=1.0,  # ranked just below
                 created_at=old.created_at if old else now,
                 expires_at=now + self.params.route_ttl,
             )
@@ -442,36 +431,36 @@ class NodeAgent:
             self._recompute_preferences(dest, now)
 
         emissions: list[Emission] = []
-        if state.route_required:
-            concrete = state.concrete_mirrors()
-            if concrete:
-                self._set_height(state, new_height_on_reply(concrete, self.node), now)
-                state.route_required = False
-                # the source consumes the reply without republishing it: its
-                # reverse-path stack is empty, and advertising the source
-                # height would leave stale low mirrors at its neighbors that
-                # later absorb reversal cascades and mask partitions
-                if extended is not None and self.node != rep.source:
-                    emissions.append(
-                        Emission(
-                            QryReplyAnt(
-                                hop_count=extended.hop_count,
-                                delay=extended.delay,
-                                energy=extended.energy,
-                                drain_rate=extended.drain_rate,
-                                bandwidth=extended.bandwidth,
-                                source=rep.source,
-                                destination=dest,
-                                path_nodes=path,
-                                reporter_height=state.own_height,
-                            )
-                        )
-                    )
-                    self.last_reply_at[dest] = now
+        if state.route_required and state.concrete_mirrors():
+            self._adopt_height(state, now)
+            # the source consumes the reply without republishing it: its
+            # reverse-path stack is empty, and advertising the source
+            # height would leave stale low mirrors at its neighbors that
+            # later absorb reversal cascades and mask partitions
+            if extended is not None and self.node != rep.source:
+                reply = self._reply(rep.source, dest, extended, path, state.own_height)
+                emissions.extend(self._send_reply(reply, now))
 
         if rep.source == self.node and extended is not None and dest in self.initiated:
             emissions.extend(self._admit_route(dest, path, extended, now))
         return emissions
+
+    def _await_route(self, state: NodeToraState, req: QryRequestAnt, now: float) -> list[Emission]:
+        """Enter route-required toward ``state.destination``: NULL height,
+        the flag set, and ``req`` remembered (``link_up`` re-sends it) and
+        flooded. The only place the flag is set."""
+        self._set_height(state, Height.null(self.node), now)
+        state.route_required = True
+        self.pending_request[state.destination] = req
+        return [Emission(req)]
+
+    def _adopt_height(self, state: NodeToraState, now: float) -> None:
+        """Join the DAG just above the lowest concrete neighbor, leaving
+        route-required and forgetting its request. The only place the flag
+        is cleared."""
+        self._set_height(state, new_height_on_reply(state.concrete_mirrors(), self.node), now)
+        state.route_required = False
+        self.pending_request.pop(state.destination, None)
 
     # -- route maintenance -----------------------------------------------------
 
@@ -511,7 +500,6 @@ class NodeAgent:
         self._set_height(state, Height.null(self.node), now)
         state.reset_mirrors()
         self.candidates.pop(dest, None)
-        self.preferences.pop(dest, None)
         self._drop_routes(dest, now, lambda e: True)
 
     def on_error(self, err: ErrorPacket, sender: int, now: float) -> list[Emission]:
@@ -583,7 +571,7 @@ class NodeAgent:
 
     # -- internals ------------------------------------------------------------
 
-    def _select_route(self, dest: int, now: float) -> RouteCacheEntry | None:
+    def _select_route(self, dest: int, now: float) -> Route | None:
         """The best unexpired cached route toward ``dest``, if any."""
         # baseline preferences are all 1.0, so there the oldest route wins
         live = [e for e in self.cache.get(dest, []) if e.expires_at > now]
@@ -601,7 +589,7 @@ class NodeAgent:
         self,
         dest: int,
         now: float,
-        doomed: Callable[[RouteCacheEntry], bool],
+        doomed: Callable[[Route], bool],
         tag: str = "cache_purged",
     ) -> bool:
         """Remove the cached routes toward ``dest`` that ``doomed`` picks;
@@ -616,7 +604,7 @@ class NodeAgent:
         self.cache[dest] = kept
         return True
 
-    def _drop_candidates(self, dest: int, doomed: Callable[[Candidate], bool]) -> bool:
+    def _drop_candidates(self, dest: int, doomed: Callable[[Route], bool]) -> bool:
         """Remove the candidates toward ``dest`` that ``doomed`` picks, and
         the table itself once it is empty; returns whether any went."""
         cand = self.candidates.get(dest)
@@ -629,31 +617,34 @@ class NodeAgent:
             del self.candidates[dest]
         return bool(gone)
 
-    def _live_candidates(self, dest: int, now: float) -> list[Candidate]:
-        """Unexpired candidates toward ``dest``, by next hop."""
+    def _live_candidates(self, dest: int, now: float) -> list[tuple[int, Route]]:
+        """Unexpired candidates toward ``dest`` as (next hop, route), by next hop."""
         cand = self.candidates.get(dest, {})
-        return [cand[j] for j in sorted(cand) if cand[j].expires_at > now]
+        return [(j, cand[j]) for j in sorted(cand) if cand[j].expires_at > now]
 
     def _recompute_preferences(self, dest: int, now: float) -> None:
+        """Rank the live candidates toward ``dest`` and copy each rank to
+        the cached routes through the same first hop. With no preferable
+        path every candidate ranks 1.0 and the cache keeps its ranks."""
         live = self._live_candidates(dest, now)
-        if self.params.baseline or not live:
-            self.preferences[dest] = {c.next_hop: 1.0 for c in live}
+        if not live:
+            return
+        if self.params.baseline:
+            ranked = {j: 1.0 for j, _ in live}
         else:
             pheromone, initial = self.pheromone, self.params.initial_pheromone
-            entries = [
-                CandidateEntry(c.next_hop, pheromone.get(c.next_hop, initial), c.metrics)
-                for c in live
-            ]
+            entries = [CandidateEntry(j, pheromone.get(j, initial), c.metrics) for j, c in live]
             try:
-                self.preferences[dest] = dict(
-                    path_preference(entries, self.params.preference_weights)
-                )
+                ranked = dict(path_preference(entries, self.params.preference_weights))
             except ValueError:
-                self.preferences[dest] = {}
-        prefs = self.preferences[dest]
+                for _, c in live:
+                    c.preference = 1.0
+                return
+        for j, c in live:
+            c.preference = ranked[j]
         for e in self.cache.get(dest, []):
-            if e.next_hop in prefs:
-                e.preference = prefs[e.next_hop]
+            if e.next_hop in ranked:
+                e.preference = ranked[e.next_hop]
 
     def _extend_metrics(
         self, rep: QryReplyAnt, sender: int
@@ -674,7 +665,7 @@ class NodeAgent:
         if not self.params.baseline and not self.params.qos.admits(metrics):
             self.hooks.log("route_rejected", self.node, now, dest=dest, path=path)
             return []
-        preference = self.preferences.get(dest, {}).get(path[1], 1.0)
+        preference = self.candidates[dest][path[1]].preference
         expires = now + self.params.route_ttl
         entries = self.cache.setdefault(dest, [])
         for e in entries:
@@ -684,71 +675,73 @@ class NodeAgent:
                 e.expires_at = expires
                 break
         else:
-            entries.append(
-                RouteCacheEntry(
-                    path=path,
-                    metrics=metrics,
-                    preference=preference,
-                    created_at=now,
-                    expires_at=expires,
-                )
-            )
+            entries.append(Route(path, metrics, preference, created_at=now, expires_at=expires))
         self.hooks.route_inserted(self.node, dest, expires)
         self.hooks.log("route_cached", self.node, now, dest=dest, path=path)
         return self._flush_queue(dest, now)
 
-    def _destination_reply(self, req: QryRequestAnt, sender: int) -> QryReplyAnt | None:
-        info = self.neighbors.get(sender)
-        if info is None or info.est_bandwidth <= 0:
-            return None
-        return QryReplyAnt(
-            hop_count=1,
-            delay=self.links.processing,
-            energy=self.energy.residual,
-            drain_rate=self.energy.drain_rate,
-            bandwidth=info.est_bandwidth,
-            source=req.source,
-            destination=self.node,
-            path_nodes=(self.node,),
-            reporter_height=Height.zero(self.node),
-        )
-
-    def _best_candidate(self, dest: int, now: float) -> Candidate | None:
+    def _best_candidate(self, dest: int, now: float) -> Route | None:
         live = self._live_candidates(dest, now)
         if not live:
             return None
         if self.params.baseline:
-            return min(live, key=lambda c: (c.created_at, c.next_hop))
-        prefs = self.preferences.get(dest, {})
-        return min(live, key=lambda c: (-prefs.get(c.next_hop, 0.0), c.next_hop))
+            return min(live, key=lambda jc: (jc[1].created_at, jc[0]))[1]
+        return min(live, key=lambda jc: (-jc[1].preference, jc[0]))[1]
 
-    def _build_reply(self, req: QryRequestAnt, now: float) -> QryReplyAnt | None:
+    def _relay_reply(
+        self, req: QryRequestAnt, state: NodeToraState, now: float
+    ) -> QryReplyAnt | None:
+        """A relay's answer to ``req``: its best candidate, else the reply
+        of an adjacent destination as this node's hellos describe it."""
         dest = req.destination
-        state = self._state_for(dest)
         best = self._best_candidate(dest, now)
         if best is not None:
             m, path = best.metrics, best.path
-        elif dest in self.neighbors and self.neighbors[dest].est_bandwidth > 0:
-            info = self.neighbors[dest]
-            m = PathMetrics(
-                # this node's processing delay, then the destination's
-                delay=self._metric_link_delay(dest) + self.links.processing + self.links.processing,
-                bandwidth=info.est_bandwidth,
-                energy=min(self.energy.residual, info.residual_energy),
-                drain_rate=max(self.energy.drain_rate, info.drain_rate),
-                hop_count=2,
-            )
-            path = (self.node, dest)
         else:
-            return None
+            info = self.neighbors.get(dest)
+            if info is None or info.est_bandwidth <= 0:
+                return None
+            heard = self._destination_reply(
+                req.source, dest, info.residual_energy, info.drain_rate, info.est_bandwidth
+            )
+            m, path = self._extend_metrics(heard, dest)
+        return self._reply(req.source, dest, m, path, state.own_height)
+
+    def _destination_reply(
+        self, source: int, dest: int, energy: float, drain_rate: float, bandwidth: float
+    ) -> QryReplyAnt:
+        """The reply ``dest`` seeds toward ``source``: one processing delay,
+        the destination's ``energy`` and ``drain_rate``, and ``bandwidth``
+        of the link the reply leaves on."""
+        return QryReplyAnt(
+            hop_count=1,
+            delay=self.links.processing,
+            energy=energy,
+            drain_rate=drain_rate,
+            bandwidth=bandwidth,
+            source=source,
+            destination=dest,
+            path_nodes=(dest,),
+            reporter_height=Height.zero(dest),
+        )
+
+    @staticmethod
+    def _reply(
+        source: int, dest: int, m: PathMetrics, path: tuple[int, ...], height: Height
+    ) -> QryReplyAnt:
         return QryReplyAnt(
             hop_count=m.hop_count,
             delay=m.delay,
             energy=m.energy,
             drain_rate=m.drain_rate,
             bandwidth=m.bandwidth,
-            source=req.source,
+            source=source,
             destination=dest,
             path_nodes=path,
-            reporter_height=state.own_height,
+            reporter_height=height,
         )
+
+    def _send_reply(self, reply: QryReplyAnt, now: float) -> list[Emission]:
+        """Broadcast ``reply``; the only writer of ``last_reply_at``."""
+        self.last_reply_at[reply.destination] = now
+        return [Emission(reply)]

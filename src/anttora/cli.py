@@ -25,13 +25,16 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", choices=MODES, default=None, help="override the scenario mode")
     run.add_argument("--trace", default=None, help="write the packet trace here")
     run.add_argument("--report", default=None, help="write the JSON report here")
+    run.set_defaults(handler=_cmd_run)
 
     val = sub.add_parser("validate", help="check a scenario file and exit")
     val.add_argument("scenario", help="scenario JSON file")
+    val.set_defaults(handler=_cmd_validate)
 
     rep = sub.add_parser("replay", help="recompute metrics from a trace file")
     rep.add_argument("trace", help="trace file produced by `run --trace`")
     rep.add_argument("--report", default=None, help="write recomputed metrics here")
+    rep.set_defaults(handler=_cmd_replay)
     return parser
 
 
@@ -74,19 +77,10 @@ def _cmd_replay(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-    except ScenarioError as exc:
+        return args.handler(args)
+    except (ScenarioError, TraceDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TraceDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from anttora.aco import PreferenceWeights
 from anttora.agent import (
     NodeAgent,
     NodeEnergy,
@@ -182,9 +183,14 @@ def test_destination_adjacent_node_replies_with_synthesized_route():
     assert rep.path_nodes == (1, 2)
     assert rep.hop_count == 2
     assert rep.reporter_height == Height(0.0, 0, 0, 1, 1)
-    # the synthesized two-node metrics match the configured radio numbers
+    # node 1 extends the reply node 2 would send, as node 2's hellos and the
+    # configured radio numbers describe it, bit for bit
     link_delay = PROP + net.params.metric_packet_bits / CAPACITY
-    assert rep.delay == pytest.approx(link_delay + 2 * PROC)
+    assert rep.delay == (PROC + link_delay) + PROC
+    heard = b.neighbors[2]
+    assert rep.bandwidth == heard.est_bandwidth
+    assert rep.energy == min(heard.residual_energy, b.energy.residual)
+    assert rep.drain_rate == max(heard.drain_rate, b.energy.drain_rate)
 
 
 def test_destination_itself_answers_with_zero_height_seed():
@@ -230,6 +236,25 @@ def test_diamond_topology_caches_two_disjoint_paths():
     prefs = [e.preference for e in s.cache[3]]
     assert all(0.0 <= p <= 1.0 for p in prefs)
     assert sum(prefs) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_no_preferable_path_ranks_every_candidate_alike_and_keeps_cached_ranks():
+    # full evaporation leaves every link without pheromone, so no candidate
+    # is preferable: they tie at the top, and the cache keeps its ranks
+    params = ProtocolParams(preference_weights=PreferenceWeights(decay=1.0))
+    net = warmed(4, [(0, 1), (0, 2), (1, 3), (2, 3)], params=params)
+    net.discover(0, 3, 1.5)
+    s = net.agents[0]
+    s.evaporation_tick(2.0)
+    assert all(tau == 0.0 for tau in s.pheromone.values())
+    assert s._best_candidate(3, 2.0).next_hop == 1
+    assert sorted((e.path, e.preference) for e in s.cache[3]) == [
+        ((0, 1, 3), 0.5),
+        ((0, 2, 3), 0.5),
+    ]
+    via_2 = next(e for e in s.cache[3] if e.path == (0, 2, 3))
+    s._admit_route(3, (0, 2, 3), via_2.metrics, 2.5)
+    assert via_2.preference == 1.0
 
 
 def test_reply_extension_increments_hops_and_updates_pheromone():
@@ -307,13 +332,13 @@ def test_send_data_picks_highest_preference():
 
 def test_send_data_tie_breaks_by_age():
     agent = NodeAgent(0, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
-    from anttora.agent import RouteCacheEntry
+    from anttora.agent import Route
     from anttora.aco import PathMetrics
 
     m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
     agent.cache[3] = [
-        RouteCacheEntry((0, 2, 3), m, 0.5, created_at=2.0, expires_at=50.0),
-        RouteCacheEntry((0, 1, 3), m, 0.5, created_at=1.0, expires_at=50.0),
+        Route((0, 2, 3), m, 0.5, created_at=2.0, expires_at=50.0),
+        Route((0, 1, 3), m, 0.5, created_at=1.0, expires_at=50.0),
     ]
     out = agent.send_data(3, 500, seq=0, now=3.0)
     assert out[0].packet.path == (0, 1, 3)
@@ -451,14 +476,14 @@ def test_error_purges_routes_through_originator():
 
 def test_error_purge_keeps_unrelated_routes():
     from anttora.aco import PathMetrics
-    from anttora.agent import RouteCacheEntry
+    from anttora.agent import Route
 
     agent = NodeAgent(0, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
     agent.cache[9] = [
-        RouteCacheEntry((0, 1, 9), m, 0.4, created_at=1.0, expires_at=50.0),
-        RouteCacheEntry((0, 5, 9), m, 0.3, created_at=1.1, expires_at=50.0),
-        RouteCacheEntry((0, 6, 5, 9), m, 0.3, created_at=1.2, expires_at=50.0),
+        Route((0, 1, 9), m, 0.4, created_at=1.0, expires_at=50.0),
+        Route((0, 5, 9), m, 0.3, created_at=1.1, expires_at=50.0),
+        Route((0, 6, 5, 9), m, 0.3, created_at=1.2, expires_at=50.0),
     ]
     agent.on_error(ErrorPacket(source=8, originator=5), 1, 6.0)
     assert [e.path for e in agent.cache[9]] == [(0, 1, 9)] or len(agent.cache[9]) == 1
@@ -528,7 +553,7 @@ def _agent_with_routes_to_9(neighbors):
     """Node 0 linked to ``neighbors``, holding three cached routes and a
     candidate via each of 1 and 2 toward destination 9."""
     from anttora.aco import PathMetrics
-    from anttora.agent import Candidate, RouteCacheEntry
+    from anttora.agent import Route
 
     agent = NodeAgent(0, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     for j in neighbors:
@@ -536,12 +561,12 @@ def _agent_with_routes_to_9(neighbors):
     agent._state_for(9)
     m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
     agent.cache[9] = [
-        RouteCacheEntry(path, m, 0.5, created_at=1.0, expires_at=50.0)
+        Route(path, m, 0.5, created_at=1.0, expires_at=50.0)
         for path in [(0, 1, 9), (0, 2, 1, 9), (0, 2, 9)]
     ]
     agent.candidates[9] = {
-        1: Candidate(1, (0, 1, 9), m, created_at=1.0, expires_at=50.0),
-        2: Candidate(2, (0, 2, 1, 9), m, created_at=1.0, expires_at=50.0),
+        1: Route((0, 1, 9), m, 0.5, created_at=1.0, expires_at=50.0),
+        2: Route((0, 2, 1, 9), m, 0.5, created_at=1.0, expires_at=50.0),
     }
     return agent
 
@@ -560,9 +585,6 @@ def test_a_candidate_table_goes_with_its_last_candidate():
     assert sorted(agent.candidates[9]) == [2]
     agent.evaporation_tick(60.0)  # candidate 2 expired at 50.0
     assert 9 not in agent.candidates
-    # the recompute after the last drop left no preference behind, so the
-    # ticks that no longer visit destination 9 would only have repeated it
-    assert agent.preferences[9] == {}
 
 
 def test_clr_drops_routes_through_any_reset_neighbor_but_candidates_only_via_one():
@@ -586,10 +608,16 @@ def test_clr_drops_routes_through_any_reset_neighbor_but_candidates_only_via_one
 def test_rr_flag_implies_null_height():
     net = warmed(4, [(0, 1), (1, 2), (2, 3)])
     net.discover(0, 3, 1.5)
+    assert all(3 not in a.pending_request for a in net.agents.values())
+    net.discover(0, 9, 2.0)  # no node 9: every node is left waiting
+    waiting = 0
     for agent in net.agents.values():
-        for state in agent.tora.values():
+        for dest, state in agent.tora.items():
             if state.route_required:
+                waiting += 1
                 assert state.own_height.is_null
+                assert agent.pending_request[dest].destination == dest
+    assert waiting == 4
 
 
 def test_cached_paths_are_loop_free_and_admitted():

@@ -1,4 +1,4 @@
-"""Golden traces: every corpus run must reproduce its pinned trace and
+r"""Golden traces: every corpus run must reproduce its pinned trace and
 report bytes exactly, so a refactor cannot silently change behaviour.
 
 The corpus is ``tests/golden/*.json``; ``tests/golden/digests.json`` names
@@ -9,6 +9,15 @@ After a deliberate behaviour change, re-pin with
 
 and name the change in CHANGES.md. The re-pin prints one line per run whose
 digests moved, with its old and new 12-character prefixes.
+
+The same change moves the benchmark's seed-1 trace digests, which CI diffs
+against ``tests/golden/bench_seed1.txt`` (one ``<workload> output scenario
+k: trace_sha256=...`` line per scenario). Re-pin that file with
+
+    for w in mobility-100n mobility-100n-baseline static-churn-40n; do
+      python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 |
+        sed -n "s/^\(output scenario [0-9]*: trace_sha256=[0-9a-f]*\).*/$w \1/p"
+    done > tests/golden/bench_seed1.txt
 """
 
 from __future__ import annotations

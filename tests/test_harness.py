@@ -265,6 +265,14 @@ def test_cli_run_multiple_reps_numbers_traces(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out) == runs[k]["metrics"]
 
 
+def test_cli_run_refuses_zero_reps(tmp_path, capsys):
+    spath = _write_scenario(tmp_path, scenario_dict(2, [(0, 1)]))
+    assert cli_main(["run", spath, "--reps", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "--reps must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_leaves_no_file_open(tmp_path):
     # -X dev reports a file that is never closed as a ResourceWarning, which
     # -W error makes an error; a generator dropped mid-file must close it too

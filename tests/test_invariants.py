@@ -6,7 +6,10 @@ trace-derived metrics in agreement. Small mobility runs must do the same,
 and before every mobility step their adjacency must be symmetric and hold
 exactly the pairs within communication range. Every run must write only
 event lines that the strict decoder accepts, in (timestamp, seq) order, and
-must account for every offered data packet exactly once at its source.
+must account for every offered data packet exactly once at its source,
+and must end with every route-required flag on a NULL height and a
+remembered request for its destination, and no request remembered
+without the flag.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ def test_counters_and_trace_agree(data):
     validate_trace_order(lines)
     assert_ledgers(metrics, sim)
     assert_offered_data_conserved(lines, sim)
+    assert_discovery_state(sim)
 
 
 def assert_ledgers(metrics, sim) -> None:
@@ -100,6 +104,18 @@ def assert_offered_data_conserved(lines, sim) -> None:
             outcomes[pkt.source, pkt.destination, pkt.seq] += 1
     assert all(n == 1 for n in outcomes.values()), outcomes.most_common(1)
     assert len(outcomes) == sim.counters["data_offered"]
+
+
+def assert_discovery_state(sim) -> None:
+    """A node waiting for a route has a NULL height and a request for that
+    destination to re-send when a link comes up, and it keeps a request
+    only while it waits."""
+    for node, agent in sim.agents.items():
+        waiting = {dest for dest, state in agent.tora.items() if state.route_required}
+        assert set(agent.pending_request) == waiting, node
+        for dest in waiting:
+            assert agent.tora[dest].own_height.is_null, (node, dest)
+            assert agent.pending_request[dest].destination == dest, (node, dest)
 
 
 @st.composite
@@ -177,3 +193,4 @@ def test_mobility_adjacency_and_ledgers(data):
     validate_trace_order(lines)
     assert_ledgers(compute_metrics(lines), sim)
     assert_offered_data_conserved(lines, sim)
+    assert_discovery_state(sim)
