@@ -7,6 +7,13 @@ discovery replies, and the route cache holding QoS-admitted source routes
 for flows this node originates. Candidates and cached routes are the same
 record, a ``Route`` that carries its own preference rank.
 
+A reply, an evaporation tick, an expiry, a link failure, an error purge
+and a clear each ask for a ranking through ``_recompute_preferences``.
+Toward a destination with cached routes it ranks at once. Otherwise it
+records the time and the taus, a later request replaces the record, and
+``_best_candidate`` or ``_admit_route`` ranks with them when it next reads
+a rank: ranks are computed when read.
+
 A node enters route-required in one place, ``_await_route``, and leaves it
 in one, ``_adopt_height``. Every reply ant is seeded by
 ``_destination_reply`` or built from a route by ``_reply``, each hop's
@@ -218,6 +225,8 @@ class NodeAgent:
         self.link_activated_at: dict[int, float] = {}
         self.candidates: dict[int, dict[int, Route]] = {}  # dest -> first hop -> route
         self.cache: dict[int, list[Route]] = {}
+        # dest -> (time, taus) of a ranking deferred until a rank is read
+        self.pending_rank: dict[int, tuple[float, dict[int, float]]] = {}
         self.pending_request: dict[int, QryRequestAnt] = {}
         self.initiated: set[int] = set()
         self.last_reply_at: dict[int, float] = {}
@@ -500,6 +509,7 @@ class NodeAgent:
         self._set_height(state, Height.null(self.node), now)
         state.reset_mirrors()
         self.candidates.pop(dest, None)
+        self.pending_rank.pop(dest, None)
         self._drop_routes(dest, now, lambda e: True)
 
     def on_error(self, err: ErrorPacket, sender: int, now: float) -> list[Emission]:
@@ -623,16 +633,40 @@ class NodeAgent:
         return [(j, cand[j]) for j in sorted(cand) if cand[j].expires_at > now]
 
     def _recompute_preferences(self, dest: int, now: float) -> None:
-        """Rank the live candidates toward ``dest`` and copy each rank to
-        the cached routes through the same first hop. With no preferable
-        path every candidate ranks 1.0 and the cache keeps its ranks."""
+        """Rank the candidates toward ``dest`` as of ``now``: at once when
+        the cache holds routes toward it, else when a rank is next read."""
+        if self.cache.get(dest):
+            self.pending_rank.pop(dest, None)
+            self._rank(dest, now, self.pheromone)
+        else:
+            self.pending_rank[dest] = (now, self.pheromone.copy())
+
+    def _apply_pending_rank(self, dest: int) -> None:
+        """Run the ranking deferred toward ``dest``, if one is recorded."""
+        pending = self.pending_rank.pop(dest, None)
+        if pending is not None:
+            self._rank(dest, *pending)
+
+    def _rank(self, dest: int, now: float, pheromone: dict[int, float]) -> None:
+        """Rank the candidates toward ``dest`` live at ``now`` with the taus
+        in ``pheromone``, and copy each rank to the cached routes through
+        the same first hop. With no preferable path every candidate ranks
+        1.0 and the cache keeps its ranks.
+
+        Ranks are computed when read, and a deferred ranking equals the one
+        it replaces: a candidate table changes only where a ranking request
+        follows, a candidate changes only its rank, and only live
+        candidates' ranks are read. A destination with cached routes ranks
+        at once: use refreshes a cached route, so it can outlive its
+        candidate, and it keeps the rank of the last ranking that saw that
+        candidate live, which deferring could skip."""
         live = self._live_candidates(dest, now)
         if not live:
             return
         if self.params.baseline:
             ranked = {j: 1.0 for j, _ in live}
         else:
-            pheromone, initial = self.pheromone, self.params.initial_pheromone
+            initial = self.params.initial_pheromone
             entries = [CandidateEntry(j, pheromone.get(j, initial), c.metrics) for j, c in live]
             try:
                 ranked = dict(path_preference(entries, self.params.preference_weights))
@@ -665,6 +699,7 @@ class NodeAgent:
         if not self.params.baseline and not self.params.qos.admits(metrics):
             self.hooks.log("route_rejected", self.node, now, dest=dest, path=path)
             return []
+        self._apply_pending_rank(dest)
         preference = self.candidates[dest][path[1]].preference
         expires = now + self.params.route_ttl
         entries = self.cache.setdefault(dest, [])
@@ -681,6 +716,7 @@ class NodeAgent:
         return self._flush_queue(dest, now)
 
     def _best_candidate(self, dest: int, now: float) -> Route | None:
+        self._apply_pending_rank(dest)
         live = self._live_candidates(dest, now)
         if not live:
             return None

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from anttora.aco import PreferenceWeights
+from anttora.aco import CandidateEntry, PreferenceWeights, path_preference
 from anttora.agent import (
     NodeAgent,
     NodeEnergy,
@@ -285,6 +285,57 @@ def test_reply_for_unknown_request_not_cached():
     rep = QryReplyAnt(1, PROC, 90.0, 0.01, 1e6, 1, 2, (2,), Height.zero(2))
     a.on_qry_reply(rep, 2, 2.0)
     assert a.cache.get(2, []) == []
+
+
+# ---------------------------------------------------------------------------
+# deferred ranking
+
+
+def _agent_hearing_1_and_2(params=None):
+    """Node 0 linked to neighbours 1 and 2, each heard once."""
+    agent = NodeAgent(0, params or ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
+    for j in (1, 2):
+        agent.link_up(j, 0.0)
+        agent.on_hello(HelloAnt(j, 0.0, 50.0, 0.01, 1000), j, 0.001)
+    return agent
+
+
+def _reply_via(via, dest, delay, source=5):
+    return QryReplyAnt(2, delay, 50.0, 0.01, 1e6, source, dest, (via, dest), Height(0.0, 0, 0, 1, via))
+
+
+def test_a_deferred_ranking_uses_the_pheromone_of_its_trigger():
+    # 9's last ranking sees link 2 ahead; the replies for 8 that raise link 1's
+    # pheromone afterwards trigger rankings toward 8 only
+    agent = _agent_hearing_1_and_2()
+    agent.on_qry_reply(_reply_via(1, 9, 0.02), 1, 0.1)
+    agent.on_qry_reply(_reply_via(2, 9, 0.01), 2, 0.2)
+    for k in range(6):
+        agent.on_qry_reply(_reply_via(1, 8, 0.0006), 1, 0.3 + k / 100)
+    assert agent._best_candidate(9, 0.5).next_hop == 2
+
+
+def test_a_cached_route_keeps_the_rank_of_its_candidates_last_ranking():
+    # the ranking at 0.7 sets the rank of the route via 1; by 1.15 its
+    # candidate has expired, so the next ranking leaves that rank alone
+    agent = _agent_hearing_1_and_2(ProtocolParams(route_ttl=1.0))
+    agent.start_discovery(9, 0.05)
+    agent.on_qry_reply(_reply_via(1, 9, 0.02, source=0), 1, 0.1)
+    agent.on_qry_reply(_reply_via(2, 9, 0.01, source=0), 2, 0.2)
+    assert sorted(e.next_hop for e in agent.cache[9]) == [1, 2]
+    agent.on_qry_reply(_reply_via(1, 8, 0.0006), 1, 0.3)
+    agent.evaporation_tick(0.7)
+    expected = dict(
+        path_preference(
+            [CandidateEntry(j, agent.pheromone[j], agent.candidates[9][j].metrics) for j in (1, 2)],
+            agent.params.preference_weights,
+        )
+    )[1]
+    agent.evaporation_tick(1.15)
+    assert sorted(agent.candidates[9]) == [2]
+    assert agent._select_route(9, 1.15).next_hop == 2
+    via_1 = next(e for e in agent.cache[9] if e.next_hop == 1)
+    assert via_1.preference == expected
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ event lines that the strict decoder accepts, in (timestamp, seq) order, and
 must account for every offered data packet exactly once at its source,
 and must end with every route-required flag on a NULL height and a
 remembered request for its destination, and no request remembered
-without the flag.
+without the flag. Deferring each candidate ranking to its first read must
+give the same trace as ranking at once.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import pathlib
 import tempfile
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from anttora.agent import NodeAgent
 from anttora.engine import Simulation
 from anttora.harness import run_single
 from anttora.metrics import compute_metrics, read_trace, validate_trace_order
@@ -194,3 +197,35 @@ def test_mobility_adjacency_and_ledgers(data):
     assert_ledgers(compute_metrics(lines), sim)
     assert_offered_data_conserved(lines, sim)
     assert_discovery_state(sim)
+
+
+def _rank_at_once(agent, dest, now):
+    agent._rank(dest, now, agent.pheromone)
+
+
+# a 10-node graph with three 6 s flows and two cuts: its relays answer
+# requests while link pheromone moves between rankings
+BUSY_STATIC = scenario_dict(
+    10,
+    [(0, 4), (0, 8), (1, 2), (1, 3), (1, 6), (2, 3), (2, 8), (3, 7),
+     (3, 8), (3, 9), (4, 6), (4, 9), (5, 8), (6, 8), (6, 9), (7, 9)],
+    [flow(9, 0, rate=4.0, start=1.8, stop=7.8),
+     flow(7, 0, rate=4.0, start=1.1, stop=7.1),
+     flow(7, 9, rate=4.0, start=1.3, stop=7.3)],
+    link_failures=[{"time_s": 5.3, "a": 2, "b": 3}, {"time_s": 5.1, "a": 0, "b": 4}],
+    end_time_s=10.0,
+    seed=10,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@example(LOW_ENERGY)
+@example(AT_RANGE)
+@example(BUSY_STATIC)
+@given(st.one_of(static_scenarios(), mobility_scenarios()))
+def test_deferred_ranking_gives_the_trace_of_ranking_at_once(data):
+    deferred = trace_of(Simulation(parse_scenario(data)).run())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NodeAgent, "_recompute_preferences", _rank_at_once)
+        eager = trace_of(Simulation(parse_scenario(data)).run())
+    assert deferred == eager
