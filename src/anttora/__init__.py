@@ -2,7 +2,6 @@
 discrete-event simulator and measurement harness for mobile ad hoc networks."""
 
 from .aco import (
-    CandidateEntry,
     DepositWeights,
     NormalizationBounds,
     PathMetrics,
@@ -50,7 +49,6 @@ from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateEntry",
     "ClrPacket",
     "DataPacket",
     "DepositWeights",

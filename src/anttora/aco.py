@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 NORMAL_FLOOR = 1e-6
 DRAIN_FLOOR = 1e-12  # keeps reciprocal drain finite before any energy is spent
@@ -133,14 +133,6 @@ def normalize(value: float, lo: float, hi: float, floor: float = NORMAL_FLOOR) -
     return floor + (1.0 - floor) * x
 
 
-class CandidateEntry(NamedTuple):
-    """One next-hop option: its link pheromone plus full-path metrics."""
-
-    next_hop: int
-    tau: float
-    metrics: PathMetrics
-
-
 def aggregate_metrics(
     link_delays: Sequence[float],
     node_delays: Sequence[float],
@@ -230,11 +222,12 @@ def evaporate(tau: float, q: float) -> float:
 
 
 def path_preference(
-    candidates: Sequence[CandidateEntry], w: PreferenceWeights
-) -> list[tuple[int, float]]:
-    """Probability of choosing each next hop, proportional to a weighted
-    product of pheromone, inverse delay, inverse hop count, bandwidth,
-    energy, and inverse drain rate (floored at ``DRAIN_FLOOR``).
+    candidates: Sequence[tuple[float, PathMetrics]], w: PreferenceWeights
+) -> list[float]:
+    """Probability of choosing each candidate, given as the pheromone of its
+    first link and its path metrics, in input order: proportional to a
+    weighted product of pheromone, inverse delay, inverse hop count,
+    bandwidth, energy, and inverse drain rate (floored at ``DRAIN_FLOOR``).
 
     Raises if every candidate's product is zero: no path is preferable and
     the caller should rediscover.
@@ -242,12 +235,11 @@ def path_preference(
     if not candidates:
         raise ValueError("need at least one candidate")
     products: list[float] = []
-    for c in candidates:
-        if c.tau <= 0 and w.pheromone != 0:
-            raise ValueError(f"candidate via {c.next_hop} has no pheromone")
-        m = c.metrics
+    for i, (tau, m) in enumerate(candidates):
+        if tau <= 0 and w.pheromone != 0:
+            raise ValueError(f"candidate {i} has no pheromone")
         products.append(
-            c.tau**w.pheromone
+            tau**w.pheromone
             * (1.0 / m.delay) ** w.delay
             * (1.0 / m.hop_count) ** w.hop_count
             * m.bandwidth**w.bandwidth
@@ -257,4 +249,4 @@ def path_preference(
     total = sum(products)
     if total <= 0.0:
         raise ValueError("no preferable path among candidates")
-    return [(c.next_hop, p / total) for c, p in zip(candidates, products)]
+    return [p / total for p in products]

@@ -7,18 +7,22 @@ discovery replies, and the route cache holding QoS-admitted source routes
 for flows this node originates. Candidates and cached routes are the same
 record, a ``Route`` that carries its own preference rank.
 
-A reply, an evaporation tick, an expiry, a link failure, an error purge
-and a clear each ask for a ranking through ``_recompute_preferences``.
-Toward a destination with cached routes it ranks at once. Otherwise it
-records the time and the taus, a later request replaces the record, and
+A candidate's ranking input is the tau of its first hop and its route's
+metrics. A reply, an evaporation tick, an expiry, a link failure, an error
+purge and a clear each ask for a ranking through
+``_recompute_preferences``. Toward a destination with cached routes it
+ranks at once. Otherwise it records the time and the taus of the
+candidates' first hops, a later request replaces the record, and
 ``_best_candidate`` or ``_admit_route`` ranks with them when it next reads
-a rank: ranks are computed when read.
+a rank: ranks are computed when read. Baseline mode never ranks.
 
-A node enters route-required in one place, ``_await_route``, and leaves it
-in one, ``_adopt_height``. Every reply ant is seeded by
-``_destination_reply`` or built from a route by ``_reply``, each hop's
-metrics are folded by ``_extend_metrics``, and every reply leaves through
-``_send_reply``.
+A node is route-required toward a destination exactly while it holds a
+request for it in ``pending_request``. It takes one up in one place,
+``_await_route``, and drops it in one, ``_adopt_height``. A reply whose
+source is this node answers a discovery this node started. Every reply ant
+is seeded by ``_destination_reply`` or built from a route by ``_reply``,
+each hop's metrics are folded by ``_extend_metrics``, and every reply
+leaves through ``_send_reply``.
 
 Every received packet, data included, reaches the agent through the
 handler its ``PacketKind`` names, as ``handler(packet, sender, now)``.
@@ -37,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from .aco import (
-    CandidateEntry,
     DepositWeights,
     NormalizationBounds,
     PathMetrics,
@@ -225,10 +228,10 @@ class NodeAgent:
         self.link_activated_at: dict[int, float] = {}
         self.candidates: dict[int, dict[int, Route]] = {}  # dest -> first hop -> route
         self.cache: dict[int, list[Route]] = {}
-        # dest -> (time, taus) of a ranking deferred until a rank is read
+        # dest -> (time, first hop -> tau) of a ranking deferred until a rank is read
         self.pending_rank: dict[int, tuple[float, dict[int, float]]] = {}
+        # dest -> the request this node waits on: it is route-required toward dest
         self.pending_request: dict[int, QryRequestAnt] = {}
-        self.initiated: set[int] = set()
         self.last_reply_at: dict[int, float] = {}
         self.seen_errors: dict[tuple[int, int], float] = {}
         self.fwd_history: dict[int, set[tuple[int, int]]] = {}
@@ -265,13 +268,8 @@ class NodeAgent:
         self.pheromone.setdefault(neighbor, self.params.initial_pheromone)
         for state in self.tora.values():
             state.add_link(neighbor)
-        emissions: list[Emission] = []
         # an outstanding discovery gets another chance over the new link
-        for dest in sorted(self.tora):
-            state = self.tora[dest]
-            if state.route_required:
-                emissions.append(Emission(self.pending_request[dest]))
-        return emissions
+        return [Emission(self.pending_request[dest]) for dest in sorted(self.pending_request)]
 
     def on_link_failure(self, failed: int, now: float) -> list[Emission]:
         if failed not in self.link_activated_at and failed not in self.neighbors:
@@ -355,7 +353,6 @@ class NodeAgent:
     # -- route discovery -----------------------------------------------------
 
     def start_discovery(self, dest: int, now: float) -> list[Emission]:
-        self.initiated.add(dest)
         req = QryRequestAnt(
             request_start_time=now,
             source=self.node,
@@ -383,7 +380,7 @@ class NodeAgent:
                 return []
             state = self._state_for(dest)
             if not has_downstream(state):
-                if state.route_required:
+                if dest in self.pending_request:
                     return []
                 fwd = dataclasses.replace(req, visited=req.visited + (self.node,))
                 return self._await_route(state, fwd, now)
@@ -440,7 +437,7 @@ class NodeAgent:
             self._recompute_preferences(dest, now)
 
         emissions: list[Emission] = []
-        if state.route_required and state.concrete_mirrors():
+        if dest in self.pending_request and state.concrete_mirrors():
             self._adopt_height(state, now)
             # the source consumes the reply without republishing it: its
             # reverse-path stack is empty, and advertising the source
@@ -450,25 +447,25 @@ class NodeAgent:
                 reply = self._reply(rep.source, dest, extended, path, state.own_height)
                 emissions.extend(self._send_reply(reply, now))
 
-        if rep.source == self.node and extended is not None and dest in self.initiated:
+        # every request starts in start_discovery and every reply copies the
+        # source of the request it answers, so this node started this discovery
+        if rep.source == self.node and extended is not None:
             emissions.extend(self._admit_route(dest, path, extended, now))
         return emissions
 
     def _await_route(self, state: NodeToraState, req: QryRequestAnt, now: float) -> list[Emission]:
         """Enter route-required toward ``state.destination``: NULL height,
-        the flag set, and ``req`` remembered (``link_up`` re-sends it) and
-        flooded. The only place the flag is set."""
+        and ``req`` held (``link_up`` re-sends it) and flooded. The only
+        place a request is held."""
         self._set_height(state, Height.null(self.node), now)
-        state.route_required = True
         self.pending_request[state.destination] = req
         return [Emission(req)]
 
     def _adopt_height(self, state: NodeToraState, now: float) -> None:
         """Join the DAG just above the lowest concrete neighbor, leaving
-        route-required and forgetting its request. The only place the flag
-        is cleared."""
+        route-required by dropping the held request. The only place a
+        request is dropped."""
         self._set_height(state, new_height_on_reply(state.concrete_mirrors(), self.node), now)
-        state.route_required = False
         self.pending_request.pop(state.destination, None)
 
     # -- route maintenance -----------------------------------------------------
@@ -590,8 +587,7 @@ class NodeAgent:
     def _rediscover(self, dest: int, now: float) -> list[Emission]:
         """Start a discovery toward ``dest`` unless a live route exists or
         one is already running."""
-        running = dest in self.tora and self.tora[dest].route_required
-        if running or self._select_route(dest, now) is not None:
+        if dest in self.pending_request or self._select_route(dest, now) is not None:
             return []
         return self.start_discovery(dest, now)
 
@@ -634,12 +630,18 @@ class NodeAgent:
 
     def _recompute_preferences(self, dest: int, now: float) -> None:
         """Rank the candidates toward ``dest`` as of ``now``: at once when
-        the cache holds routes toward it, else when a rank is next read."""
+        the cache holds routes toward it, else when a rank is next read,
+        with the taus their first hops have now. Baseline ranks stay at the
+        1.0 every candidate is created with."""
+        if self.params.baseline:
+            return
         if self.cache.get(dest):
             self.pending_rank.pop(dest, None)
             self._rank(dest, now, self.pheromone)
         else:
-            self.pending_rank[dest] = (now, self.pheromone.copy())
+            taus = self.pheromone
+            hops = self.candidates.get(dest, ())
+            self.pending_rank[dest] = (now, {j: taus[j] for j in hops if j in taus})
 
     def _apply_pending_rank(self, dest: int) -> None:
         """Run the ranking deferred toward ``dest``, if one is recorded."""
@@ -647,15 +649,16 @@ class NodeAgent:
         if pending is not None:
             self._rank(dest, *pending)
 
-    def _rank(self, dest: int, now: float, pheromone: dict[int, float]) -> None:
-        """Rank the candidates toward ``dest`` live at ``now`` with the taus
-        in ``pheromone``, and copy each rank to the cached routes through
-        the same first hop. With no preferable path every candidate ranks
-        1.0 and the cache keeps its ranks.
+    def _rank(self, dest: int, now: float, taus: dict[int, float]) -> None:
+        """Rank the candidates toward ``dest`` live at ``now`` with their
+        first hops' taus in ``taus``, and copy each rank to the cached
+        routes through the same first hop. With no preferable path every
+        candidate ranks 1.0 and the cache keeps its ranks.
 
         Ranks are computed when read, and a deferred ranking equals the one
         it replaces: a candidate table changes only where a ranking request
-        follows, a candidate changes only its rank, and only live
+        follows, so the first hops whose taus it recorded are those it
+        reads, a candidate changes only its rank, and only live
         candidates' ranks are read. A destination with cached routes ranks
         at once: use refreshes a cached route, so it can outlive its
         candidate, and it keeps the rank of the last ranking that saw that
@@ -663,17 +666,17 @@ class NodeAgent:
         live = self._live_candidates(dest, now)
         if not live:
             return
-        if self.params.baseline:
-            ranked = {j: 1.0 for j, _ in live}
-        else:
-            initial = self.params.initial_pheromone
-            entries = [CandidateEntry(j, pheromone.get(j, initial), c.metrics) for j, c in live]
-            try:
-                ranked = dict(path_preference(entries, self.params.preference_weights))
-            except ValueError:
-                for _, c in live:
-                    c.preference = 1.0
-                return
+        initial = self.params.initial_pheromone
+        try:
+            ranks = path_preference(
+                [(taus.get(j, initial), c.metrics) for j, c in live],
+                self.params.preference_weights,
+            )
+        except ValueError:
+            for _, c in live:
+                c.preference = 1.0
+            return
+        ranked = {j: p for (j, _), p in zip(live, ranks)}
         for j, c in live:
             c.preference = ranked[j]
         for e in self.cache.get(dest, []):

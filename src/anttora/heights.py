@@ -128,12 +128,13 @@ def classify_link(own: Height, neighbor: Height) -> Direction:
 class NodeToraState:
     """One node's routing state toward one destination. ``links`` maps each
     neighbor to the last height heard from it; a link's direction is derived
-    from that mirror and ``own_height`` where it is read."""
+    from that mirror and ``own_height`` where it is read. Whether the node
+    waits on a route request is not kept here: the agent's held request is
+    that record."""
 
     node: int
     destination: int
     links: dict[int, Height] = field(default_factory=dict)
-    route_required: bool = False
     own_height: Height = field(init=False)
 
     def __post_init__(self) -> None:

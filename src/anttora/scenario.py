@@ -221,7 +221,9 @@ def _parse_topology(ctx: _Ctx, data: dict, node_count: int) -> TopologySpec:
         raw = []
     seen = set()
     for i, edge in enumerate(raw):
-        if not isinstance(edge, list) or len(edge) != 2 or not all(isinstance(v, int) for v in edge):
+        if not isinstance(edge, list) or len(edge) != 2 or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in edge
+        ):
             ctx.fail(f"topology.adjacency[{i}]", f"expected [a, b] node ids, got {edge!r}")
             continue
         a, b = edge

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from anttora.aco import (
-    CandidateEntry,
     PathMetrics,
     PreferenceWeights,
     evaporate,
@@ -125,10 +124,9 @@ def test_criterion_2_probability_normalization():
     for _ in range(10_000):
         k = rng.randint(1, 6)
         cands = [
-            CandidateEntry(
-                next_hop=j,
-                tau=rng.uniform(0.01, 5.0),
-                metrics=PathMetrics(
+            (
+                rng.uniform(0.01, 5.0),
+                PathMetrics(
                     delay=rng.uniform(1e-3, 0.5),
                     bandwidth=rng.uniform(1e4, 1e7),
                     energy=rng.uniform(0.5, 99.0),
@@ -136,21 +134,22 @@ def test_criterion_2_probability_normalization():
                     hop_count=rng.randint(2, 12),
                 ),
             )
-            for j in range(k)
+            for _ in range(k)
         ]
         got = path_preference(cands, w)
-        assert abs(sum(p for _, p in got) - 1.0) < 1e-9
+        assert abs(sum(got) - 1.0) < 1e-9
         products = [
-            c.tau ** w.pheromone
-            * (1 / c.metrics.delay) ** w.delay
-            * (1 / c.metrics.hop_count) ** w.hop_count
-            * c.metrics.bandwidth ** w.bandwidth
-            * c.metrics.energy ** w.energy
-            * (1 / c.metrics.drain_rate) ** w.drain_rate
-            for c in cands
+            tau ** w.pheromone
+            * (1 / m.delay) ** w.delay
+            * (1 / m.hop_count) ** w.hop_count
+            * m.bandwidth ** w.bandwidth
+            * m.energy ** w.energy
+            * (1 / m.drain_rate) ** w.drain_rate
+            for tau, m in cands
         ]
         total = sum(products)
-        for (_, p), q in zip(got, products):
+        assert len(got) == k
+        for p, q in zip(got, products):
             assert abs(p - q / total) < 1e-12
     _passline(2, "probability normalization")
 

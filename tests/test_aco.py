@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from anttora.aco import (
     DRAIN_FLOOR,
-    CandidateEntry,
     DepositWeights,
     NormalizationBounds,
     PathMetrics,
@@ -218,27 +217,25 @@ def test_pheromone_bounded_under_random_schedules():
 # path preference
 
 
-def _entry(next_hop, tau, delay=0.01, bw=1e6, energy=10.0, drain=0.1, hops=3):
-    return CandidateEntry(next_hop, tau, PathMetrics(delay, bw, energy, drain, hops))
+def _entry(tau, delay=0.01, bw=1e6, energy=10.0, drain=0.1, hops=3):
+    return tau, PathMetrics(delay, bw, energy, drain, hops)
 
 
 def test_single_candidate_gets_probability_one():
-    out = path_preference([_entry(4, 0.5)], PreferenceWeights())
-    assert out == [(4, 1.0)]
+    out = path_preference([_entry(0.5)], PreferenceWeights())
+    assert out == [1.0]
 
 
 def test_identical_candidates_split_evenly():
-    out = path_preference([_entry(1, 0.5), _entry(2, 0.5)], PreferenceWeights())
-    assert out[0][1] == pytest.approx(0.5, abs=1e-12)
-    assert out[1][1] == pytest.approx(0.5, abs=1e-12)
+    out = path_preference([_entry(0.5), _entry(0.5)], PreferenceWeights())
+    assert out == pytest.approx([0.5, 0.5], abs=1e-12)
 
 
 def _preference_oracle(cands, w):
     prods = []
-    for c in cands:
-        m = c.metrics
+    for tau, m in cands:
         prods.append(
-            c.tau ** w.pheromone * (1 / m.delay) ** w.delay
+            tau ** w.pheromone * (1 / m.delay) ** w.delay
             * (1 / m.hop_count) ** w.hop_count * m.bandwidth ** w.bandwidth
             * m.energy ** w.energy * (1 / m.drain_rate) ** w.drain_rate
         )
@@ -251,14 +248,14 @@ def test_preference_matches_product_normalize_oracle():
     w = PreferenceWeights()
     for _ in range(200):
         cands = [
-            _entry(j, rng.uniform(0.1, 5.0), delay=rng.uniform(1e-3, 0.5),
+            _entry(rng.uniform(0.1, 5.0), delay=rng.uniform(1e-3, 0.5),
                    bw=rng.uniform(1e4, 1e7), energy=rng.uniform(0.5, 90.0),
                    drain=rng.uniform(1e-3, 0.9), hops=rng.randint(2, 10))
-            for j in range(3)
+            for _ in range(3)
         ]
         got = path_preference(cands, w)
         want = _preference_oracle(cands, w)
-        for (_, p), q in zip(got, want):
+        for p, q in zip(got, want):
             assert abs(p - q) < 1e-12
 
 
@@ -268,55 +265,56 @@ def test_preference_matches_product_normalize_oracle():
 ), min_size=1, max_size=8))
 def test_preference_is_probability_distribution(raw):
     cands = [
-        _entry(j, tau, delay=d, bw=b, energy=e, drain=dr, hops=h)
-        for j, (tau, d, b, e, dr, h) in enumerate(raw)
+        _entry(tau, delay=d, bw=b, energy=e, drain=dr, hops=h)
+        for tau, d, b, e, dr, h in raw
     ]
     out = path_preference(cands, PreferenceWeights())
-    assert all(p >= 0 for _, p in out)
-    assert abs(sum(p for _, p in out) - 1.0) < 1e-9
+    assert len(out) == len(cands)
+    assert all(p >= 0 for p in out)
+    assert abs(sum(out) - 1.0) < 1e-9
 
 
 def test_preference_invariant_under_common_tau_scaling():
     rng = random.Random(4)
-    cands = [_entry(j, rng.uniform(0.2, 2.0), delay=rng.uniform(1e-3, 0.1)) for j in range(4)]
+    cands = [_entry(rng.uniform(0.2, 2.0), delay=rng.uniform(1e-3, 0.1)) for _ in range(4)]
     before = path_preference(cands, PreferenceWeights())
-    scaled = [CandidateEntry(c.next_hop, c.tau * 37.5, c.metrics) for c in cands]
+    scaled = [(tau * 37.5, m) for tau, m in cands]
     after = path_preference(scaled, PreferenceWeights())
-    for (_, p), (_, q) in zip(before, after):
+    for p, q in zip(before, after):
         assert abs(p - q) < 1e-12
 
 
 def test_preference_ordering_matches_products():
-    cands = [_entry(1, 2.0, delay=0.01), _entry(2, 0.1, delay=0.5)]
-    out = dict(path_preference(cands, PreferenceWeights()))
-    assert out[1] > out[2]
+    # probabilities come back in input order
+    cands = [_entry(2.0, delay=0.01), _entry(0.1, delay=0.5)]
+    assert path_preference(cands, PreferenceWeights())[0] > 0.5
+    assert path_preference(cands[::-1], PreferenceWeights())[1] > 0.5
 
 
 def test_zero_drain_rate_is_floored_not_rejected():
     # a path over nodes that have spent nothing yet reports drain rate 0
-    cands = [_entry(1, 0.5, drain=0.0), _entry(2, 0.8, drain=0.0, delay=0.02), _entry(3, 1.0)]
+    cands = [_entry(0.5, drain=0.0), _entry(0.8, drain=0.0, delay=0.02), _entry(1.0)]
     got = path_preference(cands, PreferenceWeights())
     floored = [
-        CandidateEntry(c.next_hop, c.tau, dataclasses.replace(
-            c.metrics, drain_rate=max(c.metrics.drain_rate, DRAIN_FLOOR)))
-        for c in cands
+        (tau, dataclasses.replace(m, drain_rate=max(m.drain_rate, DRAIN_FLOOR)))
+        for tau, m in cands
     ]
     want = _preference_oracle(floored, PreferenceWeights())
-    assert all(math.isfinite(p) for _, p in got)
-    assert [p for _, p in got] == want
+    assert all(math.isfinite(p) for p in got)
+    assert got == want
 
 
 def test_preference_rejects_empty_and_all_zero():
     with pytest.raises(ValueError):
         path_preference([], PreferenceWeights())
-    dead = [_entry(1, 1.0, energy=0.0), _entry(2, 1.0, energy=0.0)]
+    dead = [_entry(1.0, energy=0.0), _entry(1.0, energy=0.0)]
     with pytest.raises(ValueError):
         path_preference(dead, PreferenceWeights())
 
 
 def test_preference_rejects_zero_tau_with_pheromone_weight():
     with pytest.raises(ValueError):
-        path_preference([_entry(1, 0.0)], PreferenceWeights())
+        path_preference([_entry(0.0)], PreferenceWeights())
 
 
 # ---------------------------------------------------------------------------

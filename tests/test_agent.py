@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from anttora.aco import CandidateEntry, PreferenceWeights, path_preference
+from anttora.aco import PreferenceWeights, path_preference
 from anttora.agent import (
     NodeAgent,
     NodeEnergy,
@@ -159,7 +159,7 @@ def test_fresh_node_sets_rr_and_rebroadcasts():
     fwd = out[0].packet
     assert isinstance(fwd, QryRequestAnt)
     assert fwd.visited == (0, 1)
-    assert a.tora[9].route_required
+    assert 9 in a.pending_request
     assert a.tora[9].own_height.is_null
     # second copy is discarded
     assert a.on_qry_request(req, 0, 1.6) == []
@@ -222,7 +222,7 @@ def test_line_topology_discovery_hand_trace():
     entry = s.cache[3][0]
     assert entry.path == (0, 1, 2, 3)
     assert entry.metrics.hop_count == 4
-    assert not s.tora[3].route_required
+    assert 3 not in s.pending_request
     assert s.tora[3].own_height == Height(0.0, 0, 0, 3, 0)
 
 
@@ -278,15 +278,6 @@ def test_rr_unset_reply_updates_links_without_relay():
     assert 2 in a.candidates[2]
 
 
-def test_reply_for_unknown_request_not_cached():
-    net = warmed(3, [(0, 1), (1, 2)])
-    a = net.agents[1]
-    # a reply claiming node 1 is the source, but node 1 never initiated
-    rep = QryReplyAnt(1, PROC, 90.0, 0.01, 1e6, 1, 2, (2,), Height.zero(2))
-    a.on_qry_reply(rep, 2, 2.0)
-    assert a.cache.get(2, []) == []
-
-
 # ---------------------------------------------------------------------------
 # deferred ranking
 
@@ -325,12 +316,10 @@ def test_a_cached_route_keeps_the_rank_of_its_candidates_last_ranking():
     assert sorted(e.next_hop for e in agent.cache[9]) == [1, 2]
     agent.on_qry_reply(_reply_via(1, 8, 0.0006), 1, 0.3)
     agent.evaporation_tick(0.7)
-    expected = dict(
-        path_preference(
-            [CandidateEntry(j, agent.pheromone[j], agent.candidates[9][j].metrics) for j in (1, 2)],
-            agent.params.preference_weights,
-        )
-    )[1]
+    expected = path_preference(
+        [(agent.pheromone[j], agent.candidates[9][j].metrics) for j in (1, 2)],
+        agent.params.preference_weights,
+    )[0]
     agent.evaporation_tick(1.15)
     assert sorted(agent.candidates[9]) == [2]
     assert agent._select_route(9, 1.15).next_hop == 2
@@ -425,7 +414,7 @@ def test_link_failure_rediscovers_only_for_queued_data(queued, requests):
     else:
         net.discover(0, 2, 1.5)
     assert bool(s.data_queue.get(2)) == queued
-    assert not s.tora[2].route_required
+    assert 2 not in s.pending_request
     out = s.on_link_failure(1, 5.0)
     assert sum(isinstance(em.packet, QryRequestAnt) for em in out) == requests
 
@@ -663,11 +652,10 @@ def test_rr_flag_implies_null_height():
     net.discover(0, 9, 2.0)  # no node 9: every node is left waiting
     waiting = 0
     for agent in net.agents.values():
-        for dest, state in agent.tora.items():
-            if state.route_required:
-                waiting += 1
-                assert state.own_height.is_null
-                assert agent.pending_request[dest].destination == dest
+        for dest, req in agent.pending_request.items():
+            waiting += 1
+            assert agent.tora[dest].own_height.is_null
+            assert req.destination == dest
     assert waiting == 4
 
 
@@ -707,23 +695,23 @@ def test_drain_rate_matches_ewma_closed_form():
 
 def test_reply_handler_totality_for_rr_options():
     """Reply receipt lands in exactly one outcome per (rr, is_source) pair:
-    adopters relay once, everyone else only refreshes link state."""
+    adopters relay once, everyone else only refreshes link state. A node is
+    route-required while it holds a request; its own request is the one it
+    started, a relay's is the source's request with itself appended."""
     for rr in (False, True):
         for is_source in (False, True):
             net = warmed(3, [(0, 1), (1, 2)])
             a = net.agents[1]
             state = a._state_for(9)
-            state.route_required = rr
-            if rr:
-                a.pending_request[9] = QryRequestAnt(1.4, 0, 9, (0, 1))
-            if is_source:
-                a.initiated.add(9)
             source = 1 if is_source else 0
+            if rr:
+                visited = (1,) if is_source else (0, 1)
+                a.pending_request[9] = QryRequestAnt(1.4, source, 9, visited)
             rep = QryReplyAnt(2, 0.004, 90.0, 0.01, 2.5e5, source, 9, (2, 9), Height(0.0, 0, 0, 1, 2))
             out = a.on_qry_reply(rep, 2, 2.0)
             assert state.links[2] == Height(0.0, 0, 0, 1, 2)
             if rr:
-                assert not state.route_required
+                assert 9 not in a.pending_request
                 assert not state.own_height.is_null
             relayed = [e for e in out if isinstance(e.packet, QryReplyAnt)]
             if rr and not is_source:
@@ -776,8 +764,9 @@ def test_handler_totality_for_request_options():
                     state.set_mirror(2, Height(0.0, 0, 0, 0, 2))
                 if not null_height:
                     state.set_own_height(Height(1.0, 1, 0, 0, 1))
-                state.route_required = rr and null_height  # rr implies null
-                rr_before = state.route_required
+                rr_before = rr and null_height  # rr implies null
+                if rr_before:
+                    a.pending_request[9] = QryRequestAnt(1.4, 0, 9, (0, 1))
                 req = QryRequestAnt(1.5, 0, 9, (0,))
                 out = a.on_qry_request(req, 0, 1.5)
                 if not downstream and not rr_before:

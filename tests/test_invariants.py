@@ -7,10 +7,11 @@ and before every mobility step their adjacency must be symmetric and hold
 exactly the pairs within communication range. Every run must write only
 event lines that the strict decoder accepts, in (timestamp, seq) order, and
 must account for every offered data packet exactly once at its source,
-and must end with every route-required flag on a NULL height and a
-remembered request for its destination, and no request remembered
-without the flag. Deferring each candidate ranking to its first read must
-give the same trace as ranking at once.
+must deliver a reply to its source only after that source sent a request
+toward the reply's destination, and must end with every held request on
+a NULL height and for its own destination. Deferring each candidate
+ranking to its first read must give the same trace as ranking at once,
+also on larger static graphs with several long flows.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import tempfile
 from collections import Counter
 
@@ -30,7 +32,7 @@ from anttora.agent import NodeAgent
 from anttora.engine import Simulation
 from anttora.harness import run_single
 from anttora.metrics import compute_metrics, read_trace, validate_trace_order
-from anttora.packets import DataPacket, decode_trace_record
+from anttora.packets import DataPacket, QryReplyAnt, QryRequestAnt, decode_trace_record
 from anttora.scenario import parse_scenario
 
 from conftest import flow, scenario_dict, trace_of
@@ -79,6 +81,7 @@ def test_counters_and_trace_agree(data):
     validate_trace_order(lines)
     assert_ledgers(metrics, sim)
     assert_offered_data_conserved(lines, sim)
+    assert_replies_follow_own_requests(lines)
     assert_discovery_state(sim)
 
 
@@ -109,16 +112,32 @@ def assert_offered_data_conserved(lines, sim) -> None:
     assert len(outcomes) == sim.counters["data_offered"]
 
 
+def assert_replies_follow_own_requests(lines) -> None:
+    """A reply received at its own source node comes after that node sent a
+    request of its own toward the same destination: the source admits such
+    a reply as the answer to a discovery it started."""
+    asked = set()
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        rec = decode_trace_record(line)
+        pkt = rec.packet
+        if rec.node != getattr(pkt, "source", None):
+            continue
+        if isinstance(pkt, QryRequestAnt) and rec.event == "snd":
+            asked.add((pkt.source, pkt.destination))
+        elif isinstance(pkt, QryReplyAnt) and rec.event == "rcv":
+            assert (pkt.source, pkt.destination) in asked, line
+
+
 def assert_discovery_state(sim) -> None:
-    """A node waiting for a route has a NULL height and a request for that
-    destination to re-send when a link comes up, and it keeps a request
-    only while it waits."""
+    """A node waiting for a route, which is a node holding a request, has a
+    NULL height and holds the request for that destination, to re-send
+    when a link comes up."""
     for node, agent in sim.agents.items():
-        waiting = {dest for dest, state in agent.tora.items() if state.route_required}
-        assert set(agent.pending_request) == waiting, node
-        for dest in waiting:
+        for dest, req in agent.pending_request.items():
             assert agent.tora[dest].own_height.is_null, (node, dest)
-            assert agent.pending_request[dest].destination == dest, (node, dest)
+            assert req.destination == dest, (node, dest)
 
 
 @st.composite
@@ -196,11 +215,43 @@ def test_mobility_adjacency_and_ledgers(data):
     validate_trace_order(lines)
     assert_ledgers(compute_metrics(lines), sim)
     assert_offered_data_conserved(lines, sim)
+    assert_replies_follow_own_requests(lines)
     assert_discovery_state(sim)
 
 
 def _rank_at_once(agent, dest, now):
     agent._rank(dest, now, agent.pheromone)
+
+
+def busy_static_scenario(seed: int) -> dict:
+    """A static graph large enough that relays answer requests while link
+    pheromone moves between rankings: 8 to 12 nodes with two to three links
+    per node, three flows of 5 or 6 s starting 1 to 2 s in, two of them to
+    one destination, and up to two cuts. Each evaporation tick re-ranks
+    every destination, so a 4 s period leaves a deferred ranking time to
+    meet a deposit before it is read. Hypothesis's own list and integer
+    draws favour repeated flows and sparse graphs, so the generator picks
+    every choice uniformly from one drawn seed."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 12)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = rng.sample(pairs, rng.randint(2 * n, 3 * n))
+    cuts = [(rng.choice(edges), rng.randint(30, 70) / 10) for _ in range(rng.randint(0, 2))]
+    flows = []
+    shared, other = rng.sample(range(n), 2)
+    for dst in (shared, shared, other):
+        src = rng.choice([j for j in range(n) if j != dst])
+        start = rng.randint(10, 20) / 10
+        flows.append(flow(src, dst, rate=4.0, start=start, stop=start + rng.randint(5, 6)))
+    return scenario_dict(
+        n,
+        edges,
+        flows,
+        link_failures=[{"time_s": t, "a": a, "b": b} for (a, b), t in cuts],
+        aco={"evaporation_period_s": 4.0},
+        end_time_s=10.0,
+        seed=rng.randint(0, 2**16),
+    )
 
 
 # a 10-node graph with three 6 s flows and two cuts: its relays answer
@@ -218,14 +269,27 @@ BUSY_STATIC = scenario_dict(
 )
 
 
+def assert_deferred_ranking_gives_the_trace_of_ranking_at_once(data) -> None:
+    deferred = trace_of(Simulation(parse_scenario(data)).run())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NodeAgent, "_recompute_preferences", _rank_at_once)
+        eager = trace_of(Simulation(parse_scenario(data)).run())
+    assert deferred == eager
+
+
 @settings(deadline=None, max_examples=60)
 @example(LOW_ENERGY)
 @example(AT_RANGE)
 @example(BUSY_STATIC)
 @given(st.one_of(static_scenarios(), mobility_scenarios()))
 def test_deferred_ranking_gives_the_trace_of_ranking_at_once(data):
-    deferred = trace_of(Simulation(parse_scenario(data)).run())
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(NodeAgent, "_recompute_preferences", _rank_at_once)
-        eager = trace_of(Simulation(parse_scenario(data)).run())
-    assert deferred == eager
+    assert_deferred_ranking_gives_the_trace_of_ranking_at_once(data)
+
+
+# a deferred ranking that read the taus at read time changes the trace of
+# about one busy graph in six and of almost no small one, so busy graphs
+# get their own draws
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1).map(busy_static_scenario))
+def test_deferred_ranking_holds_on_busy_static_graphs(data):
+    assert_deferred_ranking_gives_the_trace_of_ranking_at_once(data)

@@ -87,13 +87,15 @@ def test_flow_endpoints_must_be_distinct_and_in_range():
 
 def test_adjacency_validation():
     data = minimal()
-    data["topology"]["adjacency"] = [[0, 0], [0, 5], [0, 1], [1, 0]]
+    data["topology"]["adjacency"] = [[0, 0], [0, 5], [0, 1], [1, 0], [True, False]]
     with pytest.raises(ScenarioError) as err:
         parse_scenario(data)
     msgs = "\n".join(err.value.problems)
     assert "self loops" in msgs
     assert "out of range" in msgs
     assert "duplicate link" in msgs
+    # JSON booleans are not node ids, though Python counts them as ints
+    assert "adjacency[4]: expected [a, b] node ids" in msgs
 
 
 def test_mode_and_failure_validation():
