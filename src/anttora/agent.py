@@ -493,21 +493,24 @@ class NodeAgent:
         if outcome.case is MaintenanceCase.DETECT_PARTITION:
             level = state.concrete_mirrors()[0].level
             self.hooks.log("partition_detected", self.node, now, dest=dest, level=level)
-            self._erase_state(state, now)
-            return [Emission(ClrPacket(destination=dest, reference_level=level))]
+            return self._erase_state(state, level, now)
         self._set_height(state, outcome.new_height, now)
         if outcome.new_height.is_null:
             return []
         return [Emission(UpdPacket(destination=dest, height=state.own_height))]
 
-    def _erase_state(self, state: NodeToraState, now: float) -> None:
-        """Local route erasure run by the node that detected the partition."""
+    def _erase_state(self, state: NodeToraState, level: tuple, now: float) -> list[Emission]:
+        """The one route erasure toward ``state.destination``, run by the
+        partition detector and by each node a clear for its own ``level``
+        reaches; returns that clear. Every candidate's and cached route's
+        first hop is a current link, so all of them go."""
         dest = state.destination
         self._set_height(state, Height.null(self.node), now)
         state.reset_mirrors()
         self.candidates.pop(dest, None)
         self.pending_rank.pop(dest, None)
         self._drop_routes(dest, now, lambda e: True)
+        return [Emission(ClrPacket(destination=dest, reference_level=level))]
 
     def on_error(self, err: ErrorPacket, sender: int, now: float) -> list[Emission]:
         key = (err.source, err.originator)
@@ -529,14 +532,14 @@ class NodeAgent:
 
     def on_clr(self, clr: ClrPacket, sender: int, now: float) -> list[Emission]:
         state = self._state_for(clr.destination)
-        rebroadcast, affected = apply_clr(state, clr.reference_level)
+        erase, affected = apply_clr(state, clr.reference_level)
+        if erase:
+            return self._erase_state(state, clr.reference_level, now)
         if affected:
             dest, reset = clr.destination, set(affected)
             self._drop_candidates(dest, lambda c: c.next_hop in reset)
             self._drop_routes(dest, now, lambda e: not reset.isdisjoint(e.path[1:]))
             self._recompute_preferences(dest, now)
-        if rebroadcast:
-            return [Emission(clr)]
         return []
 
     # -- data plane ---------------------------------------------------------
@@ -631,17 +634,17 @@ class NodeAgent:
     def _recompute_preferences(self, dest: int, now: float) -> None:
         """Rank the candidates toward ``dest`` as of ``now``: at once when
         the cache holds routes toward it, else when a rank is next read,
-        with the taus their first hops have now. Baseline ranks stay at the
-        1.0 every candidate is created with."""
+        with the taus their first hops have now; with none left, never.
+        Baseline ranks stay at the 1.0 every candidate is created with."""
         if self.params.baseline:
             return
-        if self.cache.get(dest):
+        hops = self.candidates.get(dest)
+        if hops and not self.cache.get(dest):
+            taus = self.pheromone
+            self.pending_rank[dest] = (now, {j: taus[j] for j in hops if j in taus})
+        else:
             self.pending_rank.pop(dest, None)
             self._rank(dest, now, self.pheromone)
-        else:
-            taus = self.pheromone
-            hops = self.candidates.get(dest, ())
-            self.pending_rank[dest] = (now, {j: taus[j] for j in hops if j in taus})
 
     def _apply_pending_rank(self, dest: int) -> None:
         """Run the ranking deferred toward ``dest``, if one is recorded."""

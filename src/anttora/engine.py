@@ -229,9 +229,7 @@ class Simulation:
     def deliver(self, packet: Packet, frm: int, to: int, now: float) -> None:
         """Schedule a point-to-point delivery; drops if the link is down."""
         if not self._link_up(frm, to):
-            self.counters["frames_dropped"] += 1
-            self.counters["drop_link_down_at_send"] += 1
-            self._trace("drp", to, packet, now)
+            self._drop_frame("drop_link_down_at_send", to, packet, now)
             return
         bits = self._bits_of(packet)
         capacity, propagation = self.scenario.links.params(frm, to)
@@ -241,22 +239,27 @@ class Simulation:
         # a frame sent in reaction to a link failure carries the failure's id
         self.schedule(arrival, self._on_delivery, packet, frm, to, self.current_failure)
 
+    def _drop_frame(self, reason: str, node: int, packet: Packet | None, now: float) -> None:
+        """The only writer of ``frames_dropped`` and the drop-reason counters;
+        writes the lost frame's ``drp`` line at ``node`` unless ``packet`` is
+        None, as for a frame still in the air when the run ends."""
+        self.counters["frames_dropped"] += 1
+        self.counters[reason] += 1
+        if packet is not None:
+            self._trace("drp", node, packet, now)
+
     # -- event handlers -----------------------------------------------------------
 
     def _on_delivery(self, packet: Packet, frm: int, to: int, cause: int | None) -> None:
         now = self.now
         self.current_failure = cause
         if not self._link_up(frm, to):
-            self.counters["frames_dropped"] += 1
-            self.counters["drop_cancelled_in_flight"] += 1
-            self._trace("drp", to, packet, now)
+            self._drop_frame("drop_cancelled_in_flight", to, packet, now)
             return
         agent = self.agents[to]
         bits = self._bits_of(packet)
         if not agent.energy.debit(self.scenario.beta_rx * bits):
-            self.counters["frames_dropped"] += 1
-            self.counters["drop_rx_energy"] += 1
-            self._trace("drp", to, packet, now)
+            self._drop_frame("drop_rx_energy", to, packet, now)
             return
         self.counters["frames_delivered"] += 1
         self._trace("rcv", to, packet, now)
@@ -403,10 +406,9 @@ class Simulation:
         # ledger frames_sent + drop_link_down_at_send == frames_delivered +
         # frames_dropped holds (a frame dropped at send never counts as sent);
         # each attribute access makes a new bound method, hence == and not is
-        for ev in queue:
-            if ev[2] == self._on_delivery:
-                self.counters["frames_dropped"] += 1
-                self.counters["drop_end_of_run"] += 1
+        for _t, _seq, handler, args in queue:
+            if handler == self._on_delivery:
+                self._drop_frame("drop_end_of_run", args[2], None, self.end_time)
         queue.clear()
         self._flush_stuck_data()
         return self

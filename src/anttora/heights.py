@@ -8,8 +8,9 @@ route opinion yet; NULL orders above every concrete height so an
 undiscovered node never attracts traffic.
 
 Everything here is pure state algebra: comparison, link classification, the
-reaction cases a node runs when it loses its last downstream link, and the
-erasure transition driven by clear packets. No I/O, no clocks, no RNG.
+reaction cases a node runs when it loses its last downstream link, and what
+a clear packet asks of a node. It decides; only the agent changes a height,
+through ``NodeToraState.set_own_height``. No I/O, no clocks, no RNG.
 """
 
 from __future__ import annotations
@@ -127,10 +128,9 @@ def classify_link(own: Height, neighbor: Height) -> Direction:
 @dataclass
 class NodeToraState:
     """One node's routing state toward one destination. ``links`` maps each
-    neighbor to the last height heard from it; a link's direction is derived
-    from that mirror and ``own_height`` where it is read. Whether the node
-    waits on a route request is not kept here: the agent's held request is
-    that record."""
+    neighbor to the last height heard from it; a link's direction follows
+    from that mirror and ``own_height``, written only by ``set_own_height``
+    once built. A held route request is the agent's record, not kept here."""
 
     node: int
     destination: int
@@ -153,11 +153,10 @@ class NodeToraState:
     def set_mirror(self, neighbor: int, height: Height) -> None:
         self.links[neighbor] = height
 
-    def reset_mirrors(self) -> list[int]:
-        """Mirror every neighbor's initial height again; returns them in id order."""
+    def reset_mirrors(self) -> None:
+        """Mirror every neighbor's initial height again."""
         for j in self.links:
             self.links[j] = self.initial_height(j)
-        return sorted(self.links)
 
     def set_own_height(self, height: Height) -> None:
         if self.node == self.destination and height != Height.zero(self.node):
@@ -257,26 +256,17 @@ def maintenance_case(state: NodeToraState, trigger: Trigger, now: float) -> Main
     return MaintenanceOutcome(MaintenanceCase.GENERATE_NO_REACTION, Height(now, me, 0, 0, me))
 
 
-def apply_clr(
-    state: NodeToraState, clr_reference_level: tuple[float, int, int]
-) -> tuple[bool, list[int]]:
-    """Apply a route-erasure packet carrying a reflected reference level.
+def apply_clr(state: NodeToraState, level: tuple[float, int, int]) -> tuple[bool, list[int]]:
+    """What a clear carrying the reflected reference ``level`` does at ``state``.
 
-    Mutates ``state`` in place. If the node's own reference level matches,
-    its height and every neighbor mirror go NULL (a destination neighbor
-    mirrors zero instead), and the erasure must be rebroadcast. Otherwise
-    only the mirrors sharing the erased level are cleared.
-
-    Returns (rebroadcast, neighbors whose mirror was reset).
+    A node whose own level matches (never the destination, whose zero level
+    is unreflected) must erase its routes and rebroadcast, as the partition
+    detector does: (True, []), ``state`` untouched. Otherwise the mirrors
+    at ``level`` go NULL: (False, those neighbors in id order).
     """
-    own_level = state.own_height.level
-    if own_level == clr_reference_level and state.node != state.destination:
-        state.own_height = Height.null(state.node)
-        return True, state.reset_mirrors()
-
-    affected: list[int] = []
-    for j, mirror in sorted(state.links.items()):
-        if mirror.level == clr_reference_level:
-            state.links[j] = Height.null(j)
-            affected.append(j)
+    if state.own_height.level == level:
+        return True, []
+    affected = [j for j, mirror in sorted(state.links.items()) if mirror.level == level]
+    for j in affected:
+        state.set_mirror(j, Height.null(j))
     return False, affected

@@ -444,7 +444,7 @@ def _parse_traffic(ctx: _Ctx, data, node_count: int, end_time: float) -> tuple[F
     return tuple(flows)
 
 
-def _parse_failures(ctx: _Ctx, data, node_count: int) -> tuple[LinkFailure, ...]:
+def _parse_failures(ctx: _Ctx, data, node_count: int, topology: TopologySpec) -> tuple[LinkFailure, ...]:
     if not isinstance(data, list):
         ctx.fail("link_failures", f"expected a list, got {data!r}")
         return ()
@@ -462,6 +462,10 @@ def _parse_failures(ctx: _Ctx, data, node_count: int) -> tuple[LinkFailure, ...]
             continue
         if not (a < node_count and b < node_count) or a == b:
             ctx.fail(path, f"bad link endpoints ({a}, {b})")
+            continue
+        key = (min(a, b), max(a, b))
+        if topology.mode == "static" and key not in topology.adjacency:
+            ctx.fail(path, f"link {key} is not in topology.adjacency")
             continue
         out.append(LinkFailure(t, a, b))
     return tuple(sorted(out, key=lambda f: (f.time, f.a, f.b)))
@@ -492,7 +496,7 @@ def parse_scenario(data: dict) -> Scenario:
     timers, radio = _parse_protocol(ctx, subsection("protocol"))
     end_time = ctx.number(data, "", "end_time_s", 10.0, positive=True)
     traffic = _parse_traffic(ctx, data.get("traffic", []), nodes.count, end_time)
-    failures = _parse_failures(ctx, data.get("link_failures", []), nodes.count)
+    failures = _parse_failures(ctx, data.get("link_failures", []), nodes.count, topology)
     seed = ctx.integer(data, "", "seed", 0)
     mode = data.get("mode", "ant_tora")
     if mode not in MODES:

@@ -641,6 +641,23 @@ def test_clr_drops_routes_through_any_reset_neighbor_but_candidates_only_via_one
     assert sorted(agent.candidates[9]) == [2]
 
 
+def test_clr_at_own_level_erases_like_the_partition_detector():
+    agent = _agent_with_routes_to_9([1, 2, 3])
+    reported = []
+    agent.hooks.height_changed = lambda *change: reported.append(change)
+    state = agent.tora[9]
+    state.set_own_height(Height(9.0, 5, 1, -1, 0))
+    state.set_mirror(1, Height(9.0, 5, 1, 0, 1))
+    agent.pending_rank[9] = (5.0, {1: 0.1, 2: 0.1})
+    out = agent.on_clr(ClrPacket(9, (9.0, 5, 1)), 3, 9.9)
+    assert [(em.packet, em.to) for em in out] == [(ClrPacket(9, (9.0, 5, 1)), None)]
+    # the NULL height goes through the hook the reaction-locality count reads
+    assert reported == [(0, 9, Height(9.0, 5, 1, -1, 0), Height.null(0), 9.9)]
+    assert 9 not in agent.candidates and 9 not in agent.pending_rank
+    assert agent.cache[9] == []
+    assert all(mirror.is_null for mirror in state.links.values())
+
+
 # ---------------------------------------------------------------------------
 # invariants
 

@@ -30,6 +30,7 @@ import tempfile
 import pytest
 
 from anttora import metrics, packets
+from anttora.engine import Simulation
 from anttora.harness import replay, run_experiment, write_report
 from anttora.metrics import read_trace
 from anttora.packets import decode_trace_record
@@ -59,6 +60,18 @@ def test_golden_digests(name, tmp_path):
     pin = PINNED[name]
     got = run_digests(pin["scenario"], pin["mode"], tmp_path)
     assert got == {k: pin[k] for k in got}, f"{name} no longer matches its pinned trace"
+
+
+def test_mobility_pause_reaches_waypoints_and_pauses():
+    # with a pause time, a node picks a waypoint after t=0 only when a pause
+    # that began on arrival ends: step_mobility's branches that the larger
+    # mobility golden never takes
+    sim = Simulation(load_scenario(str(GOLDEN / "mobility_pause.json")))
+    picks = []
+    pick = sim._pick_waypoint
+    sim._pick_waypoint = lambda node, now: (picks.append(now), pick(node, now))
+    sim.run()
+    assert sum(now > 0 for now in picks) >= 10
 
 
 def test_run_and_replay_each_decode_every_event_line_once(tmp_path, monkeypatch):

@@ -344,17 +344,15 @@ def test_new_height_never_collides_with_neighbors():
 # route erasure
 
 
-def test_clr_matching_level_resets_everything():
-    s = _state(1, 9, {
-        2: Height(3.0, 5, 1, 0, 2),
-        3: Height(0.0, 0, 0, 4, 3),
-    }, own=Height(3.0, 5, 1, -1, 1))
-    rebroadcast, affected = apply_clr(s, (3.0, 5, 1))
-    assert rebroadcast
-    assert s.own_height.is_null
-    assert sorted(affected) == [2, 3]
-    assert all(mirror.is_null for mirror in s.links.values())
-    assert not has_downstream(s)
+def test_clr_matching_level_asks_for_erasure():
+    # the caller erases, through the same path as the partition detector
+    mirrors = {2: Height(3.0, 5, 1, 0, 2), 3: Height(0.0, 0, 0, 4, 3)}
+    s = _state(1, 9, mirrors, own=Height(3.0, 5, 1, -1, 1))
+    erase, affected = apply_clr(s, (3.0, 5, 1))
+    assert erase
+    assert affected == []
+    assert s.own_height == Height(3.0, 5, 1, -1, 1)
+    assert s.links == mirrors
 
 
 def test_clr_nonmatching_level_resets_shared_mirrors_only():
@@ -362,8 +360,8 @@ def test_clr_nonmatching_level_resets_shared_mirrors_only():
         2: Height(3.0, 5, 1, 0, 2),
         3: Height(0.0, 0, 0, 4, 3),
     }, own=Height(5.0, 6, 0, 0, 1))
-    rebroadcast, affected = apply_clr(s, (3.0, 5, 1))
-    assert not rebroadcast
+    erase, affected = apply_clr(s, (3.0, 5, 1))
+    assert not erase
     assert affected == [2]
     assert s.own_height == Height(5.0, 6, 0, 0, 1)
     assert s.links[2].is_null
@@ -374,10 +372,17 @@ def test_clr_keeps_destination_mirror_zero():
     s = _state(1, 9, {
         9: Height.zero(9),
         2: Height(3.0, 5, 1, 0, 2),
-    }, own=Height(3.0, 5, 1, -1, 1))
-    rebroadcast, _ = apply_clr(s, (3.0, 5, 1))
-    assert rebroadcast
+    }, own=Height(5.0, 6, 0, 0, 1))
+    # a clear never matches the destination's unreflected zero level
+    assert apply_clr(s, (3.0, 5, 1)) == (False, [2])
     assert s.links[9] == Height.zero(9)
+    # the erasure a matching clear asks for: NULL height, mirrors reset
+    s.set_mirror(2, Height(3.0, 5, 1, 0, 2))
+    s.set_own_height(Height(3.0, 5, 1, -1, 1))
+    assert apply_clr(s, (3.0, 5, 1)) == (True, [])
+    s.set_own_height(Height.null(1))
+    s.reset_mirrors()
+    assert s.links == {9: Height.zero(9), 2: Height.null(2)}
     # after a full reset every link is undirected or points at the destination
     for j, mirror in s.links.items():
         direction = classify_link(s.own_height, mirror)

@@ -9,13 +9,17 @@ event lines that the strict decoder accepts, in (timestamp, seq) order, and
 must account for every offered data packet exactly once at its source,
 must deliver a reply to its source only after that source sent a request
 toward the reply's destination, and must end with every held request on
-a NULL height and for its own destination. Deferring each candidate
+a NULL height and for its own destination. Every height a node ends a run
+with, the clear-flood erasures' included, is the last one its
+``height_changed`` hook reported, which the reaction-locality count reads,
+or its initial height when it reported none. Deferring each candidate
 ranking to its first read must give the same trace as ranking at once,
 also on larger static graphs with several long flows.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -29,7 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anttora.agent import NodeAgent
-from anttora.engine import Simulation
+from anttora.engine import Simulation, _Hooks
 from anttora.harness import run_single
 from anttora.metrics import compute_metrics, read_trace, validate_trace_order
 from anttora.packets import DataPacket, QryReplyAnt, QryRequestAnt, decode_trace_record
@@ -37,7 +41,10 @@ from anttora.scenario import parse_scenario
 
 from conftest import flow, scenario_dict, trace_of
 
-LOW_ENERGY = json.loads((pathlib.Path(__file__).parent / "golden" / "low_energy.json").read_text())
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+LOW_ENERGY = json.loads((GOLDEN / "low_energy.json").read_text())
+# a cut that partitions the graph, so a clear flood erases routes
+BARBELL_CLEAR = json.loads((GOLDEN / "barbell_clear.json").read_text())
 
 
 @st.composite
@@ -73,9 +80,10 @@ def static_scenarios(draw) -> dict:
 
 @settings(deadline=None)
 @example(LOW_ENERGY)
+@example(BARBELL_CLEAR)
 @given(static_scenarios())
 def test_counters_and_trace_agree(data):
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, reporting_heights() as reported:
         path, metrics, sim = run_single(parse_scenario(data), trace_path=os.path.join(tmp, "run.trace"))
         lines = list(read_trace(path))
     validate_trace_order(lines)
@@ -83,6 +91,33 @@ def test_counters_and_trace_agree(data):
     assert_offered_data_conserved(lines, sim)
     assert_replies_follow_own_requests(lines)
     assert_discovery_state(sim)
+    assert_every_height_was_reported(sim, reported)
+
+
+@contextlib.contextmanager
+def reporting_heights():
+    """Within the block, the engine's ``height_changed`` hook also records
+    the last height each (node, destination) reported, in the dict this
+    yields; run one simulation per block."""
+    reported = {}
+    changed = _Hooks.height_changed
+
+    def record(hooks, node, dest, old, new, now):
+        reported[node, dest] = new
+        changed(hooks, node, dest, old, new, now)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Hooks, "height_changed", record)
+        yield reported
+
+
+def assert_every_height_was_reported(sim, reported) -> None:
+    """Each state's own height is the last one its hook reported, or its
+    initial height when none was: no height changes past the hook."""
+    for node, agent in sim.agents.items():
+        for dest, state in agent.tora.items():
+            expected = reported.get((node, dest), state.initial_height(node))
+            assert state.own_height == expected, (node, dest)
 
 
 def assert_ledgers(metrics, sim) -> None:
@@ -210,13 +245,15 @@ def test_mobility_adjacency_and_ledgers(data):
     # scheduled through the instance attribute, so it runs the check
     assert_adjacency_matches_geometry(sim)
     sim._on_mobility_step = checked_step
-    sim.run()
+    with reporting_heights() as reported:
+        sim.run()
     lines = trace_of(sim)
     validate_trace_order(lines)
     assert_ledgers(compute_metrics(lines), sim)
     assert_offered_data_conserved(lines, sim)
     assert_replies_follow_own_requests(lines)
     assert_discovery_state(sim)
+    assert_every_height_was_reported(sim, reported)
 
 
 def _rank_at_once(agent, dest, now):

@@ -153,6 +153,26 @@ def test_link_overrides_reject_duplicate_and_dead_entries(overrides, bad, messag
 
 
 @pytest.mark.parametrize(
+    "topology, problems",
+    [
+        ({"adjacency": [[0, 1], [1, 2], [2, 3]]}, ["link_failures[0]: link (0, 3) is not in topology.adjacency"]),
+        # a mobile pair is linked whenever it is in range, so any pair may be cut
+        ({"mode": "mobility"}, []),
+    ],
+)
+def test_static_link_failure_must_name_a_link(topology, problems, tmp_path, capsys):
+    # a cut of a static non-link would be accepted and never fire
+    data = minimal()
+    data["nodes"]["count"] = 4
+    data["topology"] = topology
+    data["link_failures"] = [{"time_s": 1.0, "a": 3, "b": 0}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["validate", str(path)]) == (2 if problems else 0)
+    assert [p.strip() for p in capsys.readouterr().err.splitlines() if "link_failures" in p] == problems
+
+
+@pytest.mark.parametrize(
     "key, value, problem",
     [
         ("links", {"overrides": [{"b": 1}]}, "links.overrides[0].a: missing key"),
