@@ -13,8 +13,9 @@ purge and a clear each ask for a ranking through
 ``_recompute_preferences``. Toward a destination with cached routes it
 ranks at once. Otherwise it records the time and the taus of the
 candidates' first hops, a later request replaces the record, and
-``_best_candidate`` or ``_admit_route`` ranks with them when it next reads
-a rank: ranks are computed when read. Baseline mode never ranks.
+``_ranked_candidates``, the one reader of ranks, which ``_best_candidate``
+and ``_admit_route`` call, ranks with them before it reads: ranks are
+computed when read. Baseline mode never ranks.
 
 A node is route-required toward a destination exactly while it holds a
 request for it in ``pending_request``. It takes one up in one place,
@@ -110,10 +111,10 @@ class QosConstraints:
 class NeighborInfo:
     """Last heard energy budget and bandwidth estimate for one neighbor."""
 
-    residual_energy: float = 0.0
-    drain_rate: float = 0.0
-    est_bandwidth: float = 0.0
-    last_hello: float = 0.0
+    residual_energy: float
+    drain_rate: float
+    est_bandwidth: float
+    last_hello: float
 
 
 @dataclass
@@ -370,7 +371,7 @@ class NodeAgent:
         if self.node == dest:
             info = self.neighbors.get(sender)
             reply = None
-            if info is not None and info.est_bandwidth > 0:
+            if info is not None:
                 energy = self.energy
                 reply = self._destination_reply(
                     req.source, dest, energy.residual, energy.drain_rate, info.est_bandwidth
@@ -409,12 +410,7 @@ class NodeAgent:
         extended: PathMetrics | None = None
         path: tuple[int, ...] = ()
         info = self.neighbors.get(sender)
-        usable = (
-            self.node not in rep.path_nodes
-            and rep.path_nodes[0] == sender
-            and info is not None
-            and info.est_bandwidth > 0
-        )
+        usable = info is not None and rep.path_nodes[0] == sender and self.node not in rep.path_nodes
         if usable:
             extended, path = self._extend_metrics(rep, sender)
             cand = self.candidates.setdefault(dest, {})
@@ -646,23 +642,17 @@ class NodeAgent:
             self.pending_rank.pop(dest, None)
             self._rank(dest, now, self.pheromone)
 
-    def _apply_pending_rank(self, dest: int) -> None:
-        """Run the ranking deferred toward ``dest``, if one is recorded."""
-        pending = self.pending_rank.pop(dest, None)
-        if pending is not None:
-            self._rank(dest, *pending)
-
     def _rank(self, dest: int, now: float, taus: dict[int, float]) -> None:
         """Rank the candidates toward ``dest`` live at ``now`` with their
         first hops' taus in ``taus``, and copy each rank to the cached
         routes through the same first hop. With no preferable path every
         candidate ranks 1.0 and the cache keeps its ranks.
 
-        Ranks are computed when read, and a deferred ranking equals the one
-        it replaces: a candidate table changes only where a ranking request
-        follows, so the first hops whose taus it recorded are those it
-        reads, a candidate changes only its rank, and only live
-        candidates' ranks are read. A destination with cached routes ranks
+        Ranks are computed when read: ``_ranked_candidates`` runs a deferred
+        ranking first, and it equals the one it replaces: a candidate table
+        changes only where a ranking request follows, so the first hops
+        whose taus it recorded are those it reads, a candidate changes only
+        its rank, and only live candidates' ranks are read. A destination with cached routes ranks
         at once: use refreshes a cached route, so it can outlive its
         candidate, and it keeps the rank of the last ranking that saw that
         candidate live, which deferring could skip."""
@@ -705,8 +695,7 @@ class NodeAgent:
         if not self.params.baseline and not self.params.qos.admits(metrics):
             self.hooks.log("route_rejected", self.node, now, dest=dest, path=path)
             return []
-        self._apply_pending_rank(dest)
-        preference = self.candidates[dest][path[1]].preference
+        preference = dict(self._ranked_candidates(dest, now))[path[1]].preference
         expires = now + self.params.route_ttl
         entries = self.cache.setdefault(dest, [])
         for e in entries:
@@ -721,14 +710,20 @@ class NodeAgent:
         self.hooks.log("route_cached", self.node, now, dest=dest, path=path)
         return self._flush_queue(dest, now)
 
-    def _best_candidate(self, dest: int, now: float) -> Route | None:
-        self._apply_pending_rank(dest)
-        live = self._live_candidates(dest, now)
-        if not live:
-            return None
+    def _ranked_candidates(self, dest: int, now: float) -> list[tuple[int, Route]]:
+        """The live candidates toward ``dest`` as (next hop, route), best
+        first: highest rank (baseline: oldest), then lowest next hop. The
+        one reader of ranks and of ``pending_rank``, so it runs a deferred
+        ranking before it reads."""
+        pending = self.pending_rank.pop(dest, None)
+        if pending is not None:
+            self._rank(dest, *pending)
         if self.params.baseline:
-            return min(live, key=lambda jc: (jc[1].created_at, jc[0]))[1]
-        return min(live, key=lambda jc: (-jc[1].preference, jc[0]))[1]
+            return sorted(self._live_candidates(dest, now), key=lambda jc: (jc[1].created_at, jc[0]))
+        return sorted(self._live_candidates(dest, now), key=lambda jc: (-jc[1].preference, jc[0]))
+
+    def _best_candidate(self, dest: int, now: float) -> Route | None:
+        return next((route for _, route in self._ranked_candidates(dest, now)), None)
 
     def _relay_reply(
         self, req: QryRequestAnt, state: NodeToraState, now: float
@@ -741,7 +736,7 @@ class NodeAgent:
             m, path = best.metrics, best.path
         else:
             info = self.neighbors.get(dest)
-            if info is None or info.est_bandwidth <= 0:
+            if info is None:
                 return None
             heard = self._destination_reply(
                 req.source, dest, info.residual_energy, info.drain_rate, info.est_bandwidth

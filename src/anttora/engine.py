@@ -33,6 +33,9 @@ from .agent import AgentHooks, Emission, NodeAgent
 from .packets import CONTROL_BITS_KEYS, PACKET_KINDS, DataPacket, Packet
 from .scenario import Scenario
 
+# the reasons a sent frame is lost; frames_dropped is their sum
+FRAME_DROPS = ("drop_link_down_at_send", "drop_cancelled_in_flight", "drop_rx_energy", "drop_end_of_run")
+
 
 @dataclass
 class MobilityNode:
@@ -215,8 +218,7 @@ class Simulation:
             packet = em.packet
             bits = self._bits_of(packet)
             if not self.agents[frm].energy.debit(self.scenario.beta_tx * bits):
-                self.counters["tx_suppressed"] += 1
-                self._trace("drp", frm, packet, now)
+                self._drop("tx_suppressed", frm, packet, now)
                 continue
             self._trace("snd", frm, packet, now)
             if em.to is None:
@@ -229,7 +231,7 @@ class Simulation:
     def deliver(self, packet: Packet, frm: int, to: int, now: float) -> None:
         """Schedule a point-to-point delivery; drops if the link is down."""
         if not self._link_up(frm, to):
-            self._drop_frame("drop_link_down_at_send", to, packet, now)
+            self._drop("drop_link_down_at_send", to, packet, now)
             return
         bits = self._bits_of(packet)
         capacity, propagation = self.scenario.links.params(frm, to)
@@ -239,11 +241,10 @@ class Simulation:
         # a frame sent in reaction to a link failure carries the failure's id
         self.schedule(arrival, self._on_delivery, packet, frm, to, self.current_failure)
 
-    def _drop_frame(self, reason: str, node: int, packet: Packet | None, now: float) -> None:
-        """The only writer of ``frames_dropped`` and the drop-reason counters;
-        writes the lost frame's ``drp`` line at ``node`` unless ``packet`` is
-        None, as for a frame still in the air when the run ends."""
-        self.counters["frames_dropped"] += 1
+    def _drop(self, reason: str, node: int, packet: Packet | None, now: float) -> None:
+        """The only writer of ``drp`` lines and drop-reason counters: counts
+        a ``reason`` drop and writes ``packet``'s ``drp`` line at ``node``,
+        unless ``packet`` is None, as for a frame in the air at the end."""
         self.counters[reason] += 1
         if packet is not None:
             self._trace("drp", node, packet, now)
@@ -254,12 +255,12 @@ class Simulation:
         now = self.now
         self.current_failure = cause
         if not self._link_up(frm, to):
-            self._drop_frame("drop_cancelled_in_flight", to, packet, now)
+            self._drop("drop_cancelled_in_flight", to, packet, now)
             return
         agent = self.agents[to]
         bits = self._bits_of(packet)
         if not agent.energy.debit(self.scenario.beta_rx * bits):
-            self._drop_frame("drop_rx_energy", to, packet, now)
+            self._drop("drop_rx_energy", to, packet, now)
             return
         self.counters["frames_delivered"] += 1
         self._trace("rcv", to, packet, now)
@@ -408,9 +409,10 @@ class Simulation:
         # each attribute access makes a new bound method, hence == and not is
         for _t, _seq, handler, args in queue:
             if handler == self._on_delivery:
-                self._drop_frame("drop_end_of_run", args[2], None, self.end_time)
+                self._drop("drop_end_of_run", args[2], None, self.end_time)
         queue.clear()
         self._flush_stuck_data()
+        self.counters["frames_dropped"] = sum(self.counters[r] for r in FRAME_DROPS)
         return self
 
     def _flush_stuck_data(self) -> None:
@@ -419,11 +421,10 @@ class Simulation:
             agent = self.agents[i]
             for dest in sorted(agent.data_queue):
                 for seq, bits in agent.data_queue[dest]:
-                    self.counters["data_queued_at_end"] += 1
                     marker = DataPacket(
                         source=i, destination=dest, seq=seq, size_bits=bits, path=(i, dest)
                     )
-                    self._trace("drp", i, marker, self.end_time)
+                    self._drop("data_queued_at_end", i, marker, self.end_time)
 
     # -- trace assembly -----------------------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .aco import DepositWeights, NormalizationBounds, PreferenceWeights
 from .agent import ProtocolParams, QosConstraints
@@ -301,15 +301,15 @@ def _parse_weights(ctx: _Ctx, data: dict):
     )
     dw_defaults, pw_defaults = DepositWeights(), PreferenceWeights()
     dw_raw = ctx.subsection(data, "aco", "deposit_weights")
-    dw_fields = {"bandwidth", "energy", "delay", "hop_count", "drain_rate"}
-    ctx.section(dw_raw, "aco.deposit_weights", dw_fields)
+    dw_fields = [f.name for f in fields(DepositWeights)]
+    ctx.section(dw_raw, "aco.deposit_weights", set(dw_fields))
     dw_kwargs = {
         k: ctx.number(dw_raw, "aco.deposit_weights", k, getattr(dw_defaults, k), minimum=0.0)
         for k in dw_fields
     }
     pw_raw = ctx.subsection(data, "aco", "preference_weights")
-    pw_fields = {"pheromone", "delay", "hop_count", "bandwidth", "energy", "drain_rate"}
-    ctx.section(pw_raw, "aco.preference_weights", pw_fields)
+    pw_fields = [f.name for f in fields(PreferenceWeights) if f.name not in ("persistence", "decay")]
+    ctx.section(pw_raw, "aco.preference_weights", set(pw_fields))
     pw_kwargs = {
         k: ctx.number(pw_raw, "aco.preference_weights", k, getattr(pw_defaults, k), minimum=0.0)
         for k in pw_fields

@@ -18,6 +18,16 @@ k: trace_sha256=...`` line per scenario). Re-pin that file with
       python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 |
         sed -n "s/^\(output scenario [0-9]*: trace_sha256=[0-9a-f]*\).*/$w \1/p"
     done > tests/golden/bench_seed1.txt
+
+CI also diffs the median of every ``count``-unit row of a traced seed-1 run
+against ``tests/golden/bench_seed1_calls.txt`` (one ``<workload> <metric>
+<median>`` line per row). Re-pin it only for a behaviour or perf change
+that the change names, with
+
+    for w in mobility-100n mobility-100n-baseline static-churn-40n; do
+      python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 1 |
+        awk -v w="$w" '$2 == "count" {print w, $1, $3}'
+    done > tests/golden/bench_seed1_calls.txt
 """
 
 from __future__ import annotations

@@ -12,7 +12,10 @@ toward the reply's destination, and must end with every held request on
 a NULL height and for its own destination. Every height a node ends a run
 with, the clear-flood erasures' included, is the last one its
 ``height_changed`` hook reported, which the reaction-locality count reads,
-or its initial height when it reported none. Deferring each candidate
+or its initial height when it reported none. Every data packet sent from
+its source ends in exactly one line, a ``rcv`` at its destination or a
+``drp`` anywhere, unless it is still in the air when the run ends, over the
+generated scenarios and the golden runs. Deferring each candidate
 ranking to its first read must give the same trace as ranking at once,
 also on larger static graphs with several long flows.
 """
@@ -37,11 +40,12 @@ from anttora.engine import Simulation, _Hooks
 from anttora.harness import run_single
 from anttora.metrics import compute_metrics, read_trace, validate_trace_order
 from anttora.packets import DataPacket, QryReplyAnt, QryRequestAnt, decode_trace_record
-from anttora.scenario import parse_scenario
+from anttora.scenario import load_scenario, parse_scenario
 
 from conftest import flow, scenario_dict, trace_of
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+GOLDEN_RUNS = json.loads((GOLDEN / "digests.json").read_text())
 LOW_ENERGY = json.loads((GOLDEN / "low_energy.json").read_text())
 # a cut that partitions the graph, so a clear flood erases routes
 BARBELL_CLEAR = json.loads((GOLDEN / "barbell_clear.json").read_text())
@@ -83,12 +87,17 @@ def static_scenarios(draw) -> dict:
 @example(BARBELL_CLEAR)
 @given(static_scenarios())
 def test_counters_and_trace_agree(data):
-    with tempfile.TemporaryDirectory() as tmp, reporting_heights() as reported:
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        reporting_heights() as reported,
+        recording_deliveries() as deliveries,
+    ):
         path, metrics, sim = run_single(parse_scenario(data), trace_path=os.path.join(tmp, "run.trace"))
         lines = list(read_trace(path))
     validate_trace_order(lines)
     assert_ledgers(metrics, sim)
     assert_offered_data_conserved(lines, sim)
+    assert_every_sent_packet_has_a_fate(lines, sim, deliveries)
     assert_replies_follow_own_requests(lines)
     assert_discovery_state(sim)
     assert_every_height_was_reported(sim, reported)
@@ -145,6 +154,50 @@ def assert_offered_data_conserved(lines, sim) -> None:
             outcomes[pkt.source, pkt.destination, pkt.seq] += 1
     assert all(n == 1 for n in outcomes.values()), outcomes.most_common(1)
     assert len(outcomes) == sim.counters["data_offered"]
+
+
+@contextlib.contextmanager
+def recording_deliveries():
+    """Within the block, ``Simulation.schedule`` also records each frame
+    delivery it queues as ``(time, packet)``, in the list this yields."""
+    deliveries = []
+    schedule = Simulation.schedule
+
+    def record(sim, time, handler, *args):
+        if handler == sim._on_delivery:
+            deliveries.append((time, args[0]))
+        schedule(sim, time, handler, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simulation, "schedule", record)
+        yield deliveries
+
+
+def assert_every_sent_packet_has_a_fate(lines, sim, deliveries) -> None:
+    """Each data packet with a ``snd`` line at its source has exactly one
+    terminal line, a ``rcv`` at its destination or a ``drp`` at any node,
+    unless its delivery was still queued when the run ended, which writes
+    no line. The run handles every event due by its end time (to within
+    1e-12 s), so a delivery due later was still queued; the engine counts
+    each of those once, as ``drop_end_of_run``."""
+    queued = [pkt for t, pkt in deliveries if t > sim.end_time + 1e-12]
+    assert len(queued) == sim.counters["drop_end_of_run"]
+    in_air = {(p.source, p.destination, p.seq) for p in queued if isinstance(p, DataPacket)}
+    sent, ends = set(), Counter()
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        rec = decode_trace_record(line)
+        pkt = rec.packet
+        if not isinstance(pkt, DataPacket):
+            continue
+        key = pkt.source, pkt.destination, pkt.seq
+        if rec.event == "snd" and rec.node == pkt.source:
+            sent.add(key)
+        elif rec.event == "drp" or (rec.event == "rcv" and rec.node == pkt.destination):
+            ends[key] += 1
+    for key in sorted(sent):
+        assert ends[key] == (0 if key in in_air else 1), key
 
 
 def assert_replies_follow_own_requests(lines) -> None:
@@ -245,15 +298,25 @@ def test_mobility_adjacency_and_ledgers(data):
     # scheduled through the instance attribute, so it runs the check
     assert_adjacency_matches_geometry(sim)
     sim._on_mobility_step = checked_step
-    with reporting_heights() as reported:
+    # construction queues no delivery, so recording the run sees every one
+    with reporting_heights() as reported, recording_deliveries() as deliveries:
         sim.run()
     lines = trace_of(sim)
     validate_trace_order(lines)
     assert_ledgers(compute_metrics(lines), sim)
     assert_offered_data_conserved(lines, sim)
+    assert_every_sent_packet_has_a_fate(lines, sim, deliveries)
     assert_replies_follow_own_requests(lines)
     assert_discovery_state(sim)
     assert_every_height_was_reported(sim, reported)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_every_sent_packet_has_a_fate_in_the_golden_runs(name):
+    run = GOLDEN_RUNS[name]
+    with recording_deliveries() as deliveries:
+        sim = Simulation(load_scenario(str(GOLDEN / f"{run['scenario']}.json")), mode=run["mode"]).run()
+    assert_every_sent_packet_has_a_fate(trace_of(sim), sim, deliveries)
 
 
 def _rank_at_once(agent, dest, now):

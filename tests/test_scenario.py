@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import fields, replace
 
 import pytest
 
+import anttora
+from anttora.aco import DepositWeights, PreferenceWeights
 from anttora.agent import ProtocolParams
 from anttora.cli import main as cli_main
 from anttora.scenario import (
@@ -170,6 +176,39 @@ def test_static_link_failure_must_name_a_link(topology, problems, tmp_path, caps
     path.write_text(json.dumps(data))
     assert cli_main(["validate", str(path)]) == (2 if problems else 0)
     assert [p.strip() for p in capsys.readouterr().err.splitlines() if "link_failures" in p] == problems
+
+
+def test_validate_lists_weight_problems_in_field_order(tmp_path):
+    # the weights are read in their dataclasses' field order, so the listing
+    # does not depend on the hash seed of the process that validates
+    deposit = [f.name for f in fields(DepositWeights)]
+    preference = [f.name for f in fields(PreferenceWeights) if f.name not in ("persistence", "decay")]
+    data = minimal()
+    data["aco"] = {
+        "deposit_weights": {name: -1 for name in deposit},
+        "preference_weights": {name: -1 for name in preference},
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    src = str(pathlib.Path(anttora.__file__).parents[1])
+
+    def stderr(hash_seed):
+        proc = subprocess.run(
+            [sys.executable, "-m", "anttora.cli", "validate", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        return proc.stderr
+
+    first = stderr("1")
+    assert stderr("2") == first
+    named = [line.split(":")[0].strip() for line in first.splitlines() if "_weights." in line]
+    assert named == [f"aco.deposit_weights.{k}" for k in deposit] + [
+        f"aco.preference_weights.{k}" for k in preference
+    ]
 
 
 @pytest.mark.parametrize(
