@@ -32,7 +32,8 @@ packets and the current simulation time, mutate the agent, and return the
 packets to transmit. Agents never share state; all coordination happens
 through emissions. A new data packet enters through ``send_data``, which
 queues it when no live route exists; whether a discovery starts is decided
-in one place, ``_rediscover``.
+in one place, ``_rediscover``. A link failure sends no route error; a relay
+that meets a dead link sends one back along the data packet's path.
 """
 
 from __future__ import annotations
@@ -74,8 +75,6 @@ from .packets import (
 
 if TYPE_CHECKING:  # scenario.py imports this module
     from .scenario import LinkSpec
-
-ERROR_DEDUP_WINDOW = 5.0
 
 
 class SimClockError(Exception):
@@ -234,8 +233,6 @@ class NodeAgent:
         # dest -> the request this node waits on: it is route-required toward dest
         self.pending_request: dict[int, QryRequestAnt] = {}
         self.last_reply_at: dict[int, float] = {}
-        self.seen_errors: dict[tuple[int, int], float] = {}
-        self.fwd_history: dict[int, set[tuple[int, int]]] = {}
         self.data_queue: dict[int, list[tuple[int, int]]] = {}  # dest -> [(seq, bits)]
 
     # -- state plumbing ----------------------------------------------------
@@ -273,12 +270,11 @@ class NodeAgent:
         return [Emission(self.pending_request[dest]) for dest in sorted(self.pending_request)]
 
     def on_link_failure(self, failed: int, now: float) -> list[Emission]:
-        if failed not in self.link_activated_at and failed not in self.neighbors:
+        if failed not in self.link_activated_at:
             return []
-        self.link_activated_at.pop(failed, None)
+        del self.link_activated_at[failed]
         self.neighbors.pop(failed, None)
         self.pheromone.pop(failed, None)
-        flows = self.fwd_history.pop(failed, set())
         emissions: list[Emission] = []
         for dest in sorted(self.tora):
             state = self.tora[dest]
@@ -291,13 +287,8 @@ class NodeAgent:
             if self.node == dest:
                 continue
             if has_downstream(state):
-                # another downstream link survives: data falls back to the
-                # best remaining cached route, no control traffic at all
+                # another downstream link survives: no control traffic
                 continue
-            # only relays write fwd_history, so these flows are never our own
-            for s in sorted({s for (s, d) in flows if d == dest}):
-                self.seen_errors[(s, self.node)] = now  # ignore our own flood echo
-                emissions.append(Emission(ErrorPacket(source=s, originator=self.node)))
             emissions.extend(self._run_maintenance(state, Trigger.LINK_FAILURE, now))
             if self.data_queue.get(dest):
                 emissions.extend(self._rediscover(dest, now))
@@ -509,21 +500,20 @@ class NodeAgent:
         return [Emission(ClrPacket(destination=dest, reference_level=level))]
 
     def on_error(self, err: ErrorPacket, sender: int, now: float) -> list[Emission]:
-        key = (err.source, err.originator)
-        last = self.seen_errors.get(key)
-        if last is not None and now - last < ERROR_DEDUP_WINDOW:
-            return []
-        self.seen_errors[key] = now
-        origin = err.originator
-        affected = [
-            dest for dest in sorted(self.cache)
-            if self._drop_routes(dest, now, lambda e: origin in e.path[1:])
-        ]
+        """Purge the routes and candidates over the error's link, either way;
+        pass the error back along its path, or rediscover at its source."""
+        a, b = err.path[-2:]
+        broken = {(a, b), (b, a)}
+
+        def crosses(route: Route) -> bool:
+            return not broken.isdisjoint(zip(route.path, route.path[1:]))
+
+        affected = [dest for dest in sorted(self.cache) if self._drop_routes(dest, now, crosses)]
         for dest in sorted(self.candidates):
-            if self._drop_candidates(dest, lambda c: origin in c.path):
+            if self._drop_candidates(dest, crosses):
                 self._recompute_preferences(dest, now)
-        if self.node != err.source:
-            return [Emission(err)]
+        if self.node != err.path[0]:
+            return [Emission(err, to=err.path[err.path.index(self.node) - 1])]
         return [em for dest in affected for em in self._rediscover(dest, now)]
 
     def on_clr(self, clr: ClrPacket, sender: int, now: float) -> list[Emission]:
@@ -555,13 +545,17 @@ class NodeAgent:
         return [Emission(packet, to=entry.next_hop)]
 
     def on_data(self, packet: DataPacket, sender: int, now: float) -> list[Emission]:
-        """Forward along the packet's source route, remembering which flows
-        went over which link; the destination keeps it."""
+        """Forward along the packet's source route; the destination keeps it.
+        A dead next-hop link still gets the packet, which it drops, and a
+        route error naming that link goes back to the previous hop."""
         if self.node == packet.destination:
             return []
-        nxt = packet.path[packet.path.index(self.node) + 1]
-        self.fwd_history.setdefault(nxt, set()).add((packet.source, packet.destination))
-        return [Emission(packet, to=nxt)]
+        path = packet.path
+        i = path.index(self.node)
+        emissions = [Emission(packet, to=path[i + 1])]
+        if path[i + 1] not in self.link_activated_at:
+            emissions.append(Emission(ErrorPacket(path[: i + 2]), to=path[i - 1]))
+        return emissions
 
     def _flush_queue(self, dest: int, now: float) -> list[Emission]:
         return [

@@ -1,11 +1,12 @@
 """Protocol packet model and the canonical trace-line encoding.
 
 Seven packet families: the periodic hello beacon, the discovery
-request/reply pair, height updates, route errors, route-clear floods, and
-the data packets whose delivery the harness measures. Every packet event in
-a run serializes to exactly one line of fixed-order ``key=value`` text with
-six fractional digits on every decimal, so identical runs produce
-byte-identical traces and the golden-file regression is exact.
+request/reply pair, height updates, link-named route errors, route-clear
+floods, and the data packets whose delivery the harness measures. Every
+packet event in a run serializes to exactly one line of fixed-order
+``key=value`` text with six fractional digits on every decimal, so
+identical runs produce byte-identical traces and the golden-file
+regression is exact.
 
 Trace line layout::
 
@@ -135,10 +136,14 @@ class UpdPacket:
 
 @dataclass(frozen=True)
 class ErrorPacket:
-    """Route-failure notice from the node that lost its last outbound link."""
+    """Route error sent back hop by hop along a data packet's ``path``, cut
+    after the dead link it names: the last two nodes."""
 
-    source: int
-    originator: int
+    path: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.path) < 2 or len(set(self.path)) != len(self.path):
+            raise ValueError("error path must name a link and be loop-free")
 
 
 @dataclass(frozen=True)

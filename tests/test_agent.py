@@ -436,15 +436,15 @@ def test_case1_surviving_downstream_is_silent():
     assert net.count_sent(ErrorPacket, since=5.0) == 0
 
 
-def test_case2_failure_emits_error_and_new_reference_level():
+def test_case2_failure_emits_new_reference_level_and_no_error():
     net = warmed(4, [(0, 1), (1, 2), (2, 3)])
     net.discover(0, 3, 1.5)
-    # move one data packet so node 2 remembers forwarding for source 0
+    # node 2 has forwarded data for source 0 over the link that fails
     net.push_emissions(0, net.agents[0].send_data(3, 500, seq=0, now=2.0), 2.0)
     net.pump()
     net.cut(2, 3, 5.0)
-    errors = [p for t, _, p in net.sent if isinstance(p, ErrorPacket) and t >= 5.0]
-    assert errors and errors[0].source == 0 and errors[0].originator == 2
+    # only a data packet that meets the dead link makes an error
+    assert net.count_sent(ErrorPacket, since=5.0) == 0
     upds = [p for t, frm, p in net.sent
             if isinstance(p, UpdPacket) and t >= 5.0 and frm == 2]
     assert upds
@@ -504,14 +504,18 @@ def test_upd_reversal_detects_partition_on_own_level():
 # error handling
 
 
-def test_error_purges_routes_through_originator():
+def test_error_purges_routes_over_its_link():
     net = warmed(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     net.discover(0, 3, 1.5)
     s = net.agents[0]
-    assert len(s.cache[3]) == 2
-    out = s.on_error(ErrorPacket(source=9, originator=1), 1, 6.0)
+    assert [e.path for e in s.cache[3]] == [(0, 1, 3), (0, 2, 3)]
+    assert sorted(s.candidates[3]) == [1, 2]
+    # node 0 relays an error for link 3-1, which its routes cross as 1-3
+    err = ErrorPacket((9, 0, 3, 1))
+    out = s.on_error(err, 3, 6.0)
     assert [e.path for e in s.cache[3]] == [(0, 2, 3)]
-    assert len(out) == 1  # not the source: forward the flood
+    assert sorted(s.candidates[3]) == [2]
+    assert [(em.packet, em.to) for em in out] == [(err, 9)]  # on to its previous hop
 
 
 def test_error_purge_keeps_unrelated_routes():
@@ -525,17 +529,16 @@ def test_error_purge_keeps_unrelated_routes():
         Route((0, 5, 9), m, 0.3, created_at=1.1, expires_at=50.0),
         Route((0, 6, 5, 9), m, 0.3, created_at=1.2, expires_at=50.0),
     ]
-    agent.on_error(ErrorPacket(source=8, originator=5), 1, 6.0)
-    assert [e.path for e in agent.cache[9]] == [(0, 1, 9)] or len(agent.cache[9]) == 1
-    # three routes, two through the originator: exactly one survives
-    assert len(agent.cache[9]) == 1 and 5 not in agent.cache[9][0].path
+    agent.on_error(ErrorPacket((8, 0, 5, 6)), 5, 6.0)
+    # only the route over link 5-6 goes; one through node 5 alone stays
+    assert [e.path for e in agent.cache[9]] == [(0, 1, 9), (0, 5, 9)]
 
 
 def test_source_with_alternate_route_does_not_rediscover():
     net = warmed(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     net.discover(0, 3, 1.5)
     s = net.agents[0]
-    out = s.on_error(ErrorPacket(source=0, originator=1), 1, 6.0)
+    out = s.on_error(ErrorPacket((0, 1, 3)), 1, 6.0)
     assert out == []
     assert [e.path for e in s.cache[3]] == [(0, 2, 3)]
 
@@ -544,18 +547,38 @@ def test_source_with_empty_cache_starts_rediscovery():
     net = warmed(3, [(0, 1), (1, 2)])
     net.discover(0, 2, 1.5)
     s = net.agents[0]
-    out = s.on_error(ErrorPacket(source=0, originator=1), 1, 6.0)
+    out = s.on_error(ErrorPacket((0, 1, 2)), 1, 6.0)
     assert s.cache[2] == []
     assert len(out) == 1
     assert isinstance(out[0].packet, QryRequestAnt)
 
 
-def test_error_flood_deduplicates():
-    net = warmed(3, [(0, 1), (1, 2)])
-    a = net.agents[1]
-    err = ErrorPacket(source=9, originator=5)
-    assert len(a.on_error(err, 0, 6.0)) == 1
-    assert a.on_error(err, 2, 6.1) == []
+def test_error_goes_back_hop_by_hop_and_stops_at_its_source():
+    net = warmed(4, [(0, 1), (1, 2), (2, 3)])
+    net.discover(0, 3, 1.5)
+    err = ErrorPacket((0, 1, 2, 3))
+    out = net.agents[2].on_error(err, 3, 6.0)
+    assert [(em.packet, em.to) for em in out] == [(err, 1)]
+    net.push_emissions(2, out, 6.0)
+    net.pump()
+    assert [(frm, p) for _, frm, p in net.sent if isinstance(p, ErrorPacket)] == [(2, err), (1, err)]
+    # the source sends it no further: it rediscovers instead
+    requests = [(frm, p) for t, frm, p in net.sent if isinstance(p, QryRequestAnt) and t >= 6.0]
+    assert requests[0][0] == 0 and requests[0][1].source == 0
+
+
+def test_relay_with_dead_next_hop_sends_the_data_and_an_error_back():
+    # node 2 holds two downstream links toward 3 (3 and 1)
+    net = warmed(4, [(0, 2), (0, 1), (1, 3), (2, 3), (1, 2)])
+    net.discover(0, 3, 1.5)
+    relay = net.agents[2]
+    packet = DataPacket(0, 3, 0, 800, (0, 1, 2, 3))
+    assert [(em.packet, em.to) for em in relay.on_data(packet, 1, 4.0)] == [(packet, 3)]
+    net.cut(2, 3, 5.0)
+    assert has_downstream(relay.tora[3])
+    # the link drops the packet; the error names link 2-3 and goes to node 1
+    out = relay.on_data(packet, 1, 6.0)
+    assert [(em.packet, em.to) for em in out] == [(packet, 3), (ErrorPacket((0, 1, 2, 3)), 1)]
 
 
 # ---------------------------------------------------------------------------

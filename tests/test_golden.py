@@ -104,8 +104,8 @@ def test_run_and_replay_each_decode_every_event_line_once(tmp_path, monkeypatch)
 
 
 def test_run_and_replay_decode_each_run_of_repeated_bodies_once(tmp_path, monkeypatch):
-    # barbell_clear has 391 event lines but only 93 distinct bodies (type and
-    # fields); run and replay decode all 391 lines each, but strictly parse at
+    # barbell_clear has 387 event lines but only 93 distinct bodies (type and
+    # fields); run and replay decode all 387 lines each, but strictly parse at
     # most 2 * 93 bodies. The memo starts empty, so no earlier test can make
     # it fill and empty itself partway through the trace.
     bodies = []

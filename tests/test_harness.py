@@ -135,8 +135,10 @@ def test_run_and_replay_each_read_the_trace_once(tmp_path, monkeypatch):
 
 
 # qreq and qrep lines in the format that still carried min_bandwidth_seen and
-# to_visit; the strict decoder's field count must reject them
+# to_visit, and an err line that named a node, not a link; the strict
+# decoder's field count must reject them
 OLD_FORMAT_LINES = {
+    "err": "0000000005.000000 00000310 snd 2 err source=0 originator=2",
     "qreq": "0000000002.000000 00000027 snd 0 qreq request_start_time=2.000000"
     " min_bandwidth_seen=0.000000 source=0 destination=4 visited=0",
     "qrep": "0000000002.005268 00000048 snd 3 qrep hop_count=2 delay=0.002256"

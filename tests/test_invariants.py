@@ -15,9 +15,11 @@ with, the clear-flood erasures' included, is the last one its
 or its initial height when it reported none. Every data packet sent from
 its source ends in exactly one line, a ``rcv`` at its destination or a
 ``drp`` anywhere, unless it is still in the air when the run ends, over the
-generated scenarios and the golden runs. Deferring each candidate
-ranking to its first read must give the same trace as ranking at once,
-also on larger static graphs with several long flows.
+generated scenarios and the golden runs. There too, after a source
+receives a route error naming a link, each data packet it sends over that
+link follows a route from a reply it received after the error. Deferring
+each candidate ranking to its first read must give the same trace as
+ranking at once, also on larger static graphs with several long flows.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from anttora.agent import NodeAgent
 from anttora.engine import Simulation, _Hooks
 from anttora.harness import run_single
 from anttora.metrics import compute_metrics, read_trace, validate_trace_order
-from anttora.packets import DataPacket, QryReplyAnt, QryRequestAnt, decode_trace_record
+from anttora.packets import DataPacket, ErrorPacket, QryReplyAnt, QryRequestAnt, decode_trace_record
 from anttora.scenario import load_scenario, parse_scenario
 
 from conftest import flow, scenario_dict, trace_of
@@ -98,6 +100,7 @@ def test_counters_and_trace_agree(data):
     assert_ledgers(metrics, sim)
     assert_offered_data_conserved(lines, sim)
     assert_every_sent_packet_has_a_fate(lines, sim, deliveries)
+    assert_sources_heed_route_errors(lines)
     assert_replies_follow_own_requests(lines)
     assert_discovery_state(sim)
     assert_every_height_was_reported(sim, reported)
@@ -198,6 +201,28 @@ def assert_every_sent_packet_has_a_fate(lines, sim, deliveries) -> None:
             ends[key] += 1
     for key in sorted(sent):
         assert ends[key] == (0 if key in in_air else 1), key
+
+
+def assert_sources_heed_route_errors(lines) -> None:
+    """After a source receives a route error naming link {a, b}, each data
+    packet it sends over {a, b} follows the route of a reply to its own
+    discovery that it received after that error: the error purged every
+    route over the link, and only such a reply caches one again."""
+    fresh = {}  # source -> link -> routes replied since the link's last error
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        rec = decode_trace_record(line)
+        pkt, node = rec.packet, rec.node
+        if rec.event == "rcv" and isinstance(pkt, ErrorPacket) and node == pkt.path[0]:
+            fresh.setdefault(node, {})[frozenset(pkt.path[-2:])] = set()
+        elif rec.event == "rcv" and isinstance(pkt, QryReplyAnt) and node == pkt.source:
+            for routes in fresh.get(node, {}).values():
+                routes.add((node,) + pkt.path_nodes)
+        elif rec.event == "snd" and isinstance(pkt, DataPacket) and node == pkt.source:
+            for hop in zip(pkt.path, pkt.path[1:]):
+                routes = fresh.get(node, {}).get(frozenset(hop))
+                assert routes is None or pkt.path in routes, line
 
 
 def assert_replies_follow_own_requests(lines) -> None:
@@ -306,17 +331,30 @@ def test_mobility_adjacency_and_ledgers(data):
     assert_ledgers(compute_metrics(lines), sim)
     assert_offered_data_conserved(lines, sim)
     assert_every_sent_packet_has_a_fate(lines, sim, deliveries)
+    assert_sources_heed_route_errors(lines)
     assert_replies_follow_own_requests(lines)
     assert_discovery_state(sim)
     assert_every_height_was_reported(sim, reported)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_every_sent_packet_has_a_fate_in_the_golden_runs(name):
+def golden_run(name):
+    """The golden run ``name``'s trace lines, finished simulation and
+    recorded deliveries."""
     run = GOLDEN_RUNS[name]
     with recording_deliveries() as deliveries:
         sim = Simulation(load_scenario(str(GOLDEN / f"{run['scenario']}.json")), mode=run["mode"]).run()
-    assert_every_sent_packet_has_a_fate(trace_of(sim), sim, deliveries)
+    return trace_of(sim), sim, deliveries
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_every_sent_packet_has_a_fate_in_the_golden_runs(name):
+    assert_every_sent_packet_has_a_fate(*golden_run(name))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_sources_heed_route_errors_in_the_golden_runs(name):
+    lines, _, _ = golden_run(name)
+    assert_sources_heed_route_errors(lines)
 
 
 def _rank_at_once(agent, dest, now):

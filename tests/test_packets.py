@@ -46,7 +46,7 @@ def _sample_packets():
         QryReplyAnt(3, 0.0125, 40.0, 0.5, 2e6, 0, 7, (5, 6, 7), h),
         UpdPacket(7, h),
         UpdPacket(7, Height.null(2)),
-        ErrorPacket(0, 3),
+        ErrorPacket((0, 2, 5, 7)),
         ClrPacket(7, (3.0, 5, 1)),
         DataPacket(0, 7, 12, 1000, (0, 2, 5, 7)),
     ]
@@ -135,8 +135,8 @@ def test_malformed_field_names_the_offender():
 
 
 def test_field_order_is_enforced():
-    line = encode_trace(ErrorPacket(0, 3), 1.0)
-    swapped = line.replace("source=0 originator=3", "originator=3 source=0")
+    line = encode_trace(UpdPacket(7, Height.null(2)), 1.0)
+    swapped = line.replace("destination=7 height=null:2", "height=null:2 destination=7")
     with pytest.raises(TraceDecodeError):
         decode_trace_record(swapped)
 
@@ -196,7 +196,7 @@ _any_packet = st.one_of(
     _packets(lambda t, s, d, hops: QryRequestAnt(t, s, d, (s, *hops)), _q6, _int_slot, _int_slot, _hops),
     _packets(QryReplyAnt, _int_slot, _q6, _q6, _q6, _q6, _int_slot, _int_slot, _hops.map(tuple), _height),
     _packets(UpdPacket, _int_slot, _height),
-    _packets(ErrorPacket, _int_slot, _int_slot),
+    _packets(ErrorPacket, st.lists(_int_slot, min_size=2, max_size=4).map(tuple)),
     _packets(ClrPacket, _int_slot, st.tuples(_q6, _int_slot, st.sampled_from([1, True, 1.0]))),
     _packets(
         lambda s, d, seq, bits, hops: DataPacket(s, d, seq, bits, (s, *hops, d)),
@@ -325,6 +325,10 @@ def test_packet_invariants():
         DataPacket(0, 7, 1, 100, (0, 3))  # path must end at destination
     with pytest.raises(ValueError):
         HelloAnt(3, 1.0, 50.0, 0.25, 0)  # empty packet
+    with pytest.raises(ValueError):
+        ErrorPacket((4,))  # names no link
+    with pytest.raises(ValueError):
+        ErrorPacket((0, 4, 0))  # loop
 
 
 def test_registry_names_agent_handlers_and_defaulted_bits_keys():
