@@ -4,8 +4,11 @@ Each node runs one agent. The agent owns the node's height state toward
 every destination it has heard of, the pheromone table, the neighbor table
 fed by hello beacons, the per-destination candidate table built from
 discovery replies, and the route cache holding QoS-admitted source routes
-for flows this node originates. Candidates and cached routes are the same
-record, a ``Route`` that carries its own preference rank.
+for flows this node originates. Both map destination -> key -> ``Route``, a
+record that carries its own preference rank: candidates by first hop, cached
+routes by path. ``_insert`` writes both, ``_prune`` prunes both, and their
+readers, ``_ranked_candidates`` and ``_select_route``, share one best-first
+order, ``_best_first``.
 
 A candidate's ranking input is the tau of its first hop and its route's
 metrics. A reply, an evaporation tick, an expiry, a link failure, an error
@@ -164,6 +167,12 @@ class Route:
         return self.path[1]
 
 
+def _best_first(route: Route) -> tuple:
+    """The one best-first order of routes toward a destination: highest rank,
+    then oldest (baseline ranks are all 1.0), then path."""
+    return (-route.preference, route.created_at, route.path)
+
+
 @dataclass(frozen=True)
 class Emission:
     """A packet to transmit; ``to`` is None for a broadcast."""
@@ -227,7 +236,7 @@ class NodeAgent:
         self.neighbors: dict[int, NeighborInfo] = {}
         self.link_activated_at: dict[int, float] = {}
         self.candidates: dict[int, dict[int, Route]] = {}  # dest -> first hop -> route
-        self.cache: dict[int, list[Route]] = {}
+        self.cache: dict[int, dict[tuple[int, ...], Route]] = {}  # dest -> path -> route
         # dest -> (time, first hop -> tau) of a ranking deferred until a rank is read
         self.pending_rank: dict[int, tuple[float, dict[int, float]]] = {}
         # dest -> the request this node waits on: it is route-required toward dest
@@ -281,8 +290,8 @@ class NodeAgent:
             if failed not in state.links:
                 continue
             state.remove_link(failed)
-            self._drop_candidates(dest, lambda c: c.next_hop == failed)
-            self._drop_routes(dest, now, lambda e: e.next_hop == failed)
+            self._prune(self.candidates, dest, now, lambda c: c.next_hop == failed)
+            self._prune(self.cache, dest, now, lambda e: e.next_hop == failed)
             self._recompute_preferences(dest, now)
             if self.node == dest:
                 continue
@@ -339,7 +348,7 @@ class NodeAgent:
             for j in sorted(self.pheromone):
                 self.pheromone[j] = evaporate(self.pheromone[j], q)
         for dest in sorted(self.candidates):
-            self._drop_candidates(dest, lambda c: c.expires_at <= now)
+            self._prune(self.candidates, dest, now, lambda c: c.expires_at <= now)
             self._recompute_preferences(dest, now)
 
     # -- route discovery -----------------------------------------------------
@@ -404,15 +413,7 @@ class NodeAgent:
         usable = info is not None and rep.path_nodes[0] == sender and self.node not in rep.path_nodes
         if usable:
             extended, path = self._extend_metrics(rep, sender)
-            cand = self.candidates.setdefault(dest, {})
-            old = cand.get(sender)
-            cand[sender] = Route(
-                path=path,
-                metrics=extended,
-                preference=1.0,  # ranked just below
-                created_at=old.created_at if old else now,
-                expires_at=now + self.params.route_ttl,
-            )
+            self._insert(self.candidates, dest, sender, path, extended, 1.0, now)  # ranked below
             if not self.params.baseline:
                 deposit = pheromone_deposit(
                     extended, self.params.deposit_weights, self.params.bounds
@@ -496,7 +497,7 @@ class NodeAgent:
         state.reset_mirrors()
         self.candidates.pop(dest, None)
         self.pending_rank.pop(dest, None)
-        self._drop_routes(dest, now, lambda e: True)
+        self._prune(self.cache, dest, now, lambda e: True)
         return [Emission(ClrPacket(destination=dest, reference_level=level))]
 
     def on_error(self, err: ErrorPacket, sender: int, now: float) -> list[Emission]:
@@ -508,9 +509,9 @@ class NodeAgent:
         def crosses(route: Route) -> bool:
             return not broken.isdisjoint(zip(route.path, route.path[1:]))
 
-        affected = [dest for dest in sorted(self.cache) if self._drop_routes(dest, now, crosses)]
+        affected = [dest for dest in sorted(self.cache) if self._prune(self.cache, dest, now, crosses)]
         for dest in sorted(self.candidates):
-            if self._drop_candidates(dest, crosses):
+            if self._prune(self.candidates, dest, now, crosses):
                 self._recompute_preferences(dest, now)
         if self.node != err.path[0]:
             return [Emission(err, to=err.path[err.path.index(self.node) - 1])]
@@ -523,8 +524,8 @@ class NodeAgent:
             return self._erase_state(state, clr.reference_level, now)
         if affected:
             dest, reset = clr.destination, set(affected)
-            self._drop_candidates(dest, lambda c: c.next_hop in reset)
-            self._drop_routes(dest, now, lambda e: not reset.isdisjoint(e.path[1:]))
+            self._prune(self.candidates, dest, now, lambda c: c.next_hop in reset)
+            self._prune(self.cache, dest, now, lambda e: not reset.isdisjoint(e.path[1:]))
             self._recompute_preferences(dest, now)
         return []
 
@@ -565,17 +566,15 @@ class NodeAgent:
         ]
 
     def route_expiry(self, dest: int, now: float) -> None:
-        self._drop_routes(dest, now, lambda e: e.expires_at <= now, tag="cache_expired")
-        self._drop_candidates(dest, lambda c: c.expires_at <= now)
+        self._prune(self.cache, dest, now, lambda e: e.expires_at <= now, tag="cache_expired")
+        self._prune(self.candidates, dest, now, lambda c: c.expires_at <= now)
         self._recompute_preferences(dest, now)
 
     # -- internals ------------------------------------------------------------
 
     def _select_route(self, dest: int, now: float) -> Route | None:
-        """The best unexpired cached route toward ``dest``, if any."""
-        # baseline preferences are all 1.0, so there the oldest route wins
-        live = [e for e in self.cache.get(dest, []) if e.expires_at > now]
-        return min(live, key=lambda e: (-e.preference, e.created_at, e.path), default=None)
+        """The best live cached route toward ``dest`` by ``_best_first``, if any."""
+        return min(self._live(self.cache, dest, now), key=_best_first, default=None)
 
     def _rediscover(self, dest: int, now: float) -> list[Emission]:
         """Start a discovery toward ``dest`` unless a live route exists or
@@ -584,42 +583,41 @@ class NodeAgent:
             return []
         return self.start_discovery(dest, now)
 
-    def _drop_routes(
-        self,
-        dest: int,
-        now: float,
-        doomed: Callable[[Route], bool],
-        tag: str = "cache_purged",
-    ) -> bool:
-        """Remove the cached routes toward ``dest`` that ``doomed`` picks;
-        returns whether any went."""
-        entries = self.cache.get(dest)
-        if not entries:
-            return False
-        kept = [e for e in entries if not doomed(e)]
-        if len(kept) == len(entries):
-            return False
-        self.hooks.log(tag, self.node, now, dest=dest, dropped=len(entries) - len(kept))
-        self.cache[dest] = kept
-        return True
+    def _insert(
+        self, table: dict, dest: int, key, path: tuple[int, ...], m: PathMetrics, rank: float, now: float
+    ) -> Route:
+        """File a route toward ``dest`` under ``key`` in ``table``, live for
+        one route TTL. The one writer of both tables: the route keeps the
+        ``created_at`` of the route it replaces."""
+        routes = table.setdefault(dest, {})
+        old = routes.get(key)
+        created = old.created_at if old else now
+        routes[key] = route = Route(path, m, rank, created, expires_at=now + self.params.route_ttl)
+        return route
 
-    def _drop_candidates(self, dest: int, doomed: Callable[[Route], bool]) -> bool:
-        """Remove the candidates toward ``dest`` that ``doomed`` picks, and
-        the table itself once it is empty; returns whether any went."""
-        cand = self.candidates.get(dest)
-        if not cand:
+    def _prune(
+        self, table: dict, dest: int, now: float, doomed: Callable[[Route], bool], tag: str = "cache_purged"
+    ) -> bool:
+        """Remove the routes toward ``dest`` in ``table`` that ``doomed``
+        picks, and the destination's entry once it is empty; returns whether
+        any went. A cache pruning is logged under ``tag``."""
+        routes = table.get(dest)
+        if not routes:
             return False
-        gone = [j for j, c in cand.items() if doomed(c)]
-        for j in gone:
-            del cand[j]
-        if not cand:
-            del self.candidates[dest]
+        gone = [k for k, r in routes.items() if doomed(r)]
+        for k in gone:
+            del routes[k]
+        if not routes:
+            del table[dest]
+        if gone and table is self.cache:
+            self.hooks.log(tag, self.node, now, dest=dest, dropped=len(gone))
         return bool(gone)
 
-    def _live_candidates(self, dest: int, now: float) -> list[tuple[int, Route]]:
-        """Unexpired candidates toward ``dest`` as (next hop, route), by next hop."""
-        cand = self.candidates.get(dest, {})
-        return [(j, cand[j]) for j in sorted(cand) if cand[j].expires_at > now]
+    @staticmethod
+    def _live(table: dict, dest: int, now: float) -> list[Route]:
+        """The unexpired routes toward ``dest`` in ``table``, by key."""
+        routes = table.get(dest, {})
+        return [routes[k] for k in sorted(routes) if routes[k].expires_at > now]
 
     def _recompute_preferences(self, dest: int, now: float) -> None:
         """Rank the candidates toward ``dest`` as of ``now``: at once when
@@ -650,23 +648,23 @@ class NodeAgent:
         at once: use refreshes a cached route, so it can outlive its
         candidate, and it keeps the rank of the last ranking that saw that
         candidate live, which deferring could skip."""
-        live = self._live_candidates(dest, now)
+        live = self._live(self.candidates, dest, now)
         if not live:
             return
         initial = self.params.initial_pheromone
         try:
             ranks = path_preference(
-                [(taus.get(j, initial), c.metrics) for j, c in live],
+                [(taus.get(c.next_hop, initial), c.metrics) for c in live],
                 self.params.preference_weights,
             )
         except ValueError:
-            for _, c in live:
+            for c in live:
                 c.preference = 1.0
             return
-        ranked = {j: p for (j, _), p in zip(live, ranks)}
-        for j, c in live:
-            c.preference = ranked[j]
-        for e in self.cache.get(dest, []):
+        ranked = {c.next_hop: p for c, p in zip(live, ranks)}
+        for c in live:
+            c.preference = ranked[c.next_hop]
+        for e in self.cache.get(dest, {}).values():
             if e.next_hop in ranked:
                 e.preference = ranked[e.next_hop]
 
@@ -689,35 +687,25 @@ class NodeAgent:
         if not self.params.baseline and not self.params.qos.admits(metrics):
             self.hooks.log("route_rejected", self.node, now, dest=dest, path=path)
             return []
-        preference = dict(self._ranked_candidates(dest, now))[path[1]].preference
-        expires = now + self.params.route_ttl
-        entries = self.cache.setdefault(dest, [])
-        for e in entries:
-            if e.path == path:
-                e.metrics = metrics
-                e.preference = preference
-                e.expires_at = expires
-                break
-        else:
-            entries.append(Route(path, metrics, preference, created_at=now, expires_at=expires))
-        self.hooks.route_inserted(self.node, dest, expires)
+        ranked = self._ranked_candidates(dest, now)
+        preference = next(c for c in ranked if c.next_hop == path[1]).preference
+        route = self._insert(self.cache, dest, path, path, metrics, preference, now)
+        self.hooks.route_inserted(self.node, dest, route.expires_at)
         self.hooks.log("route_cached", self.node, now, dest=dest, path=path)
         return self._flush_queue(dest, now)
 
-    def _ranked_candidates(self, dest: int, now: float) -> list[tuple[int, Route]]:
-        """The live candidates toward ``dest`` as (next hop, route), best
-        first: highest rank (baseline: oldest), then lowest next hop. The
-        one reader of ranks and of ``pending_rank``, so it runs a deferred
+    def _ranked_candidates(self, dest: int, now: float) -> list[Route]:
+        """The live candidates toward ``dest``, best first by ``_best_first``,
+        the order ``_select_route`` reads the cache in. The one reader of
+        candidate ranks and of ``pending_rank``, so it runs a deferred
         ranking before it reads."""
         pending = self.pending_rank.pop(dest, None)
         if pending is not None:
             self._rank(dest, *pending)
-        if self.params.baseline:
-            return sorted(self._live_candidates(dest, now), key=lambda jc: (jc[1].created_at, jc[0]))
-        return sorted(self._live_candidates(dest, now), key=lambda jc: (-jc[1].preference, jc[0]))
+        return sorted(self._live(self.candidates, dest, now), key=_best_first)
 
     def _best_candidate(self, dest: int, now: float) -> Route | None:
-        return next((route for _, route in self._ranked_candidates(dest, now)), None)
+        return next(iter(self._ranked_candidates(dest, now)), None)
 
     def _relay_reply(
         self, req: QryRequestAnt, state: NodeToraState, now: float

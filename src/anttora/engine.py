@@ -113,10 +113,7 @@ class Simulation:
             "frames_sent": 0,
             "frames_delivered": 0,
             "frames_dropped": 0,
-            "drop_link_down_at_send": 0,
-            "drop_cancelled_in_flight": 0,
-            "drop_rx_energy": 0,
-            "drop_end_of_run": 0,
+            **dict.fromkeys(FRAME_DROPS, 0),
             "tx_suppressed": 0,
             "data_offered": 0,
             "data_delivered": 0,

@@ -158,13 +158,16 @@ class _Ctx:
             return default
         return value
 
-    def pair(self, data, path, key, default):
+    def pair(self, data, path, key, default, minimum=None):
         value = data.get(key)
         if value is None:
             return default
         pair = _number_pair(value)
         if pair is None:
             self.fail(_join(path, key), f"expected [low, high], got {value!r}")
+            return default
+        if minimum is not None and min(pair) < minimum:
+            self.fail(_join(path, key), f"must be >= {minimum}, got {value!r}")
             return default
         return pair
 
@@ -246,7 +249,8 @@ def _parse_topology(ctx: _Ctx, data: dict, node_count: int) -> TopologySpec:
         mode=mode,
         adjacency=tuple(adjacency),
         area=ctx.pair(data, "topology", "area", defaults.area),
-        speed=ctx.pair(data, "topology", "speed", defaults.speed),
+        # a negative speed never moves a node, so the run would be silently static
+        speed=ctx.pair(data, "topology", "speed", defaults.speed, minimum=0.0),
         comm_range=ctx.number(data, "topology", "comm_range", defaults.comm_range, positive=True),
         pause_time=ctx.number(data, "topology", "pause_time", defaults.pause_time, minimum=0.0),
         step=ctx.number(data, "topology", "step", defaults.step, positive=True),

@@ -335,8 +335,8 @@ def test_criterion_6_qos_admission_soundness_and_completeness():
         }
         assert feasible, f"graph {i}: thresholds exclude everything"
         _, _, sim = run_single(sc)
-        cached = {e.path for e in sim.agents[0].cache.get(n - 1, [])}
-        for entry in sim.agents[0].cache.get(n - 1, []):
+        cached = {e.path for e in sim.agents[0].cache.get(n - 1, {}).values()}
+        for entry in sim.agents[0].cache.get(n - 1, {}).values():
             assert sc.protocol.qos.admits(entry.metrics), f"graph {i}: unsound cache entry"
         assert cached <= feasible, f"graph {i}: cached {cached - feasible} infeasible"
     _passline(6, "QoS admission soundness and desk-scale completeness")

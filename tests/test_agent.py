@@ -219,7 +219,7 @@ def test_line_topology_discovery_hand_trace():
     assert by_node.get(1) == 1  # relay
     s = net.agents[0]
     assert len(s.cache[3]) == 1
-    entry = s.cache[3][0]
+    entry = list(s.cache[3].values())[0]
     assert entry.path == (0, 1, 2, 3)
     assert entry.metrics.hop_count == 4
     assert 3 not in s.pending_request
@@ -231,9 +231,9 @@ def test_diamond_topology_caches_two_disjoint_paths():
     net = warmed(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     net.discover(0, 3, 1.5)
     s = net.agents[0]
-    paths = sorted(e.path for e in s.cache[3])
+    paths = sorted(e.path for e in s.cache[3].values())
     assert paths == [(0, 1, 3), (0, 2, 3)]
-    prefs = [e.preference for e in s.cache[3]]
+    prefs = [e.preference for e in s.cache[3].values()]
     assert all(0.0 <= p <= 1.0 for p in prefs)
     assert sum(prefs) == pytest.approx(1.0, abs=1e-9)
 
@@ -248,13 +248,13 @@ def test_no_preferable_path_ranks_every_candidate_alike_and_keeps_cached_ranks()
     s.evaporation_tick(2.0)
     assert all(tau == 0.0 for tau in s.pheromone.values())
     assert s._best_candidate(3, 2.0).next_hop == 1
-    assert sorted((e.path, e.preference) for e in s.cache[3]) == [
+    assert sorted((e.path, e.preference) for e in s.cache[3].values()) == [
         ((0, 1, 3), 0.5),
         ((0, 2, 3), 0.5),
     ]
-    via_2 = next(e for e in s.cache[3] if e.path == (0, 2, 3))
+    via_2 = s.cache[3][(0, 2, 3)]
     s._admit_route(3, (0, 2, 3), via_2.metrics, 2.5)
-    assert via_2.preference == 1.0
+    assert s.cache[3][(0, 2, 3)].preference == 1.0
 
 
 def test_reply_extension_increments_hops_and_updates_pheromone():
@@ -262,7 +262,7 @@ def test_reply_extension_increments_hops_and_updates_pheromone():
     s = net.agents[0]
     tau_before = s.pheromone[1]
     net.discover(0, 1, 1.5)
-    assert s.cache[1][0].metrics.hop_count == 2
+    assert list(s.cache[1].values())[0].metrics.hop_count == 2
     assert s.pheromone[1] > tau_before * net.params.preference_weights.persistence
     cand = s.candidates[1][1]
     assert cand.path == (0, 1)
@@ -313,7 +313,7 @@ def test_a_cached_route_keeps_the_rank_of_its_candidates_last_ranking():
     agent.start_discovery(9, 0.05)
     agent.on_qry_reply(_reply_via(1, 9, 0.02, source=0), 1, 0.1)
     agent.on_qry_reply(_reply_via(2, 9, 0.01, source=0), 2, 0.2)
-    assert sorted(e.next_hop for e in agent.cache[9]) == [1, 2]
+    assert sorted(e.next_hop for e in agent.cache[9].values()) == [1, 2]
     agent.on_qry_reply(_reply_via(1, 8, 0.0006), 1, 0.3)
     agent.evaporation_tick(0.7)
     expected = path_preference(
@@ -323,8 +323,30 @@ def test_a_cached_route_keeps_the_rank_of_its_candidates_last_ranking():
     agent.evaporation_tick(1.15)
     assert sorted(agent.candidates[9]) == [2]
     assert agent._select_route(9, 1.15).next_hop == 2
-    via_1 = next(e for e in agent.cache[9] if e.next_hop == 1)
+    via_1 = next(e for e in agent.cache[9].values() if e.next_hop == 1)
     assert via_1.preference == expected
+
+
+def test_a_rank_tie_goes_to_the_older_candidate():
+    # equal metrics and equal first-hop taus tie the two ranks; the candidate
+    # via 2 was heard first, so the relay answers with it, not via 1
+    agent = _agent_hearing_1_and_2()
+    agent.on_qry_reply(_reply_via(2, 9, 0.01), 2, 0.1)
+    agent.on_qry_reply(_reply_via(1, 9, 0.01), 1, 0.2)
+    assert agent.pheromone[1] == agent.pheromone[2]
+    out = agent.on_qry_request(QryRequestAnt(0.3, 5, 9, (5, 1)), 1, 0.3)
+    assert [em.packet.path_nodes for em in out] == [(0, 2, 9)]
+
+
+def test_a_path_admitted_twice_keeps_one_cache_entry_and_its_age():
+    agent = _agent_hearing_1_and_2()
+    agent.start_discovery(9, 0.05)
+    agent.on_qry_reply(_reply_via(1, 9, 0.02, source=0), 1, 0.1)
+    agent.on_qry_reply(_reply_via(1, 9, 0.01, source=0), 1, 0.3)
+    assert list(agent.cache[9]) == [(0, 1, 9)]
+    entry = agent.cache[9][(0, 1, 9)]
+    assert entry.created_at == 0.1
+    assert entry.expires_at == 0.3 + agent.params.route_ttl
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +357,7 @@ def test_qos_admission_rejects_slow_route():
     params = ProtocolParams(qos=QosConstraints(max_delay=1e-4))
     net = warmed(4, [(0, 1), (1, 2), (2, 3)], params=params)
     net.discover(0, 3, 1.5)
-    assert net.agents[0].cache.get(3, []) == []
+    assert net.agents[0].cache.get(3, {}) == {}
 
 
 def test_baseline_mode_skips_admission_and_pheromone():
@@ -345,7 +367,7 @@ def test_baseline_mode_skips_admission_and_pheromone():
     net.discover(0, 3, 1.5)
     s = net.agents[0]
     assert len(s.cache[3]) == 1
-    assert s.cache[3][0].preference == 1.0
+    assert list(s.cache[3].values())[0].preference == 1.0
     assert s.pheromone == tau_before
 
 
@@ -353,7 +375,7 @@ def test_hop_count_counts_nodes_including_endpoints():
     params = ProtocolParams(qos=QosConstraints(max_hop_count=3))
     net = warmed(4, [(0, 1), (1, 2), (2, 3)], params=params)
     net.discover(0, 3, 1.5)  # 4 nodes on the only path
-    assert net.agents[0].cache.get(3, []) == []
+    assert net.agents[0].cache.get(3, {}) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +386,7 @@ def test_send_data_picks_highest_preference():
     net = warmed(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     net.discover(0, 3, 1.5)
     s = net.agents[0]
-    best = max(s.cache[3], key=lambda e: e.preference)
+    best = max(s.cache[3].values(), key=lambda e: e.preference)
     out = s.send_data(3, 1000, seq=0, now=2.0)
     assert out[0].packet.path == best.path
     assert out[0].to == best.path[1]
@@ -376,10 +398,10 @@ def test_send_data_tie_breaks_by_age():
     from anttora.aco import PathMetrics
 
     m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
-    agent.cache[3] = [
-        Route((0, 2, 3), m, 0.5, created_at=2.0, expires_at=50.0),
-        Route((0, 1, 3), m, 0.5, created_at=1.0, expires_at=50.0),
-    ]
+    agent.cache[3] = {
+        (0, 2, 3): Route((0, 2, 3), m, 0.5, created_at=2.0, expires_at=50.0),
+        (0, 1, 3): Route((0, 1, 3), m, 0.5, created_at=1.0, expires_at=50.0),
+    }
     out = agent.send_data(3, 500, seq=0, now=3.0)
     assert out[0].packet.path == (0, 1, 3)
 
@@ -490,14 +512,14 @@ def test_upd_reversal_detects_partition_on_own_level():
     state.set_mirror(0, Height(0.0, 0, 0, 5, 0))
     state.set_mirror(2, Height(9.0, 1, 1, 0, 2))  # already reflected our level
     state.set_own_height(Height(9.0, 1, 0, 0, 1))
-    a.cache[9] = []
+    a.cache[9] = {}
     out = a.on_upd(UpdPacket(9, Height(9.0, 1, 1, 1, 0)), 0, 9.6)
     assert len(out) == 1
     clr = out[0].packet
     assert isinstance(clr, ClrPacket)
     assert clr.reference_level == (9.0, 1, 1)
     assert a.tora[9].own_height.is_null
-    assert a.cache.get(9, []) == []
+    assert a.cache.get(9, {}) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +530,12 @@ def test_error_purges_routes_over_its_link():
     net = warmed(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     net.discover(0, 3, 1.5)
     s = net.agents[0]
-    assert [e.path for e in s.cache[3]] == [(0, 1, 3), (0, 2, 3)]
+    assert [e.path for e in s.cache[3].values()] == [(0, 1, 3), (0, 2, 3)]
     assert sorted(s.candidates[3]) == [1, 2]
     # node 0 relays an error for link 3-1, which its routes cross as 1-3
     err = ErrorPacket((9, 0, 3, 1))
     out = s.on_error(err, 3, 6.0)
-    assert [e.path for e in s.cache[3]] == [(0, 2, 3)]
+    assert [e.path for e in s.cache[3].values()] == [(0, 2, 3)]
     assert sorted(s.candidates[3]) == [2]
     assert [(em.packet, em.to) for em in out] == [(err, 9)]  # on to its previous hop
 
@@ -524,14 +546,17 @@ def test_error_purge_keeps_unrelated_routes():
 
     agent = NodeAgent(0, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
-    agent.cache[9] = [
-        Route((0, 1, 9), m, 0.4, created_at=1.0, expires_at=50.0),
-        Route((0, 5, 9), m, 0.3, created_at=1.1, expires_at=50.0),
-        Route((0, 6, 5, 9), m, 0.3, created_at=1.2, expires_at=50.0),
-    ]
+    agent.cache[9] = {
+        r.path: r
+        for r in [
+            Route((0, 1, 9), m, 0.4, created_at=1.0, expires_at=50.0),
+            Route((0, 5, 9), m, 0.3, created_at=1.1, expires_at=50.0),
+            Route((0, 6, 5, 9), m, 0.3, created_at=1.2, expires_at=50.0),
+        ]
+    }
     agent.on_error(ErrorPacket((8, 0, 5, 6)), 5, 6.0)
     # only the route over link 5-6 goes; one through node 5 alone stays
-    assert [e.path for e in agent.cache[9]] == [(0, 1, 9), (0, 5, 9)]
+    assert [e.path for e in agent.cache[9].values()] == [(0, 1, 9), (0, 5, 9)]
 
 
 def test_source_with_alternate_route_does_not_rediscover():
@@ -540,7 +565,7 @@ def test_source_with_alternate_route_does_not_rediscover():
     s = net.agents[0]
     out = s.on_error(ErrorPacket((0, 1, 3)), 1, 6.0)
     assert out == []
-    assert [e.path for e in s.cache[3]] == [(0, 2, 3)]
+    assert [e.path for e in s.cache[3].values()] == [(0, 2, 3)]
 
 
 def test_source_with_empty_cache_starts_rediscovery():
@@ -548,7 +573,7 @@ def test_source_with_empty_cache_starts_rediscovery():
     net.discover(0, 2, 1.5)
     s = net.agents[0]
     out = s.on_error(ErrorPacket((0, 1, 2)), 1, 6.0)
-    assert s.cache[2] == []
+    assert 2 not in s.cache  # the emptied entry goes
     assert len(out) == 1
     assert isinstance(out[0].packet, QryRequestAnt)
 
@@ -623,10 +648,10 @@ def _agent_with_routes_to_9(neighbors):
         agent.link_up(j, 0.0)
     agent._state_for(9)
     m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
-    agent.cache[9] = [
-        Route(path, m, 0.5, created_at=1.0, expires_at=50.0)
+    agent.cache[9] = {
+        path: Route(path, m, 0.5, created_at=1.0, expires_at=50.0)
         for path in [(0, 1, 9), (0, 2, 1, 9), (0, 2, 9)]
-    ]
+    }
     agent.candidates[9] = {
         1: Route((0, 1, 9), m, 0.5, created_at=1.0, expires_at=50.0),
         2: Route((0, 2, 1, 9), m, 0.5, created_at=1.0, expires_at=50.0),
@@ -638,7 +663,7 @@ def test_link_failure_drops_only_routes_whose_first_hop_failed():
     agent = _agent_with_routes_to_9([1, 2])
     agent.on_link_failure(1, 6.0)
     # (0, 2, 1, 9) crosses node 1 further along and stays, as does its candidate
-    assert [e.path for e in agent.cache[9]] == [(0, 2, 1, 9), (0, 2, 9)]
+    assert [e.path for e in agent.cache[9].values()] == [(0, 2, 1, 9), (0, 2, 9)]
     assert sorted(agent.candidates[9]) == [2]
 
 
@@ -659,7 +684,7 @@ def test_clr_drops_routes_through_any_reset_neighbor_but_candidates_only_via_one
     assert agent.on_clr(ClrPacket(9, (9.0, 5, 1)), 3, 9.9) == []
     assert state.links[1].is_null and not state.links[2].is_null
     # every route through node 1 goes, wherever on the path it sits ...
-    assert [e.path for e in agent.cache[9]] == [(0, 2, 9)]
+    assert [e.path for e in agent.cache[9].values()] == [(0, 2, 9)]
     # ... but a candidate goes only when node 1 is its next hop
     assert sorted(agent.candidates[9]) == [2]
 
@@ -677,7 +702,7 @@ def test_clr_at_own_level_erases_like_the_partition_detector():
     # the NULL height goes through the hook the reaction-locality count reads
     assert reported == [(0, 9, Height(9.0, 5, 1, -1, 0), Height.null(0), 9.9)]
     assert 9 not in agent.candidates and 9 not in agent.pending_rank
-    assert agent.cache[9] == []
+    assert 9 not in agent.cache
     assert all(mirror.is_null for mirror in state.links.values())
 
 
@@ -704,7 +729,7 @@ def test_cached_paths_are_loop_free_and_admitted():
     net.discover(0, 3, 1.5)
     for agent in net.agents.values():
         for dest, entries in agent.cache.items():
-            for e in entries:
+            for e in entries.values():
                 assert len(set(e.path)) == len(e.path)
                 assert agent.params.qos.admits(e.metrics)
 
@@ -760,9 +785,9 @@ def test_reply_handler_totality_for_rr_options():
             else:
                 assert relayed == []
             if is_source:
-                assert [e.path for e in a.cache.get(9, [])] == [(1, 2, 9)]
+                assert [e.path for e in a.cache.get(9, {}).values()] == [(1, 2, 9)]
             else:
-                assert a.cache.get(9, []) == []
+                assert a.cache.get(9, {}) == {}
 
 
 def test_incremental_extension_matches_batch_aggregation():
@@ -772,7 +797,7 @@ def test_incremental_extension_matches_batch_aggregation():
 
     net = warmed(4, [(0, 1), (1, 2), (2, 3)])
     net.discover(0, 3, 1.5)
-    entry = net.agents[0].cache[3][0]
+    entry = list(net.agents[0].cache[3].values())[0]
     est_bw = 512 / HOP_DELAY  # every hello flew for the pump's fixed hop delay
     link_metric_delay = PROP + net.params.metric_packet_bits / CAPACITY
     expected = aggregate_metrics(

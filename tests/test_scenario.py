@@ -316,6 +316,19 @@ def test_non_finite_pair_is_rejected():
     assert any(p.startswith("topology.area:") for p in err.value.problems)
 
 
+@pytest.mark.parametrize("speed", [[-5, -1], [-1, 3]])
+def test_negative_speed_is_rejected(speed, tmp_path, capsys):
+    data = minimal()
+    data["topology"] = {"mode": "mobility", "speed": speed}
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert f"topology.speed: must be >= 0.0, got {speed!r}" in err.value.problems
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["validate", str(path)]) == 2
+    assert "topology.speed:" in capsys.readouterr().err
+
+
 def test_top_level_field_paths_have_no_leading_dot():
     data = minimal()
     data["seed"] = "seven"
