@@ -4,21 +4,12 @@ Each node runs one agent. The agent owns the node's height state toward
 every destination it has heard of, the pheromone table, the neighbor table
 fed by hello beacons, the per-destination candidate table built from
 discovery replies, and the route cache holding QoS-admitted source routes
-for flows this node originates. Both map destination -> key -> ``Route``, a
-record that carries its own preference rank: candidates by first hop, cached
-routes by path. ``_insert`` writes both, ``_prune`` prunes both, and their
-readers, ``_ranked_candidates`` and ``_select_route``, share one best-first
-order, ``_best_first``.
-
-A candidate's ranking input is the tau of its first hop and its route's
-metrics. A reply, an evaporation tick, an expiry, a link failure, an error
-purge and a clear each ask for a ranking through
-``_recompute_preferences``. Toward a destination with cached routes it
-ranks at once. Otherwise it records the time and the taus of the
-candidates' first hops, a later request replaces the record, and
-``_ranked_candidates``, the one reader of ranks, which ``_best_candidate``
-and ``_admit_route`` call, ranks with them before it reads: ranks are
-computed when read. Baseline mode never ranks.
+for flows this node originates. Both map destination -> key -> ``Route``:
+candidates by first hop, cached routes by path. ``_insert`` writes both and
+``_prune`` prunes both. Routes carry no rank: their readers,
+``_best_candidate`` and ``_select_route``, order them with ``_best_first``,
+which ranks each route by the current tau of its first hop and its own
+metrics. Baseline mode never ranks.
 
 A node is route-required toward a destination exactly while it holds a
 request for it in ``pending_request``. It takes one up in one place,
@@ -95,9 +86,11 @@ class QosConstraints:
     max_hop_count: int = 32  # counts nodes, endpoints included
 
     def __post_init__(self) -> None:
-        for name in ("max_delay", "min_bandwidth", "min_energy", "max_drain_rate", "max_hop_count"):
+        for name in ("max_delay", "min_bandwidth", "min_energy", "max_drain_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.max_hop_count < 2:
+            raise ValueError(f"max_hop_count must be >= 2, got {self.max_hop_count}")
 
     def admits(self, m: PathMetrics) -> bool:
         return (
@@ -145,12 +138,11 @@ class NodeEnergy:
 
 @dataclass
 class Route:
-    """A reply-borne source route and its rank: a candidate toward a
-    destination via its first hop, or a QoS-admitted route in the cache."""
+    """A reply-borne source route: a candidate toward a destination via its
+    first hop, or a QoS-admitted route in the cache."""
 
     path: tuple[int, ...]
     metrics: PathMetrics
-    preference: float
     created_at: float
     expires_at: float
 
@@ -159,18 +151,10 @@ class Route:
             raise ValueError("route path must be loop-free")
         if self.expires_at <= self.created_at:
             raise ValueError("route must expire after creation")
-        if not 0.0 <= self.preference <= 1.0:
-            raise ValueError("preference is a probability")
 
     @property
     def next_hop(self) -> int:
         return self.path[1]
-
-
-def _best_first(route: Route) -> tuple:
-    """The one best-first order of routes toward a destination: highest rank,
-    then oldest (baseline ranks are all 1.0), then path."""
-    return (-route.preference, route.created_at, route.path)
 
 
 @dataclass(frozen=True)
@@ -237,8 +221,6 @@ class NodeAgent:
         self.link_activated_at: dict[int, float] = {}
         self.candidates: dict[int, dict[int, Route]] = {}  # dest -> first hop -> route
         self.cache: dict[int, dict[tuple[int, ...], Route]] = {}  # dest -> path -> route
-        # dest -> (time, first hop -> tau) of a ranking deferred until a rank is read
-        self.pending_rank: dict[int, tuple[float, dict[int, float]]] = {}
         # dest -> the request this node waits on: it is route-required toward dest
         self.pending_request: dict[int, QryRequestAnt] = {}
         self.last_reply_at: dict[int, float] = {}
@@ -292,7 +274,6 @@ class NodeAgent:
             state.remove_link(failed)
             self._prune(self.candidates, dest, now, lambda c: c.next_hop == failed)
             self._prune(self.cache, dest, now, lambda e: e.next_hop == failed)
-            self._recompute_preferences(dest, now)
             if self.node == dest:
                 continue
             if has_downstream(state):
@@ -309,7 +290,7 @@ class NodeAgent:
         if now <= hello.send_time:
             raise SimClockError(f"hello received at {now} not after send time {hello.send_time}")
         if sender not in self.link_activated_at:
-            self.link_up(sender, now)
+            return []
         self.neighbors[sender] = NeighborInfo(
             residual_energy=hello.residual_energy,
             drain_rate=hello.drain_rate,
@@ -349,7 +330,6 @@ class NodeAgent:
                 self.pheromone[j] = evaporate(self.pheromone[j], q)
         for dest in sorted(self.candidates):
             self._prune(self.candidates, dest, now, lambda c: c.expires_at <= now)
-            self._recompute_preferences(dest, now)
 
     # -- route discovery -----------------------------------------------------
 
@@ -413,7 +393,7 @@ class NodeAgent:
         usable = info is not None and rep.path_nodes[0] == sender and self.node not in rep.path_nodes
         if usable:
             extended, path = self._extend_metrics(rep, sender)
-            self._insert(self.candidates, dest, sender, path, extended, 1.0, now)  # ranked below
+            self._insert(self.candidates, dest, sender, path, extended, now)
             if not self.params.baseline:
                 deposit = pheromone_deposit(
                     extended, self.params.deposit_weights, self.params.bounds
@@ -422,7 +402,6 @@ class NodeAgent:
                 self.pheromone[sender] = pheromone_update(
                     tau, self.params.preference_weights.persistence, deposit
                 )
-            self._recompute_preferences(dest, now)
 
         emissions: list[Emission] = []
         if dest in self.pending_request and state.concrete_mirrors():
@@ -496,7 +475,6 @@ class NodeAgent:
         self._set_height(state, Height.null(self.node), now)
         state.reset_mirrors()
         self.candidates.pop(dest, None)
-        self.pending_rank.pop(dest, None)
         self._prune(self.cache, dest, now, lambda e: True)
         return [Emission(ClrPacket(destination=dest, reference_level=level))]
 
@@ -511,8 +489,7 @@ class NodeAgent:
 
         affected = [dest for dest in sorted(self.cache) if self._prune(self.cache, dest, now, crosses)]
         for dest in sorted(self.candidates):
-            if self._prune(self.candidates, dest, now, crosses):
-                self._recompute_preferences(dest, now)
+            self._prune(self.candidates, dest, now, crosses)
         if self.node != err.path[0]:
             return [Emission(err, to=err.path[err.path.index(self.node) - 1])]
         return [em for dest in affected for em in self._rediscover(dest, now)]
@@ -526,7 +503,6 @@ class NodeAgent:
             dest, reset = clr.destination, set(affected)
             self._prune(self.candidates, dest, now, lambda c: c.next_hop in reset)
             self._prune(self.cache, dest, now, lambda e: not reset.isdisjoint(e.path[1:]))
-            self._recompute_preferences(dest, now)
         return []
 
     # -- data plane ---------------------------------------------------------
@@ -568,23 +544,44 @@ class NodeAgent:
     def route_expiry(self, dest: int, now: float) -> None:
         self._prune(self.cache, dest, now, lambda e: e.expires_at <= now, tag="cache_expired")
         self._prune(self.candidates, dest, now, lambda c: c.expires_at <= now)
-        self._recompute_preferences(dest, now)
 
     # -- internals ------------------------------------------------------------
 
     def _select_route(self, dest: int, now: float) -> Route | None:
-        """The best live cached route toward ``dest`` by ``_best_first``, if any."""
-        return min(self._live(self.cache, dest, now), key=_best_first, default=None)
+        """The best live cached route toward ``dest``, if any."""
+        return next(iter(self._best_first(self._live(self.cache, dest, now))), None)
+
+    def _best_candidate(self, dest: int, now: float) -> Route | None:
+        """The best live candidate toward ``dest``, if any."""
+        return next(iter(self._best_first(self._live(self.candidates, dest, now))), None)
+
+    def _best_first(self, routes: list[Route]) -> list[Route]:
+        """``routes``, toward one destination, best first: highest
+        ``path_preference`` over each route's first-hop tau now and its own
+        metrics, then oldest, then path. Baseline mode, a lone route and a
+        set with no preferable path rank every route alike."""
+        ranks = [1.0] * len(routes)
+        if len(routes) > 1 and not self.params.baseline:
+            initial = self.params.initial_pheromone
+            try:
+                ranks = path_preference(
+                    [(self.pheromone.get(r.next_hop, initial), r.metrics) for r in routes],
+                    self.params.preference_weights,
+                )
+            except ValueError:
+                pass
+        ranked = sorted(zip(ranks, routes), key=lambda pr: (-pr[0], pr[1].created_at, pr[1].path))
+        return [r for _, r in ranked]
 
     def _rediscover(self, dest: int, now: float) -> list[Emission]:
         """Start a discovery toward ``dest`` unless a live route exists or
         one is already running."""
-        if dest in self.pending_request or self._select_route(dest, now) is not None:
+        if dest in self.pending_request or self._live(self.cache, dest, now):
             return []
         return self.start_discovery(dest, now)
 
     def _insert(
-        self, table: dict, dest: int, key, path: tuple[int, ...], m: PathMetrics, rank: float, now: float
+        self, table: dict, dest: int, key, path: tuple[int, ...], m: PathMetrics, now: float
     ) -> Route:
         """File a route toward ``dest`` under ``key`` in ``table``, live for
         one route TTL. The one writer of both tables: the route keeps the
@@ -592,7 +589,7 @@ class NodeAgent:
         routes = table.setdefault(dest, {})
         old = routes.get(key)
         created = old.created_at if old else now
-        routes[key] = route = Route(path, m, rank, created, expires_at=now + self.params.route_ttl)
+        routes[key] = route = Route(path, m, created, expires_at=now + self.params.route_ttl)
         return route
 
     def _prune(
@@ -619,55 +616,6 @@ class NodeAgent:
         routes = table.get(dest, {})
         return [routes[k] for k in sorted(routes) if routes[k].expires_at > now]
 
-    def _recompute_preferences(self, dest: int, now: float) -> None:
-        """Rank the candidates toward ``dest`` as of ``now``: at once when
-        the cache holds routes toward it, else when a rank is next read,
-        with the taus their first hops have now; with none left, never.
-        Baseline ranks stay at the 1.0 every candidate is created with."""
-        if self.params.baseline:
-            return
-        hops = self.candidates.get(dest)
-        if hops and not self.cache.get(dest):
-            taus = self.pheromone
-            self.pending_rank[dest] = (now, {j: taus[j] for j in hops if j in taus})
-        else:
-            self.pending_rank.pop(dest, None)
-            self._rank(dest, now, self.pheromone)
-
-    def _rank(self, dest: int, now: float, taus: dict[int, float]) -> None:
-        """Rank the candidates toward ``dest`` live at ``now`` with their
-        first hops' taus in ``taus``, and copy each rank to the cached
-        routes through the same first hop. With no preferable path every
-        candidate ranks 1.0 and the cache keeps its ranks.
-
-        Ranks are computed when read: ``_ranked_candidates`` runs a deferred
-        ranking first, and it equals the one it replaces: a candidate table
-        changes only where a ranking request follows, so the first hops
-        whose taus it recorded are those it reads, a candidate changes only
-        its rank, and only live candidates' ranks are read. A destination with cached routes ranks
-        at once: use refreshes a cached route, so it can outlive its
-        candidate, and it keeps the rank of the last ranking that saw that
-        candidate live, which deferring could skip."""
-        live = self._live(self.candidates, dest, now)
-        if not live:
-            return
-        initial = self.params.initial_pheromone
-        try:
-            ranks = path_preference(
-                [(taus.get(c.next_hop, initial), c.metrics) for c in live],
-                self.params.preference_weights,
-            )
-        except ValueError:
-            for c in live:
-                c.preference = 1.0
-            return
-        ranked = {c.next_hop: p for c, p in zip(live, ranks)}
-        for c in live:
-            c.preference = ranked[c.next_hop]
-        for e in self.cache.get(dest, {}).values():
-            if e.next_hop in ranked:
-                e.preference = ranked[e.next_hop]
-
     def _extend_metrics(
         self, rep: QryReplyAnt, sender: int
     ) -> tuple[PathMetrics, tuple[int, ...]]:
@@ -687,25 +635,10 @@ class NodeAgent:
         if not self.params.baseline and not self.params.qos.admits(metrics):
             self.hooks.log("route_rejected", self.node, now, dest=dest, path=path)
             return []
-        ranked = self._ranked_candidates(dest, now)
-        preference = next(c for c in ranked if c.next_hop == path[1]).preference
-        route = self._insert(self.cache, dest, path, path, metrics, preference, now)
+        route = self._insert(self.cache, dest, path, path, metrics, now)
         self.hooks.route_inserted(self.node, dest, route.expires_at)
         self.hooks.log("route_cached", self.node, now, dest=dest, path=path)
         return self._flush_queue(dest, now)
-
-    def _ranked_candidates(self, dest: int, now: float) -> list[Route]:
-        """The live candidates toward ``dest``, best first by ``_best_first``,
-        the order ``_select_route`` reads the cache in. The one reader of
-        candidate ranks and of ``pending_rank``, so it runs a deferred
-        ranking before it reads."""
-        pending = self.pending_rank.pop(dest, None)
-        if pending is not None:
-            self._rank(dest, *pending)
-        return sorted(self._live(self.candidates, dest, now), key=_best_first)
-
-    def _best_candidate(self, dest: int, now: float) -> Route | None:
-        return next(iter(self._ranked_candidates(dest, now)), None)
 
     def _relay_reply(
         self, req: QryRequestAnt, state: NodeToraState, now: float

@@ -206,14 +206,20 @@ def _parse_nodes(ctx: _Ctx, data: dict) -> NodesSpec:
     return NodesSpec(count=count, initial_energy=energy, positions=positions)
 
 
+# keys a static topology would ignore: they only steer random waypoint
+_MOBILITY_ONLY = {"area", "speed", "comm_range", "pause_time", "step", "placement_seed"}
+
+
 def _parse_topology(ctx: _Ctx, data: dict, node_count: int) -> TopologySpec:
-    allowed = {"mode", "adjacency", "area", "speed", "comm_range", "pause_time", "step", "placement_seed"}
-    ctx.section(data, "topology", allowed)
+    ctx.section(data, "topology", {"mode", "adjacency"} | _MOBILITY_ONLY)
     defaults = TopologySpec()
     mode = data.get("mode", defaults.mode)
     if mode not in ("static", "mobility"):
         ctx.fail("topology.mode", f"expected 'static' or 'mobility', got {mode!r}")
         mode = defaults.mode
+    if mode == "static":
+        for key in sorted(_MOBILITY_ONLY & set(data)):
+            ctx.fail(f"topology.{key}", "not allowed in static mode")
     adjacency: list[tuple[int, int]] = []
     raw = data.get("adjacency", [])
     if mode == "mobility" and "adjacency" in data:
@@ -491,8 +497,11 @@ def parse_scenario(data: dict) -> Scenario:
     def subsection(key):
         return ctx.subsection(data, "", key)
 
-    nodes = _parse_nodes(ctx, subsection("nodes"))
+    nodes_data = subsection("nodes")
+    nodes = _parse_nodes(ctx, nodes_data)
     topology = _parse_topology(ctx, subsection("topology"), nodes.count)
+    if topology.mode == "static" and "positions" in nodes_data:
+        ctx.fail("nodes.positions", "not allowed in static mode")
     links = _parse_links(ctx, subsection("links"), topology)
     qos = _parse_qos(ctx, subsection("qos"))
     dw, pw, tau0, evap = _parse_weights(ctx, subsection("aco"))

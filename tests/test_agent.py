@@ -130,6 +130,14 @@ def test_later_hello_wins_entirely():
     assert info.last_hello == 2.002
 
 
+def test_hello_from_an_unlinked_sender_is_ignored():
+    # the engine raises every link before a hello can cross it, so a hello
+    # without a link, like an update without one, changes nothing
+    agent = NodeAgent(1, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
+    assert agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 2, 1.001) == []
+    assert agent.neighbors == {} and agent.link_activated_at == {} and agent.pheromone == {}
+
+
 def test_hello_clock_misuse_raises():
     agent = NodeAgent(1, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     with pytest.raises(SimClockError):
@@ -233,28 +241,31 @@ def test_diamond_topology_caches_two_disjoint_paths():
     s = net.agents[0]
     paths = sorted(e.path for e in s.cache[3].values())
     assert paths == [(0, 1, 3), (0, 2, 3)]
-    prefs = [e.preference for e in s.cache[3].values()]
-    assert all(0.0 <= p <= 1.0 for p in prefs)
-    assert sum(prefs) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_no_preferable_path_ranks_every_candidate_alike_and_keeps_cached_ranks():
-    # full evaporation leaves every link without pheromone, so no candidate
-    # is preferable: they tie at the top, and the cache keeps its ranks
+def _ranks(agent, routes):
+    """``path_preference`` over each route's first-hop tau and own metrics."""
+    return path_preference(
+        [(agent.pheromone[r.next_hop], r.metrics) for r in routes], agent.params.preference_weights
+    )
+
+
+def test_no_preferable_path_ranks_every_route_alike():
+    # full evaporation leaves every link without pheromone, so no route is
+    # preferable: candidates and cached routes tie, and the oldest leads
     params = ProtocolParams(preference_weights=PreferenceWeights(decay=1.0))
     net = warmed(4, [(0, 1), (0, 2), (1, 3), (2, 3)], params=params)
     net.discover(0, 3, 1.5)
     s = net.agents[0]
     s.evaporation_tick(2.0)
     assert all(tau == 0.0 for tau in s.pheromone.values())
+    for table in (s.candidates, s.cache):
+        routes = list(table[3].values())
+        oldest = sorted(routes, key=lambda r: (r.created_at, r.path))
+        assert oldest[0].next_hop == 1
+        assert s._best_first(routes) == s._best_first(routes[::-1]) == oldest
     assert s._best_candidate(3, 2.0).next_hop == 1
-    assert sorted((e.path, e.preference) for e in s.cache[3].values()) == [
-        ((0, 1, 3), 0.5),
-        ((0, 2, 3), 0.5),
-    ]
-    via_2 = s.cache[3][(0, 2, 3)]
-    s._admit_route(3, (0, 2, 3), via_2.metrics, 2.5)
-    assert s.cache[3][(0, 2, 3)].preference == 1.0
+    assert s._select_route(3, 2.0).next_hop == 1
 
 
 def test_reply_extension_increments_hops_and_updates_pheromone():
@@ -279,7 +290,7 @@ def test_rr_unset_reply_updates_links_without_relay():
 
 
 # ---------------------------------------------------------------------------
-# deferred ranking
+# ranking when read
 
 
 def _agent_hearing_1_and_2(params=None):
@@ -295,36 +306,31 @@ def _reply_via(via, dest, delay, source=5):
     return QryReplyAnt(2, delay, 50.0, 0.01, 1e6, source, dest, (via, dest), Height(0.0, 0, 0, 1, via))
 
 
-def test_a_deferred_ranking_uses_the_pheromone_of_its_trigger():
-    # 9's last ranking sees link 2 ahead; the replies for 8 that raise link 1's
-    # pheromone afterwards trigger rankings toward 8 only
+def test_a_ranking_uses_the_pheromone_at_read_time():
+    # with the taus the replies for 9 left, link 2 is ahead; the replies for
+    # 8 that raise link 1's pheromone afterwards put the candidate via 1 ahead
     agent = _agent_hearing_1_and_2()
     agent.on_qry_reply(_reply_via(1, 9, 0.02), 1, 0.1)
     agent.on_qry_reply(_reply_via(2, 9, 0.01), 2, 0.2)
+    assert agent._best_candidate(9, 0.25).next_hop == 2
     for k in range(6):
         agent.on_qry_reply(_reply_via(1, 8, 0.0006), 1, 0.3 + k / 100)
-    assert agent._best_candidate(9, 0.5).next_hop == 2
+    assert agent._best_candidate(9, 0.5).next_hop == 1
 
 
-def test_a_cached_route_keeps_the_rank_of_its_candidates_last_ranking():
-    # the ranking at 0.7 sets the rank of the route via 1; by 1.15 its
-    # candidate has expired, so the next ranking leaves that rank alone
-    agent = _agent_hearing_1_and_2(ProtocolParams(route_ttl=1.0))
+def test_cached_paths_through_one_first_hop_rank_by_their_own_metrics():
+    # both paths leave via 1 and the one candidate via 1 is the later, faster
+    # one; each cached path is ranked by its own delay, so that one leads
+    agent = _agent_hearing_1_and_2()
     agent.start_discovery(9, 0.05)
     agent.on_qry_reply(_reply_via(1, 9, 0.02, source=0), 1, 0.1)
-    agent.on_qry_reply(_reply_via(2, 9, 0.01, source=0), 2, 0.2)
-    assert sorted(e.next_hop for e in agent.cache[9].values()) == [1, 2]
-    agent.on_qry_reply(_reply_via(1, 8, 0.0006), 1, 0.3)
-    agent.evaporation_tick(0.7)
-    expected = path_preference(
-        [(agent.pheromone[j], agent.candidates[9][j].metrics) for j in (1, 2)],
-        agent.params.preference_weights,
-    )[0]
-    agent.evaporation_tick(1.15)
-    assert sorted(agent.candidates[9]) == [2]
-    assert agent._select_route(9, 1.15).next_hop == 2
-    via_1 = next(e for e in agent.cache[9].values() if e.next_hop == 1)
-    assert via_1.preference == expected
+    slow = agent.cache[9][(0, 1, 9)]
+    fast_reply = QryReplyAnt(3, 0.002, 50.0, 0.01, 1e6, 0, 9, (1, 5, 9), Height(0.0, 0, 0, 1, 1))
+    agent.on_qry_reply(fast_reply, 1, 0.2)
+    fast = agent.cache[9][(0, 1, 5, 9)]
+    assert slow.created_at < fast.created_at
+    assert agent._select_route(9, 0.3) is fast
+    assert _ranks(agent, [slow, fast])[1] > 0.5
 
 
 def test_a_rank_tie_goes_to_the_older_candidate():
@@ -367,8 +373,14 @@ def test_baseline_mode_skips_admission_and_pheromone():
     net.discover(0, 3, 1.5)
     s = net.agents[0]
     assert len(s.cache[3]) == 1
-    assert list(s.cache[3].values())[0].preference == 1.0
     assert s.pheromone == tau_before
+
+
+def test_qos_hop_limit_below_one_link_is_refused():
+    # a path joins at least 2 nodes, so a lower limit would admit nothing
+    with pytest.raises(ValueError, match="max_hop_count must be >= 2, got 1"):
+        QosConstraints(max_hop_count=1)
+    assert QosConstraints(max_hop_count=2).max_hop_count == 2
 
 
 def test_hop_count_counts_nodes_including_endpoints():
@@ -383,10 +395,14 @@ def test_hop_count_counts_nodes_including_endpoints():
 
 
 def test_send_data_picks_highest_preference():
-    net = warmed(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    # 0-1-3 is one hop shorter than 0-2-4-3, so the two ranks differ
+    net = warmed(5, [(0, 1), (1, 3), (0, 2), (2, 4), (4, 3)])
     net.discover(0, 3, 1.5)
     s = net.agents[0]
-    best = max(s.cache[3].values(), key=lambda e: e.preference)
+    routes = list(s.cache[3].values())
+    ranks = _ranks(s, routes)
+    assert len(routes) == 2 and ranks[0] != ranks[1]
+    best = routes[ranks.index(max(ranks))]
     out = s.send_data(3, 1000, seq=0, now=2.0)
     assert out[0].packet.path == best.path
     assert out[0].to == best.path[1]
@@ -399,8 +415,8 @@ def test_send_data_tie_breaks_by_age():
 
     m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
     agent.cache[3] = {
-        (0, 2, 3): Route((0, 2, 3), m, 0.5, created_at=2.0, expires_at=50.0),
-        (0, 1, 3): Route((0, 1, 3), m, 0.5, created_at=1.0, expires_at=50.0),
+        (0, 2, 3): Route((0, 2, 3), m, created_at=2.0, expires_at=50.0),
+        (0, 1, 3): Route((0, 1, 3), m, created_at=1.0, expires_at=50.0),
     }
     out = agent.send_data(3, 500, seq=0, now=3.0)
     assert out[0].packet.path == (0, 1, 3)
@@ -549,9 +565,9 @@ def test_error_purge_keeps_unrelated_routes():
     agent.cache[9] = {
         r.path: r
         for r in [
-            Route((0, 1, 9), m, 0.4, created_at=1.0, expires_at=50.0),
-            Route((0, 5, 9), m, 0.3, created_at=1.1, expires_at=50.0),
-            Route((0, 6, 5, 9), m, 0.3, created_at=1.2, expires_at=50.0),
+            Route((0, 1, 9), m, created_at=1.0, expires_at=50.0),
+            Route((0, 5, 9), m, created_at=1.1, expires_at=50.0),
+            Route((0, 6, 5, 9), m, created_at=1.2, expires_at=50.0),
         ]
     }
     agent.on_error(ErrorPacket((8, 0, 5, 6)), 5, 6.0)
@@ -649,12 +665,12 @@ def _agent_with_routes_to_9(neighbors):
     agent._state_for(9)
     m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
     agent.cache[9] = {
-        path: Route(path, m, 0.5, created_at=1.0, expires_at=50.0)
+        path: Route(path, m, created_at=1.0, expires_at=50.0)
         for path in [(0, 1, 9), (0, 2, 1, 9), (0, 2, 9)]
     }
     agent.candidates[9] = {
-        1: Route((0, 1, 9), m, 0.5, created_at=1.0, expires_at=50.0),
-        2: Route((0, 2, 1, 9), m, 0.5, created_at=1.0, expires_at=50.0),
+        1: Route((0, 1, 9), m, created_at=1.0, expires_at=50.0),
+        2: Route((0, 2, 1, 9), m, created_at=1.0, expires_at=50.0),
     }
     return agent
 
@@ -696,12 +712,11 @@ def test_clr_at_own_level_erases_like_the_partition_detector():
     state = agent.tora[9]
     state.set_own_height(Height(9.0, 5, 1, -1, 0))
     state.set_mirror(1, Height(9.0, 5, 1, 0, 1))
-    agent.pending_rank[9] = (5.0, {1: 0.1, 2: 0.1})
     out = agent.on_clr(ClrPacket(9, (9.0, 5, 1)), 3, 9.9)
     assert [(em.packet, em.to) for em in out] == [(ClrPacket(9, (9.0, 5, 1)), None)]
     # the NULL height goes through the hook the reaction-locality count reads
     assert reported == [(0, 9, Height(9.0, 5, 1, -1, 0), Height.null(0), 9.9)]
-    assert 9 not in agent.candidates and 9 not in agent.pending_rank
+    assert 9 not in agent.candidates
     assert 9 not in agent.cache
     assert all(mirror.is_null for mirror in state.links.values())
 

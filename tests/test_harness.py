@@ -351,7 +351,7 @@ def test_baseline_prefers_first_discovered_route():
     )
     _, _, ant = run_single(sc, mode="ant_tora")
     src = ant.agents[0]
-    chosen = max(src.cache[3].values(), key=lambda e: e.preference)
+    chosen = src._best_first(list(src.cache[3].values()))[0]
     assert chosen.path == (0, 1, 3)
     base = Simulation(sc, mode="baseline_tora").run()
     first = min(base.agents[0].cache[3].values(), key=lambda e: (e.created_at, e.path))

@@ -17,9 +17,9 @@ its source ends in exactly one line, a ``rcv`` at its destination or a
 ``drp`` anywhere, unless it is still in the air when the run ends, over the
 generated scenarios and the golden runs. There too, after a source
 receives a route error naming a link, each data packet it sends over that
-link follows a route from a reply it received after the error. Deferring
-each candidate ranking to its first read must give the same trace as
-ranking at once, also on larger static graphs with several long flows.
+link follows a route from a reply it received after the error. The
+static checks also run on larger graphs with several long flows, whose
+relays answer requests while link pheromone moves.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anttora.agent import NodeAgent
 from anttora.engine import Simulation, _Hooks
 from anttora.harness import run_single
 from anttora.metrics import compute_metrics, read_trace, validate_trace_order
@@ -84,11 +83,7 @@ def static_scenarios(draw) -> dict:
     )
 
 
-@settings(deadline=None)
-@example(LOW_ENERGY)
-@example(BARBELL_CLEAR)
-@given(static_scenarios())
-def test_counters_and_trace_agree(data):
+def assert_static_run_invariants(data) -> None:
     with (
         tempfile.TemporaryDirectory() as tmp,
         reporting_heights() as reported,
@@ -104,6 +99,14 @@ def test_counters_and_trace_agree(data):
     assert_replies_follow_own_requests(lines)
     assert_discovery_state(sim)
     assert_every_height_was_reported(sim, reported)
+
+
+@settings(deadline=None)
+@example(LOW_ENERGY)
+@example(BARBELL_CLEAR)
+@given(static_scenarios())
+def test_counters_and_trace_agree(data):
+    assert_static_run_invariants(data)
 
 
 @contextlib.contextmanager
@@ -357,19 +360,13 @@ def test_sources_heed_route_errors_in_the_golden_runs(name):
     assert_sources_heed_route_errors(lines)
 
 
-def _rank_at_once(agent, dest, now):
-    agent._rank(dest, now, agent.pheromone)
-
-
 def busy_static_scenario(seed: int) -> dict:
     """A static graph large enough that relays answer requests while link
-    pheromone moves between rankings: 8 to 12 nodes with two to three links
-    per node, three flows of 5 or 6 s starting 1 to 2 s in, two of them to
-    one destination, and up to two cuts. Each evaporation tick re-ranks
-    every destination, so a 4 s period leaves a deferred ranking time to
-    meet a deposit before it is read. Hypothesis's own list and integer
-    draws favour repeated flows and sparse graphs, so the generator picks
-    every choice uniformly from one drawn seed."""
+    pheromone moves: 8 to 12 nodes with two to three links per node, three
+    flows of 5 or 6 s starting 1 to 2 s in, two of them to one destination,
+    up to two cuts, and evaporation every 4 s. Hypothesis's own list and
+    integer draws favour repeated flows and sparse graphs, so the generator
+    picks every choice uniformly from one drawn seed."""
     rng = random.Random(seed)
     n = rng.randint(8, 12)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -393,7 +390,7 @@ def busy_static_scenario(seed: int) -> dict:
 
 
 # a 10-node graph with three 6 s flows and two cuts: its relays answer
-# requests while link pheromone moves between rankings
+# requests while link pheromone moves
 BUSY_STATIC = scenario_dict(
     10,
     [(0, 4), (0, 8), (1, 2), (1, 3), (1, 6), (2, 3), (2, 8), (3, 7),
@@ -407,27 +404,8 @@ BUSY_STATIC = scenario_dict(
 )
 
 
-def assert_deferred_ranking_gives_the_trace_of_ranking_at_once(data) -> None:
-    deferred = trace_of(Simulation(parse_scenario(data)).run())
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(NodeAgent, "_recompute_preferences", _rank_at_once)
-        eager = trace_of(Simulation(parse_scenario(data)).run())
-    assert deferred == eager
-
-
-@settings(deadline=None, max_examples=60)
-@example(LOW_ENERGY)
-@example(AT_RANGE)
+@settings(deadline=None, max_examples=40)
 @example(BUSY_STATIC)
-@given(st.one_of(static_scenarios(), mobility_scenarios()))
-def test_deferred_ranking_gives_the_trace_of_ranking_at_once(data):
-    assert_deferred_ranking_gives_the_trace_of_ranking_at_once(data)
-
-
-# a deferred ranking that read the taus at read time changes the trace of
-# about one busy graph in six and of almost no small one, so busy graphs
-# get their own draws
-@settings(deadline=None, max_examples=80)
 @given(st.integers(0, 2**32 - 1).map(busy_static_scenario))
-def test_deferred_ranking_holds_on_busy_static_graphs(data):
-    assert_deferred_ranking_gives_the_trace_of_ranking_at_once(data)
+def test_counters_and_trace_agree_on_busy_static_graphs(data):
+    assert_static_run_invariants(data)

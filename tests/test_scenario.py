@@ -126,6 +126,31 @@ def test_mobility_rejects_static_only_settings():
     assert "links.overrides" in msgs
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("topology", "area", [300.0, 300.0]),
+        ("topology", "speed", [1.0, 5.0]),
+        ("topology", "comm_range", 120.0),
+        ("topology", "pause_time", 2.0),
+        ("topology", "step", 0.1),
+        ("topology", "placement_seed", 3),
+        ("nodes", "positions", [[0.0, 0.0], [50.0, 0.0]]),
+    ],
+)
+def test_static_topology_rejects_mobility_only_settings(section, key, value, tmp_path, capsys):
+    # a static run would ignore these settings without a word
+    data = minimal()
+    data[section][key] = value
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert err.value.problems == [f"{section}.{key}: not allowed in static mode"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["validate", str(path)]) == 2
+    assert f"{section}.{key}: not allowed in static mode" in capsys.readouterr().err
+
+
 def test_link_overrides_apply_per_edge():
     data = minimal()
     data["nodes"]["count"] = 3
@@ -264,6 +289,7 @@ def test_all_problems_reported_at_once():
 )
 def test_malformed_positions_name_the_entry(positions, tmp_path, capsys):
     data = minimal()
+    data["topology"] = {"mode": "mobility"}
     data["nodes"]["positions"] = positions
     bad = next(i for i, p in enumerate(positions) if p != [0, 0])
     with pytest.raises(ScenarioError) as err:
@@ -310,7 +336,7 @@ def test_non_finite_numbers_are_rejected(raw, tmp_path, capsys):
 
 def test_non_finite_pair_is_rejected():
     data = minimal()
-    data["topology"]["area"] = [float("inf"), 100.0]
+    data["topology"] = {"mode": "mobility", "area": [float("inf"), 100.0]}
     with pytest.raises(ScenarioError) as err:
         parse_scenario(data)
     assert any(p.startswith("topology.area:") for p in err.value.problems)
