@@ -6,7 +6,6 @@ from .aco import (
     NormalizationBounds,
     PathMetrics,
     PreferenceWeights,
-    aggregate_metrics,
     evaporate,
     path_preference,
     pheromone_deposit,
@@ -73,7 +72,6 @@ __all__ = [
     "ScenarioError",
     "Simulation",
     "UpdPacket",
-    "aggregate_metrics",
     "apply_clr",
     "classify_link",
     "compare_heights",

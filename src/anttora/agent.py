@@ -6,10 +6,13 @@ fed by hello beacons, the per-destination candidate table built from
 discovery replies, and the route cache holding QoS-admitted source routes
 for flows this node originates. Both map destination -> key -> ``Route``:
 candidates by first hop, cached routes by path. ``_insert`` writes both and
-``_prune`` prunes both. Routes carry no rank: their readers,
-``_best_candidate`` and ``_select_route``, order them with ``_best_first``,
-which ranks each route by the current tau of its first hop and its own
-metrics. Baseline mode never ranks.
+``_prune`` prunes both. A route lives one route TTL from its last use, and
+``Route.live`` is the one expiry test every reader applies, so an expired
+route acts as if it were gone; ``evaporation_tick`` prunes the expired
+routes of both tables, and nothing schedules an expiry. Routes carry no
+rank: their readers, ``_best_candidate`` and ``_select_route``, order them
+with ``_best_first``, which ranks each route by the current tau of its first
+hop and its own metrics. Baseline mode never ranks.
 
 A node is route-required toward a destination exactly while it holds a
 request for it in ``pending_request``. It takes one up in one place,
@@ -156,6 +159,11 @@ class Route:
     def next_hop(self) -> int:
         return self.path[1]
 
+    def live(self, now: float) -> bool:
+        """Whether the route is still usable at ``now``: the one expiry
+        test. An expired route acts as if it were gone."""
+        return self.expires_at > now
+
 
 @dataclass(frozen=True)
 class Emission:
@@ -170,6 +178,7 @@ class ProtocolParams:
     """Tunables shared by every agent in a run."""
 
     hello_interval: float = 1.0
+    evaporation_period: float = 1.0
     hello_bits: int = 512
     neighbor_loss_hellos: int = 3
     route_ttl: float = 10.0
@@ -187,9 +196,6 @@ class AgentHooks:
     """Observation points the simulator (and tests) can attach to."""
 
     def height_changed(self, node: int, dest: int, old: Height, new: Height, now: float) -> None:
-        pass
-
-    def route_inserted(self, node: int, dest: int, expires_at: float) -> None:
         pass
 
     def log(self, tag: str, node: int, now: float, **data) -> None:
@@ -328,8 +334,8 @@ class NodeAgent:
         if not self.params.baseline:
             for j in sorted(self.pheromone):
                 self.pheromone[j] = evaporate(self.pheromone[j], q)
-        for dest in sorted(self.candidates):
-            self._prune(self.candidates, dest, now, lambda c: c.expires_at <= now)
+        for dest in sorted(self.candidates.keys() | self.cache.keys()):
+            self.route_expiry(dest, now)
 
     # -- route discovery -----------------------------------------------------
 
@@ -487,7 +493,11 @@ class NodeAgent:
         def crosses(route: Route) -> bool:
             return not broken.isdisjoint(zip(route.path, route.path[1:]))
 
-        affected = [dest for dest in sorted(self.cache) if self._prune(self.cache, dest, now, crosses)]
+        affected = [
+            dest
+            for dest in sorted(self.cache)
+            if any(r.live(now) for r in self._prune(self.cache, dest, now, crosses))
+        ]
         for dest in sorted(self.candidates):
             self._prune(self.candidates, dest, now, crosses)
         if self.node != err.path[0]:
@@ -515,7 +525,6 @@ class NodeAgent:
             self.data_queue.setdefault(dest, []).append((seq, size_bits))
             return self._rediscover(dest, now)
         entry.expires_at = now + self.params.route_ttl  # refreshed on use
-        self.hooks.route_inserted(self.node, dest, entry.expires_at)
         packet = DataPacket(
             source=self.node, destination=dest, seq=seq, size_bits=size_bits, path=entry.path
         )
@@ -542,8 +551,9 @@ class NodeAgent:
         ]
 
     def route_expiry(self, dest: int, now: float) -> None:
-        self._prune(self.cache, dest, now, lambda e: e.expires_at <= now, tag="cache_expired")
-        self._prune(self.candidates, dest, now, lambda c: c.expires_at <= now)
+        """Prune the expired routes toward ``dest`` from both tables."""
+        self._prune(self.cache, dest, now, lambda r: not r.live(now), tag="cache_expired")
+        self._prune(self.candidates, dest, now, lambda r: not r.live(now))
 
     # -- internals ------------------------------------------------------------
 
@@ -582,39 +592,38 @@ class NodeAgent:
 
     def _insert(
         self, table: dict, dest: int, key, path: tuple[int, ...], m: PathMetrics, now: float
-    ) -> Route:
+    ) -> None:
         """File a route toward ``dest`` under ``key`` in ``table``, live for
         one route TTL. The one writer of both tables: the route keeps the
-        ``created_at`` of the route it replaces."""
+        ``created_at`` of a live route it replaces, so a route that replaces
+        an expired one starts a fresh age."""
         routes = table.setdefault(dest, {})
         old = routes.get(key)
-        created = old.created_at if old else now
-        routes[key] = route = Route(path, m, created, expires_at=now + self.params.route_ttl)
-        return route
+        created = old.created_at if old and old.live(now) else now
+        routes[key] = Route(path, m, created, expires_at=now + self.params.route_ttl)
 
     def _prune(
         self, table: dict, dest: int, now: float, doomed: Callable[[Route], bool], tag: str = "cache_purged"
-    ) -> bool:
+    ) -> list[Route]:
         """Remove the routes toward ``dest`` in ``table`` that ``doomed``
-        picks, and the destination's entry once it is empty; returns whether
-        any went. A cache pruning is logged under ``tag``."""
+        picks, and the destination's entry once it is empty; returns the
+        routes that went. A cache pruning is logged under ``tag``."""
         routes = table.get(dest)
         if not routes:
-            return False
-        gone = [k for k, r in routes.items() if doomed(r)]
-        for k in gone:
-            del routes[k]
+            return []
+        keys = [k for k, r in routes.items() if doomed(r)]
+        gone = [routes.pop(k) for k in keys]
         if not routes:
             del table[dest]
         if gone and table is self.cache:
             self.hooks.log(tag, self.node, now, dest=dest, dropped=len(gone))
-        return bool(gone)
+        return gone
 
     @staticmethod
     def _live(table: dict, dest: int, now: float) -> list[Route]:
         """The unexpired routes toward ``dest`` in ``table``, by key."""
         routes = table.get(dest, {})
-        return [routes[k] for k in sorted(routes) if routes[k].expires_at > now]
+        return [routes[k] for k in sorted(routes) if routes[k].live(now)]
 
     def _extend_metrics(
         self, rep: QryReplyAnt, sender: int
@@ -635,8 +644,7 @@ class NodeAgent:
         if not self.params.baseline and not self.params.qos.admits(metrics):
             self.hooks.log("route_rejected", self.node, now, dest=dest, path=path)
             return []
-        route = self._insert(self.cache, dest, path, path, metrics, now)
-        self.hooks.route_inserted(self.node, dest, route.expires_at)
+        self._insert(self.cache, dest, path, path, metrics, now)
         self.hooks.log("route_cached", self.node, now, dest=dest, path=path)
         return self._flush_queue(dest, now)
 

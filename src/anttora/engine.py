@@ -10,7 +10,9 @@ delivery strictly follows its send. The engine decides whether a frame
 arrives (link up, energy to receive it); what the node does with it, data
 forwarding included, is the agent handler its ``PACKET_KINDS`` entry names.
 A flow's new data packet goes to its source's ``NodeAgent.send_data``, which
-sends, or queues and rediscovers.
+sends, or queues and rediscovers. Two periodic timers drive the agents,
+hello and evaporation; route expiry is the agents' own, read when a route
+is and pruned at each evaporation tick, so no event is scheduled per route.
 
 Each packet event is encoded the moment it happens and written, one line,
 to the text file the caller hands the ``Simulation`` (an in-memory
@@ -64,11 +66,6 @@ class _Hooks(AgentHooks):
         self.log("height", node, now, dest=dest, new=new)
         if sim.current_failure is not None:
             sim.reaction_sets[sim.current_failure].add(node)
-
-    def route_inserted(self, node, dest, expires_at):
-        sim = self.sim
-        if expires_at <= sim.end_time:
-            sim.schedule(expires_at, sim._on_route_expiry, node, dest)
 
 
 class Simulation:
@@ -144,7 +141,7 @@ class Simulation:
             for j in self._neighbors(i):
                 self.agents[i].link_up(j, 0.0)
         self.schedule(0.0, self._on_hello_timer)
-        self.schedule(sc.evaporation_period, self._on_evaporation_timer)
+        self.schedule(sc.protocol.evaporation_period, self._on_evaporation_timer)
         injections = []
         for idx, flow in enumerate(sc.traffic):
             k = 0
@@ -271,7 +268,10 @@ class Simulation:
         now = self.now
         for i in sorted(self.agents):
             self.process_emissions(i, self.agents[i].hello_tick(now), now)
-        total = sum(len(entries) for a in self.agents.values() for entries in a.cache.values())
+        # only live routes count, so the sample cannot tell when a tick pruned
+        total = sum(
+            r.live(now) for a in self.agents.values() for routes in a.cache.values() for r in routes.values()
+        )
         self.cache_samples.append((now, total))
         nxt = now + self.scenario.protocol.hello_interval
         if nxt <= self.end_time:
@@ -281,7 +281,7 @@ class Simulation:
         now = self.now
         for i in sorted(self.agents):
             self.agents[i].evaporation_tick(now)
-        nxt = now + self.scenario.evaporation_period
+        nxt = now + self.scenario.protocol.evaporation_period
         if nxt <= self.end_time:
             self.schedule(nxt, self._on_evaporation_timer)
 
@@ -289,9 +289,6 @@ class Simulation:
         now = self.now
         self.counters["data_offered"] += 1
         self.process_emissions(src, self.agents[src].send_data(dst, bits, seq, now), now)
-
-    def _on_route_expiry(self, node: int, dest: int) -> None:
-        self.agents[node].route_expiry(dest, self.now)
 
     def _on_link_change(self, a: int, b: int, up: bool) -> None:
         now = self.now

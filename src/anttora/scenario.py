@@ -89,7 +89,6 @@ class Scenario:
     topology: TopologySpec
     links: LinkSpec
     protocol: ProtocolParams
-    evaporation_period: float
     beta_tx: float
     beta_rx: float
     control_bits: dict[str, int]
@@ -332,10 +331,11 @@ def _parse_weights(ctx: _Ctx, data: dict):
     if decay > 1.0:
         ctx.fail("aco.decay", f"must be at most 1, got {decay}")
         decay = pw_defaults.decay
-    tau0 = ctx.number(
-        data, "aco", "initial_pheromone", ProtocolParams().initial_pheromone, positive=True
+    protocol_defaults = ProtocolParams()
+    tau0 = ctx.number(data, "aco", "initial_pheromone", protocol_defaults.initial_pheromone, positive=True)
+    period = ctx.number(
+        data, "aco", "evaporation_period_s", protocol_defaults.evaporation_period, positive=True
     )
-    period = ctx.number(data, "aco", "evaporation_period_s", 1.0, positive=True)
     try:
         dw = DepositWeights(**dw_kwargs)
         pw = PreferenceWeights(persistence=persistence, decay=decay, **pw_kwargs)
@@ -523,6 +523,7 @@ def parse_scenario(data: dict) -> Scenario:
         raise ScenarioError(ctx.problems)
     protocol = ProtocolParams(
         **timers,
+        evaporation_period=evap,
         initial_pheromone=tau0,
         deposit_weights=dw,
         preference_weights=pw,
@@ -535,7 +536,6 @@ def parse_scenario(data: dict) -> Scenario:
         topology=topology,
         links=links,
         protocol=protocol,
-        evaporation_period=evap,
         traffic=traffic,
         link_failures=failures,
         end_time=end_time,

@@ -1,9 +1,13 @@
-"""Shared scenario builders for engine, harness, and acceptance tests."""
+"""Shared scenario builders for engine, harness, and acceptance tests, and
+the batch metric oracle for the aco and agent tests."""
 
 from __future__ import annotations
 
+import math
 import random
+from typing import Sequence
 
+from anttora.aco import PathMetrics
 from anttora.heights import Height
 from anttora.packets import HelloAnt, TraceRecord, UpdPacket, decode_trace_record
 from anttora.scenario import Scenario, parse_scenario
@@ -21,6 +25,47 @@ MALFORMED_EVENT_FIELDS = {
         HelloAnt(3, 1.0, 50.0, 0.25, 512), "0000000001.000000 ", "-000000001.000000 ", "timestamp"
     ),
 }
+
+
+def aggregate_metrics(
+    link_delays: Sequence[float],
+    node_delays: Sequence[float],
+    link_bandwidths: Sequence[float],
+    node_energies: Sequence[float],
+    node_drain_rates: Sequence[float],
+    node_count: int,
+) -> PathMetrics:
+    """Fold per-link and per-node values into one PathMetrics in one batch:
+    the oracle for the agent's hop-by-hop fold, ``_extend_metrics``.
+
+    Delay adds up, bandwidth and energy take the bottleneck minimum, drain
+    rate the worst-node maximum, hop count is the number of nodes.
+    """
+    if node_count < 2:
+        raise ValueError(f"a path needs at least 2 nodes, got {node_count}")
+    if not link_delays or not node_delays or not link_bandwidths:
+        raise ValueError("link and node lists must be nonempty")
+    if not node_energies or not node_drain_rates:
+        raise ValueError("link and node lists must be nonempty")
+    if len(link_delays) != node_count - 1 or len(link_bandwidths) != node_count - 1:
+        raise ValueError("per-link lists must have node_count - 1 entries")
+    if len(node_delays) != node_count or len(node_energies) != node_count:
+        raise ValueError("per-node lists must have node_count entries")
+    if len(node_drain_rates) != node_count:
+        raise ValueError("per-node lists must have node_count entries")
+    for seq in (link_delays, node_delays, link_bandwidths, node_energies, node_drain_rates):
+        for v in seq:
+            if not math.isfinite(v):
+                raise ValueError(f"path component must be finite, got {v!r}")
+    if any(b <= 0 for b in link_bandwidths):
+        raise ValueError("link bandwidths must be positive")
+    return PathMetrics(
+        delay=sum(link_delays) + sum(node_delays),
+        bandwidth=min(link_bandwidths),
+        energy=min(node_energies),
+        drain_rate=max(node_drain_rates),
+        hop_count=node_count,
+    )
 
 
 def scenario_dict(n, edges, flows=(), **overrides) -> dict:

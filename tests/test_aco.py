@@ -15,7 +15,6 @@ from anttora.aco import (
     NormalizationBounds,
     PathMetrics,
     PreferenceWeights,
-    aggregate_metrics,
     deposit_ratio,
     evaporate,
     normalize,
@@ -23,6 +22,8 @@ from anttora.aco import (
     pheromone_deposit,
     pheromone_update,
 )
+
+from conftest import aggregate_metrics
 
 # ---------------------------------------------------------------------------
 # aggregation

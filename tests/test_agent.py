@@ -32,6 +32,8 @@ from anttora.packets import (
 )
 from anttora.scenario import LinkSpec
 
+from conftest import aggregate_metrics
+
 CAPACITY, PROP, PROC = 2e6, 1e-3, 5e-4
 HOP_DELAY = 0.002  # nominal control-packet flight time used by the pump
 
@@ -344,6 +346,18 @@ def test_a_rank_tie_goes_to_the_older_candidate():
     assert [em.packet.path_nodes for em in out] == [(0, 2, 9)]
 
 
+def test_a_candidate_that_replaces_an_expired_one_starts_a_fresh_age():
+    # the candidate via 1 expired at 10.1 and no tick has pruned it; the one
+    # that replaces it is younger than the live candidate via 2, which
+    # baseline mode's age order then puts first
+    agent = _agent_hearing_1_and_2(ProtocolParams(baseline=True))
+    agent.on_qry_reply(_reply_via(1, 9, 0.01), 1, 0.1)
+    agent.on_qry_reply(_reply_via(2, 9, 0.01), 2, 5.0)
+    agent.on_qry_reply(_reply_via(1, 9, 0.01), 1, 10.5)
+    assert agent.candidates[9][1].created_at == 10.5
+    assert agent._best_candidate(9, 10.6).next_hop == 2
+
+
 def test_a_path_admitted_twice_keeps_one_cache_entry_and_its_age():
     agent = _agent_hearing_1_and_2()
     agent.start_discovery(9, 0.05)
@@ -594,6 +608,18 @@ def test_source_with_empty_cache_starts_rediscovery():
     assert isinstance(out[0].packet, QryRequestAnt)
 
 
+def test_an_error_over_only_an_expired_route_starts_no_discovery():
+    from anttora.aco import PathMetrics
+    from anttora.agent import Route
+
+    agent = NodeAgent(0, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
+    m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
+    agent.cache[9] = {(0, 1, 9): Route((0, 1, 9), m, created_at=1.0, expires_at=5.0)}
+    # the route over link 1-9 expired at 5.0: the error takes nothing live
+    assert agent.on_error(ErrorPacket((0, 1, 9)), 1, 6.0) == []
+    assert 9 not in agent.cache and 9 not in agent.pending_request
+
+
 def test_error_goes_back_hop_by_hop_and_stops_at_its_source():
     net = warmed(4, [(0, 1), (1, 2), (2, 3)])
     net.discover(0, 3, 1.5)
@@ -687,8 +713,15 @@ def test_a_candidate_table_goes_with_its_last_candidate():
     agent = _agent_with_routes_to_9([1, 2])
     agent.on_link_failure(1, 6.0)
     assert sorted(agent.candidates[9]) == [2]
-    agent.evaporation_tick(60.0)  # candidate 2 expired at 50.0
+    logged = []
+    agent.hooks.log = lambda tag, node, now, **data: logged.append((tag, now, data))
+    agent.evaporation_tick(49.0)  # every route lives until 50.0
+    assert sorted(agent.candidates[9]) == [2] and len(agent.cache[9]) == 2
+    agent.evaporation_tick(60.0)
     assert 9 not in agent.candidates
+    # the tick prunes expired cached routes too, and their emptied table
+    assert 9 not in agent.cache
+    assert logged == [("cache_expired", 60.0, {"dest": 9, "dropped": 2})]
 
 
 def test_clr_drops_routes_through_any_reset_neighbor_but_candidates_only_via_one():
@@ -808,8 +841,6 @@ def test_reply_handler_totality_for_rr_options():
 def test_incremental_extension_matches_batch_aggregation():
     """The hop-by-hop metric fold equals one-shot aggregation of the same
     per-link and per-node quantities."""
-    from anttora.aco import aggregate_metrics
-
     net = warmed(4, [(0, 1), (1, 2), (2, 3)])
     net.discover(0, 3, 1.5)
     entry = list(net.agents[0].cache[3].values())[0]

@@ -19,7 +19,9 @@ generated scenarios and the golden runs. There too, after a source
 receives a route error naming a link, each data packet it sends over that
 link follows a route from a reply it received after the error. The
 static checks also run on larger graphs with several long flows, whose
-relays answer requests while link pheromone moves.
+relays answer requests while link pheromone moves. In baseline mode, where
+the evaporation tick only prunes expired routes, the whole trace is the
+same for every evaporation period.
 """
 
 from __future__ import annotations
@@ -409,3 +411,36 @@ BUSY_STATIC = scenario_dict(
 @given(st.integers(0, 2**32 - 1).map(busy_static_scenario))
 def test_counters_and_trace_agree_on_busy_static_graphs(data):
     assert_static_run_invariants(data)
+
+
+def baseline_trace(data: dict, period: float) -> list[str]:
+    """The whole trace of ``data`` in baseline mode, with routes that live
+    1.5 s and evaporation every ``period`` s."""
+    data = dict(data, mode="baseline_tora", aco={"evaporation_period_s": period})
+    data["protocol"] = {**data.get("protocol", {}), "route_ttl_s": 1.5}
+    return trace_of(Simulation(parse_scenario(data)).run())
+
+
+# two flows to node 5 and one cut: at some periods a candidate replaces an
+# expired one that no tick has pruned yet, so the trace holds only if the
+# replacement takes no age from the expired route
+EXPIRED_CANDIDATE_AGE = scenario_dict(
+    6,
+    [(3, 4), (4, 5), (0, 5), (3, 5), (0, 1), (2, 4), (1, 3), (2, 5), (1, 2)],
+    [flow(3, 5, rate=4.0, start=1.5, stop=4.0), flow(1, 5, rate=4.0, start=1.1, stop=4.0)],
+    link_failures=[{"time_s": 3.4, "a": 0, "b": 1}],
+    end_time_s=5.0,
+)
+
+
+@settings(deadline=None, max_examples=25)
+@example(EXPIRED_CANDIDATE_AGE, AT_RANGE)
+@given(st.integers(0, 2**32 - 1).map(busy_static_scenario), mobility_scenarios())
+def test_route_pruning_time_is_unobservable(static, mobile):
+    # baseline mode never evaporates pheromone, so the evaporation tick only
+    # prunes expired routes; an expired route acts as if it were gone, so
+    # when it goes cannot show in the trace
+    for data in (static, mobile):
+        reference = baseline_trace(data, 1.0)
+        for period in (0.7, 2.3):
+            assert baseline_trace(data, period) == reference, period

@@ -44,7 +44,7 @@ def test_minimal_file_gets_documented_defaults():
     assert sc.links == LinkSpec()
     assert replace(sc.topology, adjacency=()) == TopologySpec()
     assert sc.nodes == NodesSpec(count=2)
-    assert sc.evaporation_period == 1.0
+    assert sc.protocol.evaporation_period == 1.0
     assert sc.beta_tx == 5e-7
     assert sc.beta_rx == 2.5e-7
     assert sc.mode == "ant_tora"
