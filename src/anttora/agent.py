@@ -1,25 +1,27 @@
 """Per-node protocol state machine.
 
-Each node runs one agent. The agent owns the node's height state toward
-every destination it has heard of, the pheromone table, the neighbor table
-fed by hello beacons, the per-destination candidate table built from
-discovery replies, and the route cache holding QoS-admitted source routes
-for flows this node originates. Both map destination -> key -> ``Route``:
-candidates by first hop, cached routes by path. ``_insert`` writes both and
-``_prune`` prunes both. A route lives one route TTL from its last use, and
-``Route.live`` is the one expiry test every reader applies, so an expired
-route acts as if it were gone; ``evaporation_tick`` prunes the expired
-routes of both tables, and nothing schedules an expiry. Routes carry no
-rank: their readers, ``_best_candidate`` and ``_select_route``, order them
-with ``_best_first``, which ranks each route by the current tau of its first
-hop and its own metrics. Baseline mode never ranks.
+Each node runs one agent, which keeps two records. ``Toward``, one per
+destination the node has heard of, holds the node's height state toward it,
+the candidate table built from discovery replies (first hop -> ``Route``),
+the route cache of QoS-admitted source routes for flows this node
+originates (path -> ``Route``), the request the node waits on, when it last
+relayed a reply, and the data queued until a route is admitted. ``Link``,
+one per up link, holds when the link came up, its pheromone and the last
+hello heard over it; ``link_up`` makes it and ``on_link_failure`` drops it,
+so nothing learned over a link outlives it. ``_insert`` writes both route
+tables and ``_prune`` prunes both. A route lives one route TTL from its last
+use, and ``Route.live`` is the one expiry test every reader applies, so an
+expired route acts as if it were gone; ``evaporation_tick`` prunes the
+expired routes, and nothing schedules an expiry. Readers pick a route with
+``_best``, whose ``_best_first`` ranks each route by the current tau of its
+first hop and its own metrics. Baseline mode never ranks.
 
-A node is route-required toward a destination exactly while it holds a
-request for it in ``pending_request``. It takes one up in one place,
-``_await_route``, and drops it in one, ``_adopt_height``. A reply whose
-source is this node answers a discovery this node started. Every reply ant
-is seeded by ``_destination_reply`` or built from a route by ``_reply``,
-each hop's metrics are folded by ``_extend_metrics``, and every reply
+A node is route-required toward a destination exactly while its record holds
+a request. It takes one up in one place, ``_await_route``, and drops it in
+one, ``_adopt_height``. A reply whose source is this node answers a
+discovery this node started. Every reply ant is seeded by
+``_destination_reply`` or built from a route by ``_reply``, each hop's
+metrics are folded by ``_extend_metrics``, and every reply a relay sends
 leaves through ``_send_reply``.
 
 Every received packet, data included, reaches the agent through the
@@ -116,6 +118,15 @@ class NeighborInfo:
 
 
 @dataclass
+class Link:
+    """One up link: when it came up, its pheromone and the last hello heard."""
+
+    since: float
+    tau: float
+    hello: NeighborInfo | None = None
+
+
+@dataclass
 class NodeEnergy:
     """Residual battery plus a smoothed estimate of the dissipation rate."""
 
@@ -163,6 +174,19 @@ class Route:
         """Whether the route is still usable at ``now``: the one expiry
         test. An expired route acts as if it were gone."""
         return self.expires_at > now
+
+
+@dataclass
+class Toward:
+    """What a node keeps toward one destination. The node is route-required
+    toward it exactly while ``request`` is set."""
+
+    tora: NodeToraState
+    candidates: dict[int, Route] = field(default_factory=dict)  # first hop -> route
+    cache: dict[tuple[int, ...], Route] = field(default_factory=dict)  # path -> route
+    request: QryRequestAnt | None = None
+    replied_at: float = -1.0
+    queue: list[tuple[int, int]] = field(default_factory=list)  # [(seq, bits)]
 
 
 @dataclass(frozen=True)
@@ -221,27 +245,25 @@ class NodeAgent:
         self.hooks = hooks or AgentHooks()
         self.energy = NodeEnergy(residual=initial_energy)
 
-        self.tora: dict[int, NodeToraState] = {}
-        self.pheromone: dict[int, float] = {}
-        self.neighbors: dict[int, NeighborInfo] = {}
-        self.link_activated_at: dict[int, float] = {}
-        self.candidates: dict[int, dict[int, Route]] = {}  # dest -> first hop -> route
-        self.cache: dict[int, dict[tuple[int, ...], Route]] = {}  # dest -> path -> route
-        # dest -> the request this node waits on: it is route-required toward dest
-        self.pending_request: dict[int, QryRequestAnt] = {}
-        self.last_reply_at: dict[int, float] = {}
-        self.data_queue: dict[int, list[tuple[int, int]]] = {}  # dest -> [(seq, bits)]
+        self.toward: dict[int, Toward] = {}  # destination -> record
+        self.adjacent: dict[int, Link] = {}  # neighbor -> up link
 
     # -- state plumbing ----------------------------------------------------
 
-    def _state_for(self, dest: int) -> NodeToraState:
-        state = self.tora.get(dest)
-        if state is None:
-            state = NodeToraState(node=self.node, destination=dest)
-            for j in sorted(self.link_activated_at):
-                state.add_link(j)
-            self.tora[dest] = state
-        return state
+    def _toward(self, dest: int) -> Toward:
+        """The record toward ``dest``, made on first use with every current
+        link in its height state."""
+        toward = self.toward.get(dest)
+        if toward is None:
+            toward = self.toward[dest] = Toward(NodeToraState(node=self.node, destination=dest))
+            for j in sorted(self.adjacent):
+                toward.tora.add_link(j)
+        return toward
+
+    def _hello(self, neighbor: int) -> NeighborInfo | None:
+        """The last hello heard over the link to ``neighbor``, if it is up."""
+        link = self.adjacent.get(neighbor)
+        return None if link is None else link.hello
 
     def _set_height(self, state: NodeToraState, new: Height, now: float) -> None:
         old = state.own_height
@@ -257,37 +279,29 @@ class NodeAgent:
     # -- link layer --------------------------------------------------------
 
     def link_up(self, neighbor: int, now: float) -> list[Emission]:
-        if neighbor in self.link_activated_at:
+        if neighbor in self.adjacent:
             return []
-        self.link_activated_at[neighbor] = now
-        self.pheromone.setdefault(neighbor, self.params.initial_pheromone)
-        for state in self.tora.values():
-            state.add_link(neighbor)
+        self.adjacent[neighbor] = Link(since=now, tau=self.params.initial_pheromone)
+        for toward in self.toward.values():
+            toward.tora.add_link(neighbor)
         # an outstanding discovery gets another chance over the new link
-        return [Emission(self.pending_request[dest]) for dest in sorted(self.pending_request)]
+        return [Emission(t.request) for _, t in sorted(self.toward.items()) if t.request is not None]
 
     def on_link_failure(self, failed: int, now: float) -> list[Emission]:
-        if failed not in self.link_activated_at:
+        if failed not in self.adjacent:
             return []
-        del self.link_activated_at[failed]
-        self.neighbors.pop(failed, None)
-        self.pheromone.pop(failed, None)
+        del self.adjacent[failed]
         emissions: list[Emission] = []
-        for dest in sorted(self.tora):
-            state = self.tora[dest]
-            if failed not in state.links:
+        for dest, toward in sorted(self.toward.items()):
+            toward.tora.remove_link(failed)
+            self._prune(toward.candidates, dest, now, lambda c: c.next_hop == failed)
+            self._prune(toward.cache, dest, now, lambda e: e.next_hop == failed, "cache_purged")
+            if self.node == dest or has_downstream(toward.tora):
+                # the destination, and a node a downstream link survives at, send nothing
                 continue
-            state.remove_link(failed)
-            self._prune(self.candidates, dest, now, lambda c: c.next_hop == failed)
-            self._prune(self.cache, dest, now, lambda e: e.next_hop == failed)
-            if self.node == dest:
-                continue
-            if has_downstream(state):
-                # another downstream link survives: no control traffic
-                continue
-            emissions.extend(self._run_maintenance(state, Trigger.LINK_FAILURE, now))
-            if self.data_queue.get(dest):
-                emissions.extend(self._rediscover(dest, now))
+            emissions.extend(self._run_maintenance(toward, Trigger.LINK_FAILURE, now))
+            if toward.queue:
+                emissions.extend(self._rediscover(toward, now))
         return emissions
 
     # -- hello plane ---------------------------------------------------------
@@ -295,9 +309,10 @@ class NodeAgent:
     def on_hello(self, hello: HelloAnt, sender: int, now: float) -> list[Emission]:
         if now <= hello.send_time:
             raise SimClockError(f"hello received at {now} not after send time {hello.send_time}")
-        if sender not in self.link_activated_at:
+        link = self.adjacent.get(sender)
+        if link is None:
             return []
-        self.neighbors[sender] = NeighborInfo(
+        link.hello = NeighborInfo(
             residual_energy=hello.residual_energy,
             drain_rate=hello.drain_rate,
             est_bandwidth=hello.size_bits / (now - hello.send_time),
@@ -311,8 +326,8 @@ class NodeAgent:
         self.energy.tick(self.params.hello_interval, self.params.drain_alpha)
         emissions: list[Emission] = []
         cutoff = self.params.neighbor_loss_hellos * self.params.hello_interval
-        for j in sorted(self.neighbors):
-            if now - self.neighbors[j].last_hello > cutoff:
+        for j, link in sorted(self.adjacent.items()):
+            if link.hello is not None and now - link.hello.last_hello > cutoff:
                 self.hooks.log("neighbor_lost", self.node, now, neighbor=j)
                 emissions.extend(self.on_link_failure(j, now))
         if self.energy.residual > 0:
@@ -332,10 +347,11 @@ class NodeAgent:
     def evaporation_tick(self, now: float) -> None:
         q = self.params.preference_weights.decay
         if not self.params.baseline:
-            for j in sorted(self.pheromone):
-                self.pheromone[j] = evaporate(self.pheromone[j], q)
-        for dest in sorted(self.candidates.keys() | self.cache.keys()):
-            self.route_expiry(dest, now)
+            for _, link in sorted(self.adjacent.items()):
+                link.tau = evaporate(link.tau, q)
+        for dest, toward in sorted(self.toward.items()):
+            if toward.candidates or toward.cache:
+                self.route_expiry(dest, now)
 
     # -- route discovery -----------------------------------------------------
 
@@ -346,7 +362,7 @@ class NodeAgent:
             destination=dest,
             visited=(self.node,),
         )
-        emissions = self._await_route(self._state_for(dest), req, now)
+        emissions = self._await_route(self._toward(dest), req, now)
         self.hooks.log("discovery_started", self.node, now, dest=dest)
         return emissions
 
@@ -355,98 +371,100 @@ class NodeAgent:
             return []
         dest = req.destination
         if self.node == dest:
-            info = self.neighbors.get(sender)
-            reply = None
-            if info is not None:
+            hello = self._hello(sender)
+            if hello is not None:
                 energy = self.energy
                 reply = self._destination_reply(
-                    req.source, dest, energy.residual, energy.drain_rate, info.est_bandwidth
+                    req.source, dest, energy.residual, energy.drain_rate, hello.est_bandwidth
                 )
+                return [Emission(reply)]
         else:
             if self.node in req.visited:
                 return []
-            state = self._state_for(dest)
+            toward = self._toward(dest)
+            state = toward.tora
             if not has_downstream(state):
-                if dest in self.pending_request:
+                if toward.request is not None:
                     return []
                 fwd = dataclasses.replace(req, visited=req.visited + (self.node,))
-                return self._await_route(state, fwd, now)
+                return self._await_route(toward, fwd, now)
             if state.own_height.is_null:
-                self._adopt_height(state, now)
+                self._adopt_height(toward, now)
             else:
                 # one reply per destination and discovery wave over each link:
                 # suppression resets when the link re-activates or a fresh wave
                 # starts, else rediscovery could never be answered
-                activated = self.link_activated_at.get(sender, now)
-                threshold = max(activated, req.request_start_time)
-                if self.last_reply_at.get(dest, -1.0) >= threshold:
+                activated = self.adjacent[sender].since if sender in self.adjacent else now
+                if toward.replied_at >= max(activated, req.request_start_time):
                     return []
-            reply = self._relay_reply(req, state, now)
-        if reply is None:
-            self.hooks.log("reply_unbuildable", self.node, now, dest=dest)
-            return []
-        return self._send_reply(reply, now)
+            reply = self._relay_reply(req, toward, now)
+            if reply is not None:
+                return self._send_reply(toward, reply, now)
+        self.hooks.log("reply_unbuildable", self.node, now, dest=dest)
+        return []
 
     def on_qry_reply(self, rep: QryReplyAnt, sender: int, now: float) -> list[Emission]:
-        state = self._state_for(rep.destination)
-        state.set_mirror(sender, rep.reporter_height)
+        toward = self._toward(rep.destination)
+        toward.tora.set_mirror(sender, rep.reporter_height)
         if self.node == rep.destination:
             return []
         dest = rep.destination
         extended: PathMetrics | None = None
         path: tuple[int, ...] = ()
-        info = self.neighbors.get(sender)
-        usable = info is not None and rep.path_nodes[0] == sender and self.node not in rep.path_nodes
+        hello = self._hello(sender)
+        usable = hello is not None and rep.path_nodes[0] == sender and self.node not in rep.path_nodes
         if usable:
             extended, path = self._extend_metrics(rep, sender)
-            self._insert(self.candidates, dest, sender, path, extended, now)
+            self._insert(toward.candidates, sender, path, extended, now)
             if not self.params.baseline:
                 deposit = pheromone_deposit(
                     extended, self.params.deposit_weights, self.params.bounds
                 )
-                tau = self.pheromone.get(sender, self.params.initial_pheromone)
-                self.pheromone[sender] = pheromone_update(
-                    tau, self.params.preference_weights.persistence, deposit
+                link = self.adjacent[sender]
+                link.tau = pheromone_update(
+                    link.tau, self.params.preference_weights.persistence, deposit
                 )
 
         emissions: list[Emission] = []
-        if dest in self.pending_request and state.concrete_mirrors():
-            self._adopt_height(state, now)
+        if toward.request is not None and toward.tora.concrete_mirrors():
+            self._adopt_height(toward, now)
             # the source consumes the reply without republishing it: its
             # reverse-path stack is empty, and advertising the source
             # height would leave stale low mirrors at its neighbors that
             # later absorb reversal cascades and mask partitions
             if extended is not None and self.node != rep.source:
-                reply = self._reply(rep.source, dest, extended, path, state.own_height)
-                emissions.extend(self._send_reply(reply, now))
+                reply = self._reply(rep.source, dest, extended, path, toward.tora.own_height)
+                emissions.extend(self._send_reply(toward, reply, now))
 
         # every request starts in start_discovery and every reply copies the
         # source of the request it answers, so this node started this discovery
         if rep.source == self.node and extended is not None:
-            emissions.extend(self._admit_route(dest, path, extended, now))
+            emissions.extend(self._admit_route(toward, path, extended, now))
         return emissions
 
-    def _await_route(self, state: NodeToraState, req: QryRequestAnt, now: float) -> list[Emission]:
-        """Enter route-required toward ``state.destination``: NULL height,
-        and ``req`` held (``link_up`` re-sends it) and flooded. The only
-        place a request is held."""
-        self._set_height(state, Height.null(self.node), now)
-        self.pending_request[state.destination] = req
+    def _await_route(self, toward: Toward, req: QryRequestAnt, now: float) -> list[Emission]:
+        """Enter route-required toward the record's destination: NULL
+        height, and ``req`` held (``link_up`` re-sends it) and flooded. The
+        only place a request is held."""
+        self._set_height(toward.tora, Height.null(self.node), now)
+        toward.request = req
         return [Emission(req)]
 
-    def _adopt_height(self, state: NodeToraState, now: float) -> None:
+    def _adopt_height(self, toward: Toward, now: float) -> None:
         """Join the DAG just above the lowest concrete neighbor, leaving
         route-required by dropping the held request. The only place a
         request is dropped."""
+        state = toward.tora
         self._set_height(state, new_height_on_reply(state.concrete_mirrors(), self.node), now)
-        self.pending_request.pop(state.destination, None)
+        toward.request = None
 
     # -- route maintenance -----------------------------------------------------
 
     def on_upd(self, upd: UpdPacket, sender: int, now: float) -> list[Emission]:
-        if sender not in self.link_activated_at:
+        if sender not in self.adjacent:
             return []
-        state = self._state_for(upd.destination)
+        toward = self._toward(upd.destination)
+        state = toward.tora
         state.set_mirror(sender, upd.height)
         if self.node == upd.destination:
             return []
@@ -455,9 +473,10 @@ class NodeAgent:
         if state.own_height.is_null:
             # an undiscovered node has nothing to reverse
             return []
-        return self._run_maintenance(state, Trigger.UPD_REVERSAL, now)
+        return self._run_maintenance(toward, Trigger.UPD_REVERSAL, now)
 
-    def _run_maintenance(self, state: NodeToraState, trigger: Trigger, now: float) -> list[Emission]:
+    def _run_maintenance(self, toward: Toward, trigger: Trigger, now: float) -> list[Emission]:
+        state = toward.tora
         dest = state.destination
         outcome = maintenance_case(state, trigger, now)
         self.hooks.log(
@@ -466,22 +485,23 @@ class NodeAgent:
         if outcome.case is MaintenanceCase.DETECT_PARTITION:
             level = state.concrete_mirrors()[0].level
             self.hooks.log("partition_detected", self.node, now, dest=dest, level=level)
-            return self._erase_state(state, level, now)
+            return self._erase_state(toward, level, now)
         self._set_height(state, outcome.new_height, now)
         if outcome.new_height.is_null:
             return []
         return [Emission(UpdPacket(destination=dest, height=state.own_height))]
 
-    def _erase_state(self, state: NodeToraState, level: tuple, now: float) -> list[Emission]:
-        """The one route erasure toward ``state.destination``, run by the
+    def _erase_state(self, toward: Toward, level: tuple, now: float) -> list[Emission]:
+        """The one route erasure toward the record's destination, run by the
         partition detector and by each node a clear for its own ``level``
         reaches; returns that clear. Every candidate's and cached route's
         first hop is a current link, so all of them go."""
+        state = toward.tora
         dest = state.destination
         self._set_height(state, Height.null(self.node), now)
         state.reset_mirrors()
-        self.candidates.pop(dest, None)
-        self._prune(self.cache, dest, now, lambda e: True)
+        toward.candidates.clear()
+        self._prune(toward.cache, dest, now, lambda e: True, "cache_purged")
         return [Emission(ClrPacket(destination=dest, reference_level=level))]
 
     def on_error(self, err: ErrorPacket, sender: int, now: float) -> list[Emission]:
@@ -493,26 +513,24 @@ class NodeAgent:
         def crosses(route: Route) -> bool:
             return not broken.isdisjoint(zip(route.path, route.path[1:]))
 
-        affected = [
-            dest
-            for dest in sorted(self.cache)
-            if any(r.live(now) for r in self._prune(self.cache, dest, now, crosses))
-        ]
-        for dest in sorted(self.candidates):
-            self._prune(self.candidates, dest, now, crosses)
+        affected: list[Toward] = []
+        for dest, toward in sorted(self.toward.items()):
+            if any(r.live(now) for r in self._prune(toward.cache, dest, now, crosses, "cache_purged")):
+                affected.append(toward)
+            self._prune(toward.candidates, dest, now, crosses)
         if self.node != err.path[0]:
             return [Emission(err, to=err.path[err.path.index(self.node) - 1])]
-        return [em for dest in affected for em in self._rediscover(dest, now)]
+        return [em for toward in affected for em in self._rediscover(toward, now)]
 
     def on_clr(self, clr: ClrPacket, sender: int, now: float) -> list[Emission]:
-        state = self._state_for(clr.destination)
-        erase, affected = apply_clr(state, clr.reference_level)
+        toward = self._toward(clr.destination)
+        erase, affected = apply_clr(toward.tora, clr.reference_level)
         if erase:
-            return self._erase_state(state, clr.reference_level, now)
+            return self._erase_state(toward, clr.reference_level, now)
         if affected:
             dest, reset = clr.destination, set(affected)
-            self._prune(self.candidates, dest, now, lambda c: c.next_hop in reset)
-            self._prune(self.cache, dest, now, lambda e: not reset.isdisjoint(e.path[1:]))
+            self._prune(toward.candidates, dest, now, lambda c: c.next_hop in reset)
+            self._prune(toward.cache, dest, now, lambda e: not reset.isdisjoint(e.path[1:]), "cache_purged")
         return []
 
     # -- data plane ---------------------------------------------------------
@@ -520,10 +538,11 @@ class NodeAgent:
     def send_data(self, dest: int, size_bits: int, seq: int, now: float) -> list[Emission]:
         """Send a new data packet on the best live route; with none, queue
         it until a route is admitted and rediscover."""
-        entry = self._select_route(dest, now)
+        toward = self._toward(dest)
+        entry = self._best(toward.cache, now)
         if entry is None:
-            self.data_queue.setdefault(dest, []).append((seq, size_bits))
-            return self._rediscover(dest, now)
+            toward.queue.append((seq, size_bits))
+            return self._rediscover(toward, now)
         entry.expires_at = now + self.params.route_ttl  # refreshed on use
         packet = DataPacket(
             source=self.node, destination=dest, seq=seq, size_bits=size_bits, path=entry.path
@@ -539,31 +558,21 @@ class NodeAgent:
         path = packet.path
         i = path.index(self.node)
         emissions = [Emission(packet, to=path[i + 1])]
-        if path[i + 1] not in self.link_activated_at:
+        if path[i + 1] not in self.adjacent:
             emissions.append(Emission(ErrorPacket(path[: i + 2]), to=path[i - 1]))
         return emissions
 
-    def _flush_queue(self, dest: int, now: float) -> list[Emission]:
-        return [
-            em
-            for seq, bits in self.data_queue.pop(dest, [])
-            for em in self.send_data(dest, bits, seq, now)
-        ]
-
     def route_expiry(self, dest: int, now: float) -> None:
         """Prune the expired routes toward ``dest`` from both tables."""
-        self._prune(self.cache, dest, now, lambda r: not r.live(now), tag="cache_expired")
-        self._prune(self.candidates, dest, now, lambda r: not r.live(now))
+        toward = self.toward[dest]
+        self._prune(toward.cache, dest, now, lambda r: not r.live(now), "cache_expired")
+        self._prune(toward.candidates, dest, now, lambda r: not r.live(now))
 
     # -- internals ------------------------------------------------------------
 
-    def _select_route(self, dest: int, now: float) -> Route | None:
-        """The best live cached route toward ``dest``, if any."""
-        return next(iter(self._best_first(self._live(self.cache, dest, now))), None)
-
-    def _best_candidate(self, dest: int, now: float) -> Route | None:
-        """The best live candidate toward ``dest``, if any."""
-        return next(iter(self._best_first(self._live(self.candidates, dest, now))), None)
+    def _best(self, routes: dict, now: float) -> Route | None:
+        """The best live route in ``routes``, if any."""
+        return next(iter(self._best_first(self._live(routes, now))), None)
 
     def _best_first(self, routes: list[Route]) -> list[Route]:
         """``routes``, toward one destination, best first: highest
@@ -572,10 +581,9 @@ class NodeAgent:
         set with no preferable path rank every route alike."""
         ranks = [1.0] * len(routes)
         if len(routes) > 1 and not self.params.baseline:
-            initial = self.params.initial_pheromone
             try:
                 ranks = path_preference(
-                    [(self.pheromone.get(r.next_hop, initial), r.metrics) for r in routes],
+                    [(self.adjacent[r.next_hop].tau, r.metrics) for r in routes],
                     self.params.preference_weights,
                 )
             except ValueError:
@@ -583,52 +591,42 @@ class NodeAgent:
         ranked = sorted(zip(ranks, routes), key=lambda pr: (-pr[0], pr[1].created_at, pr[1].path))
         return [r for _, r in ranked]
 
-    def _rediscover(self, dest: int, now: float) -> list[Emission]:
-        """Start a discovery toward ``dest`` unless a live route exists or
-        one is already running."""
-        if dest in self.pending_request or self._live(self.cache, dest, now):
+    def _rediscover(self, toward: Toward, now: float) -> list[Emission]:
+        """Start a discovery toward the record's destination unless a live
+        route exists or one is already running."""
+        if toward.request is not None or self._live(toward.cache, now):
             return []
-        return self.start_discovery(dest, now)
+        return self.start_discovery(toward.tora.destination, now)
 
-    def _insert(
-        self, table: dict, dest: int, key, path: tuple[int, ...], m: PathMetrics, now: float
-    ) -> None:
-        """File a route toward ``dest`` under ``key`` in ``table``, live for
-        one route TTL. The one writer of both tables: the route keeps the
-        ``created_at`` of a live route it replaces, so a route that replaces
-        an expired one starts a fresh age."""
-        routes = table.setdefault(dest, {})
+    def _insert(self, routes: dict, key, path: tuple[int, ...], m: PathMetrics, now: float) -> None:
+        """File a route under ``key`` in ``routes``, live for one route TTL.
+        The one writer of both tables: the route keeps the ``created_at`` of
+        a live route it replaces, so a route that replaces an expired one
+        starts a fresh age."""
         old = routes.get(key)
         created = old.created_at if old and old.live(now) else now
         routes[key] = Route(path, m, created, expires_at=now + self.params.route_ttl)
 
     def _prune(
-        self, table: dict, dest: int, now: float, doomed: Callable[[Route], bool], tag: str = "cache_purged"
+        self, routes: dict, dest: int, now: float, doomed: Callable[[Route], bool], tag: str | None = None
     ) -> list[Route]:
-        """Remove the routes toward ``dest`` in ``table`` that ``doomed``
-        picks, and the destination's entry once it is empty; returns the
-        routes that went. A cache pruning is logged under ``tag``."""
-        routes = table.get(dest)
-        if not routes:
-            return []
-        keys = [k for k, r in routes.items() if doomed(r)]
-        gone = [routes.pop(k) for k in keys]
-        if not routes:
-            del table[dest]
-        if gone and table is self.cache:
+        """Remove the routes toward ``dest`` in ``routes`` that ``doomed``
+        picks; returns the routes that went, logged under ``tag`` if one is
+        given."""
+        gone = [routes.pop(k) for k in [k for k, r in routes.items() if doomed(r)]]
+        if gone and tag is not None:
             self.hooks.log(tag, self.node, now, dest=dest, dropped=len(gone))
         return gone
 
     @staticmethod
-    def _live(table: dict, dest: int, now: float) -> list[Route]:
-        """The unexpired routes toward ``dest`` in ``table``, by key."""
-        routes = table.get(dest, {})
+    def _live(routes: dict, now: float) -> list[Route]:
+        """The unexpired routes in ``routes``, by key."""
         return [routes[k] for k in sorted(routes) if routes[k].live(now)]
 
     def _extend_metrics(
         self, rep: QryReplyAnt, sender: int
     ) -> tuple[PathMetrics, tuple[int, ...]]:
-        info = self.neighbors[sender]
+        info = self.adjacent[sender].hello
         metrics = PathMetrics(
             delay=rep.delay + self._metric_link_delay(sender) + self.links.processing,
             bandwidth=min(rep.bandwidth, info.est_bandwidth),
@@ -639,33 +637,33 @@ class NodeAgent:
         return metrics, (self.node,) + rep.path_nodes
 
     def _admit_route(
-        self, dest: int, path: tuple[int, ...], metrics: PathMetrics, now: float
+        self, toward: Toward, path: tuple[int, ...], metrics: PathMetrics, now: float
     ) -> list[Emission]:
+        dest = toward.tora.destination
         if not self.params.baseline and not self.params.qos.admits(metrics):
             self.hooks.log("route_rejected", self.node, now, dest=dest, path=path)
             return []
-        self._insert(self.cache, dest, path, path, metrics, now)
+        self._insert(toward.cache, path, path, metrics, now)
         self.hooks.log("route_cached", self.node, now, dest=dest, path=path)
-        return self._flush_queue(dest, now)
+        queued, toward.queue = toward.queue, []
+        return [em for seq, bits in queued for em in self.send_data(dest, bits, seq, now)]
 
-    def _relay_reply(
-        self, req: QryRequestAnt, state: NodeToraState, now: float
-    ) -> QryReplyAnt | None:
+    def _relay_reply(self, req: QryRequestAnt, toward: Toward, now: float) -> QryReplyAnt | None:
         """A relay's answer to ``req``: its best candidate, else the reply
         of an adjacent destination as this node's hellos describe it."""
         dest = req.destination
-        best = self._best_candidate(dest, now)
+        best = self._best(toward.candidates, now)
         if best is not None:
             m, path = best.metrics, best.path
         else:
-            info = self.neighbors.get(dest)
+            info = self._hello(dest)
             if info is None:
                 return None
             heard = self._destination_reply(
                 req.source, dest, info.residual_energy, info.drain_rate, info.est_bandwidth
             )
             m, path = self._extend_metrics(heard, dest)
-        return self._reply(req.source, dest, m, path, state.own_height)
+        return self._reply(req.source, dest, m, path, toward.tora.own_height)
 
     def _destination_reply(
         self, source: int, dest: int, energy: float, drain_rate: float, bandwidth: float
@@ -701,7 +699,7 @@ class NodeAgent:
             reporter_height=height,
         )
 
-    def _send_reply(self, reply: QryReplyAnt, now: float) -> list[Emission]:
-        """Broadcast ``reply``; the only writer of ``last_reply_at``."""
-        self.last_reply_at[reply.destination] = now
+    def _send_reply(self, toward: Toward, reply: QryReplyAnt, now: float) -> list[Emission]:
+        """Broadcast a relay's ``reply``; the only writer of ``replied_at``."""
+        toward.replied_at = now
         return [Emission(reply)]

@@ -270,7 +270,7 @@ class Simulation:
             self.process_emissions(i, self.agents[i].hello_tick(now), now)
         # only live routes count, so the sample cannot tell when a tick pruned
         total = sum(
-            r.live(now) for a in self.agents.values() for routes in a.cache.values() for r in routes.values()
+            r.live(now) for a in self.agents.values() for t in a.toward.values() for r in t.cache.values()
         )
         self.cache_samples.append((now, total))
         nxt = now + self.scenario.protocol.hello_interval
@@ -413,8 +413,8 @@ class Simulation:
         """Packets still queued when the run ends count as offered but lost."""
         for i in sorted(self.agents):
             agent = self.agents[i]
-            for dest in sorted(agent.data_queue):
-                for seq, bits in agent.data_queue[dest]:
+            for dest, toward in sorted(agent.toward.items()):
+                for seq, bits in toward.queue:
                     marker = DataPacket(
                         source=i, destination=dest, seq=seq, size_bits=bits, path=(i, dest)
                     )

@@ -51,9 +51,10 @@ def _passline(n: int, name: str) -> None:
 def _dn_edges(sim, dest):
     edges = []
     for node in sorted(sim.agents):
-        state = sim.agents[node].tora.get(dest)
-        if state is None:
+        toward = sim.agents[node].toward.get(dest)
+        if toward is None:
             continue
+        state = toward.tora
         for j, mirror in sorted(state.links.items()):
             if classify_link(state.own_height, mirror) is Direction.DN:
                 edges.append((node, j))
@@ -108,8 +109,8 @@ def test_criterion_1_dag_loop_freedom():
         dn = _dn_edges(sim, dest)
         assert not _has_cycle(range(n), dn), f"cycle in graph {i}"
         for node in range(n):
-            state = sim.agents[node].tora.get(dest)
-            if state is None or state.own_height.is_null:
+            toward = sim.agents[node].toward.get(dest)
+            if toward is None or toward.tora.own_height.is_null:
                 continue
             assert _reaches(dest, dn, node), f"node {node} stranded in graph {i}"
     elapsed = time.monotonic() - started
@@ -256,9 +257,9 @@ def test_criterion_5_partition_detection_on_barbell():
     assert detections[0][0] - fail_pop <= 50, "detection took too many events"
     for node in (0, 1, 2, 3):
         agent = sim.agents[node]
-        state = agent.tora.get(7)
-        assert state is not None and state.own_height.is_null
-        assert all(not entries for entries in agent.cache.values())
+        toward = agent.toward.get(7)
+        assert toward is not None and toward.tora.own_height.is_null
+        assert all(not t.cache for t in agent.toward.values())
     crossed = [
         r for r in records_of(sim)
         if r.event == "rcv" and isinstance(r.packet, ClrPacket) and r.node >= 4
@@ -335,8 +336,9 @@ def test_criterion_6_qos_admission_soundness_and_completeness():
         }
         assert feasible, f"graph {i}: thresholds exclude everything"
         _, _, sim = run_single(sc)
-        cached = {e.path for e in sim.agents[0].cache.get(n - 1, {}).values()}
-        for entry in sim.agents[0].cache.get(n - 1, {}).values():
+        routes = sim.agents[0].toward[n - 1].cache
+        cached = {e.path for e in routes.values()}
+        for entry in routes.values():
             assert sc.protocol.qos.admits(entry.metrics), f"graph {i}: unsound cache entry"
         assert cached <= feasible, f"graph {i}: cached {cached - feasible} infeasible"
     _passline(6, "QoS admission soundness and desk-scale completeness")
@@ -360,9 +362,10 @@ def _find_cut(n, edges, sim):
     for u in range(n):
         if u == dest:
             continue
-        state = sim.agents[u].tora.get(dest)
-        if state is None:
+        toward = sim.agents[u].toward.get(dest)
+        if toward is None:
             continue
+        state = toward.tora
         direction = {j: classify_link(state.own_height, h) for j, h in state.links.items()}
         dn = [j for j, d in sorted(direction.items()) if d is Direction.DN]
         up = [j for j, d in sorted(direction.items()) if d is Direction.UP]

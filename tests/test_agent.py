@@ -116,7 +116,7 @@ def test_hello_bandwidth_estimate():
     agent = NodeAgent(1, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     agent.link_up(2, 0.0)
     assert agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 2, 1.001) == []
-    info = agent.neighbors[2]
+    info = agent.adjacent[2].hello
     assert info.est_bandwidth == pytest.approx(1e6)
     assert info.residual_energy == 50.0
 
@@ -126,7 +126,7 @@ def test_later_hello_wins_entirely():
     agent.link_up(2, 0.0)
     agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 2, 1.001)
     agent.on_hello(HelloAnt(2, 2.0, 40.0, 0.5, 1000), 2, 2.002)
-    info = agent.neighbors[2]
+    info = agent.adjacent[2].hello
     assert info.residual_energy == 40.0
     assert info.est_bandwidth == pytest.approx(1000 / 0.002)
     assert info.last_hello == 2.002
@@ -137,7 +137,7 @@ def test_hello_from_an_unlinked_sender_is_ignored():
     # without a link, like an update without one, changes nothing
     agent = NodeAgent(1, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     assert agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 2, 1.001) == []
-    assert agent.neighbors == {} and agent.link_activated_at == {} and agent.pheromone == {}
+    assert agent.adjacent == {}
 
 
 def test_hello_clock_misuse_raises():
@@ -149,11 +149,10 @@ def test_hello_clock_misuse_raises():
 def test_silent_neighbor_is_dropped_after_three_intervals():
     net = warmed(2, [(0, 1)])
     agent = net.agents[0]
-    assert 1 in agent.neighbors
+    assert agent.adjacent[1].hello is not None
     # neighbor 1 last spoke at t=1; at t=5 it is 4 intervals silent
     agent.hello_tick(5.0)
-    assert 1 not in agent.neighbors
-    assert 1 not in agent.link_activated_at
+    assert 1 not in agent.adjacent
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +168,8 @@ def test_fresh_node_sets_rr_and_rebroadcasts():
     fwd = out[0].packet
     assert isinstance(fwd, QryRequestAnt)
     assert fwd.visited == (0, 1)
-    assert 9 in a.pending_request
-    assert a.tora[9].own_height.is_null
+    assert a.toward[9].request is not None
+    assert a.toward[9].tora.own_height.is_null
     # second copy is discarded
     assert a.on_qry_request(req, 0, 1.6) == []
 
@@ -197,7 +196,7 @@ def test_destination_adjacent_node_replies_with_synthesized_route():
     # configured radio numbers describe it, bit for bit
     link_delay = PROP + net.params.metric_packet_bits / CAPACITY
     assert rep.delay == (PROC + link_delay) + PROC
-    heard = b.neighbors[2]
+    heard = b.adjacent[2].hello
     assert rep.bandwidth == heard.est_bandwidth
     assert rep.energy == min(heard.residual_energy, b.energy.residual)
     assert rep.drain_rate == max(heard.drain_rate, b.energy.drain_rate)
@@ -228,12 +227,12 @@ def test_line_topology_discovery_hand_trace():
     assert by_node.get(2) == 1  # destination-adjacent node originates
     assert by_node.get(1) == 1  # relay
     s = net.agents[0]
-    assert len(s.cache[3]) == 1
-    entry = list(s.cache[3].values())[0]
+    assert len(s.toward[3].cache) == 1
+    entry = list(s.toward[3].cache.values())[0]
     assert entry.path == (0, 1, 2, 3)
     assert entry.metrics.hop_count == 4
-    assert 3 not in s.pending_request
-    assert s.tora[3].own_height == Height(0.0, 0, 0, 3, 0)
+    assert s.toward[3].request is None
+    assert s.toward[3].tora.own_height == Height(0.0, 0, 0, 3, 0)
 
 
 def test_diamond_topology_caches_two_disjoint_paths():
@@ -241,14 +240,14 @@ def test_diamond_topology_caches_two_disjoint_paths():
     net = warmed(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     net.discover(0, 3, 1.5)
     s = net.agents[0]
-    paths = sorted(e.path for e in s.cache[3].values())
+    paths = sorted(e.path for e in s.toward[3].cache.values())
     assert paths == [(0, 1, 3), (0, 2, 3)]
 
 
 def _ranks(agent, routes):
     """``path_preference`` over each route's first-hop tau and own metrics."""
     return path_preference(
-        [(agent.pheromone[r.next_hop], r.metrics) for r in routes], agent.params.preference_weights
+        [(agent.adjacent[r.next_hop].tau, r.metrics) for r in routes], agent.params.preference_weights
     )
 
 
@@ -260,24 +259,24 @@ def test_no_preferable_path_ranks_every_route_alike():
     net.discover(0, 3, 1.5)
     s = net.agents[0]
     s.evaporation_tick(2.0)
-    assert all(tau == 0.0 for tau in s.pheromone.values())
-    for table in (s.candidates, s.cache):
-        routes = list(table[3].values())
+    assert all(link.tau == 0.0 for link in s.adjacent.values())
+    for table in (s.toward[3].candidates, s.toward[3].cache):
+        routes = list(table.values())
         oldest = sorted(routes, key=lambda r: (r.created_at, r.path))
         assert oldest[0].next_hop == 1
         assert s._best_first(routes) == s._best_first(routes[::-1]) == oldest
-    assert s._best_candidate(3, 2.0).next_hop == 1
-    assert s._select_route(3, 2.0).next_hop == 1
+    assert s._best(s.toward[3].candidates, 2.0).next_hop == 1
+    assert s._best(s.toward[3].cache, 2.0).next_hop == 1
 
 
 def test_reply_extension_increments_hops_and_updates_pheromone():
     net = warmed(2, [(0, 1)])
     s = net.agents[0]
-    tau_before = s.pheromone[1]
+    tau_before = s.adjacent[1].tau
     net.discover(0, 1, 1.5)
-    assert list(s.cache[1].values())[0].metrics.hop_count == 2
-    assert s.pheromone[1] > tau_before * net.params.preference_weights.persistence
-    cand = s.candidates[1][1]
+    assert list(s.toward[1].cache.values())[0].metrics.hop_count == 2
+    assert s.adjacent[1].tau > tau_before * net.params.preference_weights.persistence
+    cand = s.toward[1].candidates[1]
     assert cand.path == (0, 1)
 
 
@@ -287,8 +286,8 @@ def test_rr_unset_reply_updates_links_without_relay():
     rep = QryReplyAnt(1, PROC, 90.0, 0.01, 1e6, 5, 2, (2,), Height.zero(2))
     out = a.on_qry_reply(rep, 2, 2.0)
     assert out == []  # not route-required, nothing to relay
-    assert a.tora[2].links[2] == Height.zero(2)
-    assert 2 in a.candidates[2]
+    assert a.toward[2].tora.links[2] == Height.zero(2)
+    assert 2 in a.toward[2].candidates
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +313,10 @@ def test_a_ranking_uses_the_pheromone_at_read_time():
     agent = _agent_hearing_1_and_2()
     agent.on_qry_reply(_reply_via(1, 9, 0.02), 1, 0.1)
     agent.on_qry_reply(_reply_via(2, 9, 0.01), 2, 0.2)
-    assert agent._best_candidate(9, 0.25).next_hop == 2
+    assert agent._best(agent.toward[9].candidates, 0.25).next_hop == 2
     for k in range(6):
         agent.on_qry_reply(_reply_via(1, 8, 0.0006), 1, 0.3 + k / 100)
-    assert agent._best_candidate(9, 0.5).next_hop == 1
+    assert agent._best(agent.toward[9].candidates, 0.5).next_hop == 1
 
 
 def test_cached_paths_through_one_first_hop_rank_by_their_own_metrics():
@@ -326,12 +325,12 @@ def test_cached_paths_through_one_first_hop_rank_by_their_own_metrics():
     agent = _agent_hearing_1_and_2()
     agent.start_discovery(9, 0.05)
     agent.on_qry_reply(_reply_via(1, 9, 0.02, source=0), 1, 0.1)
-    slow = agent.cache[9][(0, 1, 9)]
+    slow = agent.toward[9].cache[(0, 1, 9)]
     fast_reply = QryReplyAnt(3, 0.002, 50.0, 0.01, 1e6, 0, 9, (1, 5, 9), Height(0.0, 0, 0, 1, 1))
     agent.on_qry_reply(fast_reply, 1, 0.2)
-    fast = agent.cache[9][(0, 1, 5, 9)]
+    fast = agent.toward[9].cache[(0, 1, 5, 9)]
     assert slow.created_at < fast.created_at
-    assert agent._select_route(9, 0.3) is fast
+    assert agent._best(agent.toward[9].cache, 0.3) is fast
     assert _ranks(agent, [slow, fast])[1] > 0.5
 
 
@@ -341,7 +340,7 @@ def test_a_rank_tie_goes_to_the_older_candidate():
     agent = _agent_hearing_1_and_2()
     agent.on_qry_reply(_reply_via(2, 9, 0.01), 2, 0.1)
     agent.on_qry_reply(_reply_via(1, 9, 0.01), 1, 0.2)
-    assert agent.pheromone[1] == agent.pheromone[2]
+    assert agent.adjacent[1].tau == agent.adjacent[2].tau
     out = agent.on_qry_request(QryRequestAnt(0.3, 5, 9, (5, 1)), 1, 0.3)
     assert [em.packet.path_nodes for em in out] == [(0, 2, 9)]
 
@@ -354,8 +353,8 @@ def test_a_candidate_that_replaces_an_expired_one_starts_a_fresh_age():
     agent.on_qry_reply(_reply_via(1, 9, 0.01), 1, 0.1)
     agent.on_qry_reply(_reply_via(2, 9, 0.01), 2, 5.0)
     agent.on_qry_reply(_reply_via(1, 9, 0.01), 1, 10.5)
-    assert agent.candidates[9][1].created_at == 10.5
-    assert agent._best_candidate(9, 10.6).next_hop == 2
+    assert agent.toward[9].candidates[1].created_at == 10.5
+    assert agent._best(agent.toward[9].candidates, 10.6).next_hop == 2
 
 
 def test_a_path_admitted_twice_keeps_one_cache_entry_and_its_age():
@@ -363,8 +362,8 @@ def test_a_path_admitted_twice_keeps_one_cache_entry_and_its_age():
     agent.start_discovery(9, 0.05)
     agent.on_qry_reply(_reply_via(1, 9, 0.02, source=0), 1, 0.1)
     agent.on_qry_reply(_reply_via(1, 9, 0.01, source=0), 1, 0.3)
-    assert list(agent.cache[9]) == [(0, 1, 9)]
-    entry = agent.cache[9][(0, 1, 9)]
+    assert list(agent.toward[9].cache) == [(0, 1, 9)]
+    entry = agent.toward[9].cache[(0, 1, 9)]
     assert entry.created_at == 0.1
     assert entry.expires_at == 0.3 + agent.params.route_ttl
 
@@ -377,17 +376,17 @@ def test_qos_admission_rejects_slow_route():
     params = ProtocolParams(qos=QosConstraints(max_delay=1e-4))
     net = warmed(4, [(0, 1), (1, 2), (2, 3)], params=params)
     net.discover(0, 3, 1.5)
-    assert net.agents[0].cache.get(3, {}) == {}
+    assert net.agents[0].toward[3].cache == {}
 
 
 def test_baseline_mode_skips_admission_and_pheromone():
     params = ProtocolParams(qos=QosConstraints(max_delay=1e-4), baseline=True)
     net = warmed(4, [(0, 1), (1, 2), (2, 3)], params=params)
-    tau_before = dict(net.agents[0].pheromone)
+    tau_before = {j: link.tau for j, link in net.agents[0].adjacent.items()}
     net.discover(0, 3, 1.5)
     s = net.agents[0]
-    assert len(s.cache[3]) == 1
-    assert s.pheromone == tau_before
+    assert len(s.toward[3].cache) == 1
+    assert {j: link.tau for j, link in s.adjacent.items()} == tau_before
 
 
 def test_qos_hop_limit_below_one_link_is_refused():
@@ -401,7 +400,7 @@ def test_hop_count_counts_nodes_including_endpoints():
     params = ProtocolParams(qos=QosConstraints(max_hop_count=3))
     net = warmed(4, [(0, 1), (1, 2), (2, 3)], params=params)
     net.discover(0, 3, 1.5)  # 4 nodes on the only path
-    assert net.agents[0].cache.get(3, {}) == {}
+    assert net.agents[0].toward[3].cache == {}
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +412,7 @@ def test_send_data_picks_highest_preference():
     net = warmed(5, [(0, 1), (1, 3), (0, 2), (2, 4), (4, 3)])
     net.discover(0, 3, 1.5)
     s = net.agents[0]
-    routes = list(s.cache[3].values())
+    routes = list(s.toward[3].cache.values())
     ranks = _ranks(s, routes)
     assert len(routes) == 2 and ranks[0] != ranks[1]
     best = routes[ranks.index(max(ranks))]
@@ -427,8 +426,10 @@ def test_send_data_tie_breaks_by_age():
     from anttora.agent import Route
     from anttora.aco import PathMetrics
 
+    for j in (1, 2):
+        agent.link_up(j, 0.0)
     m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
-    agent.cache[3] = {
+    agent._toward(3).cache = {
         (0, 2, 3): Route((0, 2, 3), m, created_at=2.0, expires_at=50.0),
         (0, 1, 3): Route((0, 1, 3), m, created_at=1.0, expires_at=50.0),
     }
@@ -442,7 +443,7 @@ def test_send_data_without_route_queues_and_discovers_once():
     assert [type(em.packet) for em in out] == [QryRequestAnt]
     # the discovery is still running: queue, but send nothing
     assert agent.send_data(3, 600, seq=1, now=1.1) == []
-    assert agent.data_queue[3] == [(0, 500), (1, 600)]
+    assert agent.toward[3].queue == [(0, 500), (1, 600)]
 
 
 def test_queued_data_flushes_on_first_route():
@@ -451,7 +452,7 @@ def test_queued_data_flushes_on_first_route():
     net.push_emissions(0, s.send_data(2, 800, seq=0, now=1.5), 1.5)
     net.pump()
     assert [p.seq for p in net.delivered] == [0]
-    assert 2 not in s.data_queue
+    assert s.toward[2].queue == []
 
 
 @pytest.mark.parametrize("queued, requests", [(True, 1), (False, 0)])
@@ -465,8 +466,8 @@ def test_link_failure_rediscovers_only_for_queued_data(queued, requests):
         net.pump()
     else:
         net.discover(0, 2, 1.5)
-    assert bool(s.data_queue.get(2)) == queued
-    assert 2 not in s.pending_request
+    assert bool(s.toward[2].queue) == queued
+    assert s.toward[2].request is None
     out = s.on_link_failure(1, 5.0)
     assert sum(isinstance(em.packet, QryRequestAnt) for em in out) == requests
 
@@ -482,7 +483,7 @@ def test_case1_surviving_downstream_is_silent():
     before = net.count_sent(UpdPacket) + net.count_sent(ClrPacket)
     assert before == 0
     net.cut(2, 3, 5.0)
-    assert has_downstream(net.agents[2].tora[3])
+    assert has_downstream(net.agents[2].toward[3].tora)
     assert net.count_sent(UpdPacket, since=5.0) == 0
     assert net.count_sent(ClrPacket, since=5.0) == 0
     assert net.count_sent(ErrorPacket, since=5.0) == 0
@@ -509,7 +510,7 @@ def test_isolated_node_goes_null_without_upd():
     net.discover(0, 1, 1.5)
     net.cut(0, 1, 5.0)
     s = net.agents[0]
-    assert s.tora[1].own_height.is_null
+    assert s.toward[1].tora.own_height.is_null
     assert net.count_sent(UpdPacket, since=5.0) == 0
 
 
@@ -524,7 +525,7 @@ def test_upd_with_surviving_downstream_is_absorbed():
 def test_upd_reversal_reflects_uniform_level():
     net = warmed(3, [(0, 1), (1, 2)])
     a = net.agents[1]
-    state = a._state_for(9)
+    state = a._toward(9).tora
     state.set_mirror(0, Height(0.0, 0, 0, 5, 0))
     state.set_own_height(Height(0.0, 0, 0, 6, 1))  # downstream via node 0
     # the downstream neighbor reverses onto a fresh unreflected level
@@ -538,18 +539,17 @@ def test_upd_reversal_reflects_uniform_level():
 def test_upd_reversal_detects_partition_on_own_level():
     net = warmed(3, [(0, 1), (1, 2)])
     a = net.agents[1]
-    state = a._state_for(9)
+    state = a._toward(9).tora
     state.set_mirror(0, Height(0.0, 0, 0, 5, 0))
     state.set_mirror(2, Height(9.0, 1, 1, 0, 2))  # already reflected our level
     state.set_own_height(Height(9.0, 1, 0, 0, 1))
-    a.cache[9] = {}
     out = a.on_upd(UpdPacket(9, Height(9.0, 1, 1, 1, 0)), 0, 9.6)
     assert len(out) == 1
     clr = out[0].packet
     assert isinstance(clr, ClrPacket)
     assert clr.reference_level == (9.0, 1, 1)
-    assert a.tora[9].own_height.is_null
-    assert a.cache.get(9, {}) == {}
+    assert a.toward[9].tora.own_height.is_null
+    assert a.toward[9].cache == {}
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +560,13 @@ def test_error_purges_routes_over_its_link():
     net = warmed(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     net.discover(0, 3, 1.5)
     s = net.agents[0]
-    assert [e.path for e in s.cache[3].values()] == [(0, 1, 3), (0, 2, 3)]
-    assert sorted(s.candidates[3]) == [1, 2]
+    assert [e.path for e in s.toward[3].cache.values()] == [(0, 1, 3), (0, 2, 3)]
+    assert sorted(s.toward[3].candidates) == [1, 2]
     # node 0 relays an error for link 3-1, which its routes cross as 1-3
     err = ErrorPacket((9, 0, 3, 1))
     out = s.on_error(err, 3, 6.0)
-    assert [e.path for e in s.cache[3].values()] == [(0, 2, 3)]
-    assert sorted(s.candidates[3]) == [2]
+    assert [e.path for e in s.toward[3].cache.values()] == [(0, 2, 3)]
+    assert sorted(s.toward[3].candidates) == [2]
     assert [(em.packet, em.to) for em in out] == [(err, 9)]  # on to its previous hop
 
 
@@ -576,7 +576,7 @@ def test_error_purge_keeps_unrelated_routes():
 
     agent = NodeAgent(0, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
-    agent.cache[9] = {
+    agent._toward(9).cache = {
         r.path: r
         for r in [
             Route((0, 1, 9), m, created_at=1.0, expires_at=50.0),
@@ -586,7 +586,7 @@ def test_error_purge_keeps_unrelated_routes():
     }
     agent.on_error(ErrorPacket((8, 0, 5, 6)), 5, 6.0)
     # only the route over link 5-6 goes; one through node 5 alone stays
-    assert [e.path for e in agent.cache[9].values()] == [(0, 1, 9), (0, 5, 9)]
+    assert [e.path for e in agent.toward[9].cache.values()] == [(0, 1, 9), (0, 5, 9)]
 
 
 def test_source_with_alternate_route_does_not_rediscover():
@@ -595,7 +595,7 @@ def test_source_with_alternate_route_does_not_rediscover():
     s = net.agents[0]
     out = s.on_error(ErrorPacket((0, 1, 3)), 1, 6.0)
     assert out == []
-    assert [e.path for e in s.cache[3].values()] == [(0, 2, 3)]
+    assert [e.path for e in s.toward[3].cache.values()] == [(0, 2, 3)]
 
 
 def test_source_with_empty_cache_starts_rediscovery():
@@ -603,7 +603,7 @@ def test_source_with_empty_cache_starts_rediscovery():
     net.discover(0, 2, 1.5)
     s = net.agents[0]
     out = s.on_error(ErrorPacket((0, 1, 2)), 1, 6.0)
-    assert 2 not in s.cache  # the emptied entry goes
+    assert s.toward[2].cache == {}
     assert len(out) == 1
     assert isinstance(out[0].packet, QryRequestAnt)
 
@@ -614,10 +614,10 @@ def test_an_error_over_only_an_expired_route_starts_no_discovery():
 
     agent = NodeAgent(0, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
-    agent.cache[9] = {(0, 1, 9): Route((0, 1, 9), m, created_at=1.0, expires_at=5.0)}
+    agent._toward(9).cache = {(0, 1, 9): Route((0, 1, 9), m, created_at=1.0, expires_at=5.0)}
     # the route over link 1-9 expired at 5.0: the error takes nothing live
     assert agent.on_error(ErrorPacket((0, 1, 9)), 1, 6.0) == []
-    assert 9 not in agent.cache and 9 not in agent.pending_request
+    assert agent.toward[9].cache == {} and agent.toward[9].request is None
 
 
 def test_error_goes_back_hop_by_hop_and_stops_at_its_source():
@@ -642,7 +642,7 @@ def test_relay_with_dead_next_hop_sends_the_data_and_an_error_back():
     packet = DataPacket(0, 3, 0, 800, (0, 1, 2, 3))
     assert [(em.packet, em.to) for em in relay.on_data(packet, 1, 4.0)] == [(packet, 3)]
     net.cut(2, 3, 5.0)
-    assert has_downstream(relay.tora[3])
+    assert has_downstream(relay.toward[3].tora)
     # the link drops the packet; the error names link 2-3 and goes to node 1
     out = relay.on_data(packet, 1, 6.0)
     assert [(em.packet, em.to) for em in out] == [(packet, 3), (ErrorPacket((0, 1, 2, 3)), 1)]
@@ -656,12 +656,12 @@ def test_clr_matching_level_resets_and_rebroadcasts():
     net = warmed(3, [(0, 1), (1, 2)])
     net.discover(0, 2, 1.5)
     a = net.agents[1]
-    a.tora[2].set_own_height(Height(9.0, 5, 1, -1, 1))
+    a.toward[2].tora.set_own_height(Height(9.0, 5, 1, -1, 1))
     out = a.on_clr(ClrPacket(2, (9.0, 5, 1)), 0, 9.9)
     assert len(out) == 1
-    assert a.tora[2].own_height.is_null
+    assert a.toward[2].tora.own_height.is_null
     # only the adjacent destination itself may remain downstream
-    state = a.tora[2]
+    state = a.toward[2].tora
     for j, mirror in state.links.items():
         assert classify_link(state.own_height, mirror) is Direction.UN or j == 2
 
@@ -672,7 +672,7 @@ def test_clr_nonmatching_level_is_not_rebroadcast():
     a = net.agents[1]
     out = a.on_clr(ClrPacket(2, (9.0, 5, 1)), 0, 9.9)
     assert out == []
-    assert not a.tora[2].own_height.is_null
+    assert not a.toward[2].tora.own_height.is_null
 
 
 # ---------------------------------------------------------------------------
@@ -688,13 +688,13 @@ def _agent_with_routes_to_9(neighbors):
     agent = NodeAgent(0, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     for j in neighbors:
         agent.link_up(j, 0.0)
-    agent._state_for(9)
+    toward = agent._toward(9)
     m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
-    agent.cache[9] = {
+    toward.cache = {
         path: Route(path, m, created_at=1.0, expires_at=50.0)
         for path in [(0, 1, 9), (0, 2, 1, 9), (0, 2, 9)]
     }
-    agent.candidates[9] = {
+    toward.candidates = {
         1: Route((0, 1, 9), m, created_at=1.0, expires_at=50.0),
         2: Route((0, 2, 1, 9), m, created_at=1.0, expires_at=50.0),
     }
@@ -705,52 +705,53 @@ def test_link_failure_drops_only_routes_whose_first_hop_failed():
     agent = _agent_with_routes_to_9([1, 2])
     agent.on_link_failure(1, 6.0)
     # (0, 2, 1, 9) crosses node 1 further along and stays, as does its candidate
-    assert [e.path for e in agent.cache[9].values()] == [(0, 2, 1, 9), (0, 2, 9)]
-    assert sorted(agent.candidates[9]) == [2]
+    assert [e.path for e in agent.toward[9].cache.values()] == [(0, 2, 1, 9), (0, 2, 9)]
+    assert sorted(agent.toward[9].candidates) == [2]
 
 
-def test_a_candidate_table_goes_with_its_last_candidate():
+def test_an_evaporation_tick_prunes_expired_candidates_and_cached_routes():
     agent = _agent_with_routes_to_9([1, 2])
     agent.on_link_failure(1, 6.0)
-    assert sorted(agent.candidates[9]) == [2]
+    toward = agent.toward[9]
+    assert sorted(toward.candidates) == [2]
     logged = []
     agent.hooks.log = lambda tag, node, now, **data: logged.append((tag, now, data))
     agent.evaporation_tick(49.0)  # every route lives until 50.0
-    assert sorted(agent.candidates[9]) == [2] and len(agent.cache[9]) == 2
+    assert sorted(toward.candidates) == [2] and len(toward.cache) == 2
     agent.evaporation_tick(60.0)
-    assert 9 not in agent.candidates
-    # the tick prunes expired cached routes too, and their emptied table
-    assert 9 not in agent.cache
+    assert toward.candidates == {}
+    # the tick prunes expired cached routes too
+    assert toward.cache == {}
     assert logged == [("cache_expired", 60.0, {"dest": 9, "dropped": 2})]
 
 
 def test_clr_drops_routes_through_any_reset_neighbor_but_candidates_only_via_one():
     agent = _agent_with_routes_to_9([1, 2, 3])
-    state = agent.tora[9]
+    state = agent.toward[9].tora
     state.set_own_height(Height(4.0, 7, 0, 0, 0))
     state.set_mirror(1, Height(9.0, 5, 1, 0, 1))  # only node 1 carries the erased level
     state.set_mirror(2, Height(4.0, 7, 0, -1, 2))
     assert agent.on_clr(ClrPacket(9, (9.0, 5, 1)), 3, 9.9) == []
     assert state.links[1].is_null and not state.links[2].is_null
     # every route through node 1 goes, wherever on the path it sits ...
-    assert [e.path for e in agent.cache[9].values()] == [(0, 2, 9)]
+    assert [e.path for e in agent.toward[9].cache.values()] == [(0, 2, 9)]
     # ... but a candidate goes only when node 1 is its next hop
-    assert sorted(agent.candidates[9]) == [2]
+    assert sorted(agent.toward[9].candidates) == [2]
 
 
 def test_clr_at_own_level_erases_like_the_partition_detector():
     agent = _agent_with_routes_to_9([1, 2, 3])
     reported = []
     agent.hooks.height_changed = lambda *change: reported.append(change)
-    state = agent.tora[9]
+    state = agent.toward[9].tora
     state.set_own_height(Height(9.0, 5, 1, -1, 0))
     state.set_mirror(1, Height(9.0, 5, 1, 0, 1))
     out = agent.on_clr(ClrPacket(9, (9.0, 5, 1)), 3, 9.9)
     assert [(em.packet, em.to) for em in out] == [(ClrPacket(9, (9.0, 5, 1)), None)]
     # the NULL height goes through the hook the reaction-locality count reads
     assert reported == [(0, 9, Height(9.0, 5, 1, -1, 0), Height.null(0), 9.9)]
-    assert 9 not in agent.candidates
-    assert 9 not in agent.cache
+    assert agent.toward[9].candidates == {}
+    assert agent.toward[9].cache == {}
     assert all(mirror.is_null for mirror in state.links.values())
 
 
@@ -761,14 +762,16 @@ def test_clr_at_own_level_erases_like_the_partition_detector():
 def test_rr_flag_implies_null_height():
     net = warmed(4, [(0, 1), (1, 2), (2, 3)])
     net.discover(0, 3, 1.5)
-    assert all(3 not in a.pending_request for a in net.agents.values())
+    assert all(t.request is None for a in net.agents.values() for t in a.toward.values())
     net.discover(0, 9, 2.0)  # no node 9: every node is left waiting
     waiting = 0
     for agent in net.agents.values():
-        for dest, req in agent.pending_request.items():
+        for dest, toward in agent.toward.items():
+            if toward.request is None:
+                continue
             waiting += 1
-            assert agent.tora[dest].own_height.is_null
-            assert req.destination == dest
+            assert toward.tora.own_height.is_null
+            assert toward.request.destination == dest
     assert waiting == 4
 
 
@@ -776,8 +779,8 @@ def test_cached_paths_are_loop_free_and_admitted():
     net = warmed(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     net.discover(0, 3, 1.5)
     for agent in net.agents.values():
-        for dest, entries in agent.cache.items():
-            for e in entries.values():
+        for toward in agent.toward.values():
+            for e in toward.cache.values():
                 assert len(set(e.path)) == len(e.path)
                 assert agent.params.qos.admits(e.metrics)
 
@@ -815,16 +818,16 @@ def test_reply_handler_totality_for_rr_options():
         for is_source in (False, True):
             net = warmed(3, [(0, 1), (1, 2)])
             a = net.agents[1]
-            state = a._state_for(9)
+            state = a._toward(9).tora
             source = 1 if is_source else 0
             if rr:
                 visited = (1,) if is_source else (0, 1)
-                a.pending_request[9] = QryRequestAnt(1.4, source, 9, visited)
+                a.toward[9].request = QryRequestAnt(1.4, source, 9, visited)
             rep = QryReplyAnt(2, 0.004, 90.0, 0.01, 2.5e5, source, 9, (2, 9), Height(0.0, 0, 0, 1, 2))
             out = a.on_qry_reply(rep, 2, 2.0)
             assert state.links[2] == Height(0.0, 0, 0, 1, 2)
             if rr:
-                assert 9 not in a.pending_request
+                assert a.toward[9].request is None
                 assert not state.own_height.is_null
             relayed = [e for e in out if isinstance(e.packet, QryReplyAnt)]
             if rr and not is_source:
@@ -833,9 +836,9 @@ def test_reply_handler_totality_for_rr_options():
             else:
                 assert relayed == []
             if is_source:
-                assert [e.path for e in a.cache.get(9, {}).values()] == [(1, 2, 9)]
+                assert [e.path for e in a.toward[9].cache.values()] == [(1, 2, 9)]
             else:
-                assert a.cache.get(9, {}) == {}
+                assert a.toward[9].cache == {}
 
 
 def test_incremental_extension_matches_batch_aggregation():
@@ -843,7 +846,7 @@ def test_incremental_extension_matches_batch_aggregation():
     per-link and per-node quantities."""
     net = warmed(4, [(0, 1), (1, 2), (2, 3)])
     net.discover(0, 3, 1.5)
-    entry = list(net.agents[0].cache[3].values())[0]
+    entry = list(net.agents[0].toward[3].cache.values())[0]
     est_bw = 512 / HOP_DELAY  # every hello flew for the pump's fixed hop delay
     link_metric_delay = PROP + net.params.metric_packet_bits / CAPACITY
     expected = aggregate_metrics(
@@ -870,14 +873,14 @@ def test_handler_totality_for_request_options():
             for null_height in (False, True):
                 net = warmed(3, [(0, 1), (1, 2)])
                 a = net.agents[1]
-                state = a._state_for(9)
+                state = a._toward(9).tora
                 if downstream:
                     state.set_mirror(2, Height(0.0, 0, 0, 0, 2))
                 if not null_height:
                     state.set_own_height(Height(1.0, 1, 0, 0, 1))
                 rr_before = rr and null_height  # rr implies null
                 if rr_before:
-                    a.pending_request[9] = QryRequestAnt(1.4, 0, 9, (0, 1))
+                    a.toward[9].request = QryRequestAnt(1.4, 0, 9, (0, 1))
                 req = QryRequestAnt(1.5, 0, 9, (0,))
                 out = a.on_qry_request(req, 0, 1.5)
                 if not downstream and not rr_before:

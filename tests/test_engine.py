@@ -408,7 +408,7 @@ def test_energy_dead_neighbor_detected_by_hello_silence():
     sim.run()
     lost = [e for e in log if e[3] == "neighbor_lost" and e[2] == 0]
     assert lost, "surviving node never noticed the silent neighbor"
-    assert 1 not in sim.agents[0].neighbors
+    assert 1 not in sim.agents[0].adjacent
 
 
 def test_trace_energy_matches_agent_debits():

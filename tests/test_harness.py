@@ -351,10 +351,10 @@ def test_baseline_prefers_first_discovered_route():
     )
     _, _, ant = run_single(sc, mode="ant_tora")
     src = ant.agents[0]
-    chosen = src._best_first(list(src.cache[3].values()))[0]
+    chosen = src._best_first(list(src.toward[3].cache.values()))[0]
     assert chosen.path == (0, 1, 3)
     base = Simulation(sc, mode="baseline_tora").run()
-    first = min(base.agents[0].cache[3].values(), key=lambda e: (e.created_at, e.path))
+    first = min(base.agents[0].toward[3].cache.values(), key=lambda e: (e.created_at, e.path))
     sent_paths = {r.packet.path for r in records_of(base)
                   if r.event == "snd" and type(r.packet).__name__ == "DataPacket"}
     assert sent_paths == {first.path}

@@ -132,7 +132,8 @@ def assert_every_height_was_reported(sim, reported) -> None:
     """Each state's own height is the last one its hook reported, or its
     initial height when none was: no height changes past the hook."""
     for node, agent in sim.agents.items():
-        for dest, state in agent.tora.items():
+        for dest, toward in agent.toward.items():
+            state = toward.tora
             expected = reported.get((node, dest), state.initial_height(node))
             assert state.own_height == expected, (node, dest)
 
@@ -253,9 +254,10 @@ def assert_discovery_state(sim) -> None:
     NULL height and holds the request for that destination, to re-send
     when a link comes up."""
     for node, agent in sim.agents.items():
-        for dest, req in agent.pending_request.items():
-            assert agent.tora[dest].own_height.is_null, (node, dest)
-            assert req.destination == dest, (node, dest)
+        for dest, toward in agent.toward.items():
+            if toward.request is not None:
+                assert toward.tora.own_height.is_null, (node, dest)
+                assert toward.request.destination == dest, (node, dest)
 
 
 @st.composite
