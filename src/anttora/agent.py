@@ -1,20 +1,18 @@
 """Per-node protocol state machine.
 
-Each node runs one agent, which keeps two records. ``Toward``, one per
-destination the node has heard of, holds the node's height state toward it,
-the candidate table built from discovery replies (first hop -> ``Route``),
-the route cache of QoS-admitted source routes for flows this node
-originates (path -> ``Route``), the request the node waits on, when it last
-relayed a reply, and the data queued until a route is admitted. ``Link``,
-one per up link, holds when the link came up, its pheromone and the last
-hello heard over it; ``link_up`` makes it and ``on_link_failure`` drops it,
-so nothing learned over a link outlives it. ``_insert`` writes both route
-tables and ``_prune`` prunes both. A route lives one route TTL from its last
-use, and ``Route.live`` is the one expiry test every reader applies, so an
-expired route acts as if it were gone; ``evaporation_tick`` prunes the
-expired routes, and nothing schedules an expiry. Readers pick a route with
-``_best``, whose ``_best_first`` ranks each route by the current tau of its
-first hop and its own metrics. Baseline mode never ranks.
+Each node runs one agent, which keeps two records. A ``Toward`` per
+destination holds the node's height state toward it, its candidates from
+discovery replies (first hop -> ``Route``), its cache of QoS-admitted source
+routes for flows this node originates (path -> ``Route``), the request the
+node waits on, when it last relayed a reply, and the data queued for a route.
+A ``Link`` per up link holds when it came up, its pheromone and its last
+hello; ``link_up`` makes it and ``on_link_failure`` drops it. ``_insert``
+writes both route tables and ``_prune`` prunes both. A route lives one route
+TTL from its last use, and ``Route.live`` is the one expiry test every
+reader applies, so an expired route acts as if it were gone;
+``evaporation_tick`` prunes the expired routes, and nothing schedules an
+expiry. ``_best`` picks a route; its ``_best_first`` ranks each route by the
+current tau of its first hop and its own metrics. Baseline mode never ranks.
 
 A node is route-required toward a destination exactly while its record holds
 a request. It takes one up in one place, ``_await_route``, and drops it in
@@ -262,8 +260,7 @@ class NodeAgent:
 
     def _hello(self, neighbor: int) -> NeighborInfo | None:
         """The last hello heard over the link to ``neighbor``, if it is up."""
-        link = self.adjacent.get(neighbor)
-        return None if link is None else link.hello
+        return self.adjacent[neighbor].hello if neighbor in self.adjacent else None
 
     def _set_height(self, state: NodeToraState, new: Height, now: float) -> None:
         old = state.own_height

@@ -1,18 +1,21 @@
 """Deterministic discrete-event core.
 
 One ``Simulation`` owns the event queue, the physical adjacency, node
-mobility, and every node agent. All randomness flows from a single seeded
-generator used only by mobility and placement; the protocol itself is
-deterministic, so identical (scenario, seed) pairs replay to byte-identical
-traces. A queued event is the tuple ``(time, seq, handler, args)``; events
-dequeue in (time, seq) order, the loop calls ``handler(*args)``, and every
-delivery strictly follows its send. The engine decides whether a frame
-arrives (link up, energy to receive it); what the node does with it, data
-forwarding included, is the agent handler its ``PACKET_KINDS`` entry names.
-A flow's new data packet goes to its source's ``NodeAgent.send_data``, which
-sends, or queues and rediscovers. Two periodic timers drive the agents,
-hello and evaporation; route expiry is the agents' own, read when a route
-is and pruned at each evaporation tick, so no event is scheduled per route.
+mobility, and every node agent. Only mobility draws random numbers:
+waypoints from a generator seeded with the run's seed, and the initial
+placement from one seeded with ``topology.placement_seed``, which defaults
+to the scenario's ``seed``, so another run seed moves the waypoints but not
+the placement. The protocol itself is deterministic, so identical (scenario,
+seed) pairs replay to byte-identical traces. A queued event is the tuple
+``(time, seq, handler, args)``; events dequeue in (time, seq) order, the
+loop calls ``handler(*args)``, and every delivery strictly follows its send.
+The engine decides whether a frame arrives (link up, energy to receive it);
+what the node does with it, data forwarding included, is the agent handler
+its ``PACKET_KINDS`` entry names. A flow's new data packet goes to its
+source's ``NodeAgent.send_data``, which sends, or queues and rediscovers.
+Two periodic timers drive the agents, hello and evaporation; route expiry is
+the agents' own, read when a route is and pruned at each evaporation tick,
+so no event is scheduled per route.
 
 Each packet event is encoded the moment it happens and written, one line,
 to the text file the caller hands the ``Simulation`` (an in-memory
@@ -163,7 +166,8 @@ class Simulation:
         if sc.nodes.positions is not None:
             positions = list(sc.nodes.positions)
         else:
-            placement = random.Random(sc.topology.placement_seed or 0)
+            # a string seed keeps placement off the waypoint stream of the same seed
+            placement = random.Random(f"placement {sc.topology.placement_seed or 0}")
             positions = [(placement.uniform(0, w), placement.uniform(0, h)) for _ in range(sc.nodes.count)]
         for i, pos in enumerate(positions):
             self.mobility[i] = MobilityNode(pos=pos, target=pos, speed=0.0)

@@ -156,6 +156,51 @@ def test_silent_neighbor_is_dropped_after_three_intervals():
 
 
 # ---------------------------------------------------------------------------
+# link guards
+
+
+def _agent_linked_to(node, neighbors):
+    agent = NodeAgent(node, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
+    for j in neighbors:
+        agent.link_up(j, 0.0)
+    return agent
+
+
+def test_an_update_from_an_unlinked_sender_changes_nothing():
+    agent = _agent_linked_to(1, [2])
+    state = agent._toward(9).tora
+    assert agent.on_upd(UpdPacket(9, Height(1.0, 5, 0, 0, 5)), 5, 1.0) == []
+    assert state.links == {2: Height.null(2)} and state.own_height.is_null
+
+
+def test_an_update_at_its_destination_only_mirrors_the_sender():
+    agent = _agent_linked_to(9, [2, 3])
+    height = Height(1.0, 2, 0, 0, 2)
+    assert agent.on_upd(UpdPacket(9, height), 2, 1.0) == []
+    state = agent.toward[9].tora
+    assert state.links == {2: height, 3: Height.null(3)}
+    assert state.own_height == Height.zero(9)
+
+
+def test_a_failure_of_an_unlinked_neighbor_does_nothing():
+    # with no downstream link toward 9, a failure that ran would re-level
+    agent = _agent_linked_to(1, [2])
+    state = agent._toward(9).tora
+    state.set_own_height(Height(1.0, 7, 0, 0, 1))
+    state.set_mirror(2, Height(1.0, 7, 0, 1, 2))
+    assert agent.on_link_failure(5, 2.0) == []
+    assert list(agent.adjacent) == [2] and state.own_height == Height(1.0, 7, 0, 0, 1)
+
+
+def test_a_second_link_up_returns_nothing_and_keeps_the_link():
+    agent = _agent_linked_to(1, [2])
+    link = agent.adjacent[2]
+    agent.start_discovery(9, 0.5)  # a new link would carry this request
+    assert agent.link_up(2, 1.0) == []
+    assert agent.adjacent[2] is link and link.since == 0.0
+
+
+# ---------------------------------------------------------------------------
 # discovery: request side
 
 

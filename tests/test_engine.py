@@ -313,6 +313,22 @@ def test_pause_time_holds_then_releases_the_node():
     assert m.pause_until == pytest.approx(0.6)
 
 
+def test_default_placement_does_not_replay_the_waypoint_stream():
+    # with no positions and no placement_seed, placement falls back to the
+    # run seed; were both streams seeded alike, node 0 would start at its
+    # own first waypoint
+    sc = parse_scenario(
+        {
+            "nodes": {"count": 5},
+            "topology": {"mode": "mobility", "area": [300.0, 300.0], "speed": [1.0, 5.0]},
+            "seed": 3,
+        }
+    )
+    assert sc.topology.placement_seed == sc.seed
+    m = Simulation(sc).mobility[0]
+    assert m.pos != m.target
+
+
 def test_mobile_relay_walking_away_breaks_the_flow():
     """A relay drifting out of range mid-flow kills both its links; traffic
     delivered before the break counts, the rest is lost, ledgers balance."""

@@ -21,7 +21,8 @@ link follows a route from a reply it received after the error. The
 static checks also run on larger graphs with several long flows, whose
 relays answer requests while link pheromone moves. In baseline mode, where
 the evaporation tick only prunes expired routes, the whole trace is the
-same for every evaporation period.
+same for every evaporation period. In a mobility run, the whole trace is the
+same for every mobility step.
 """
 
 from __future__ import annotations
@@ -446,3 +447,21 @@ def test_route_pruning_time_is_unobservable(static, mobile):
         reference = baseline_trace(data, 1.0)
         for period in (0.7, 2.3):
             assert baseline_trace(data, period) == reference, period
+
+
+def trace_at_step(data: dict, step: float) -> list[str]:
+    """The whole trace of ``data`` with mobility advanced every ``step`` s."""
+    data = dict(data, topology={**data["topology"], "step": step})
+    return trace_of(Simulation(parse_scenario(data)).run())
+
+
+@settings(deadline=None, max_examples=10)
+@example(AT_RANGE)
+@given(mobility_scenarios())
+def test_mobility_step_never_changes_a_trace(data):
+    # a link changes at the exact instant its pair crosses the range, so how
+    # often mobility is advanced cannot show in the trace
+    reference = trace_at_step(data, 1.0)
+    for step in (0.1, 0.25, 3.0):
+        assert trace_at_step(data, step) == reference, step
+

@@ -355,6 +355,48 @@ def test_negative_speed_is_rejected(speed, tmp_path, capsys):
     assert "topology.speed:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "patch, problems",
+    [
+        ({"topology": {"mode": "grid", "adjacency": [[0, 1]]}},
+         ["topology.mode: expected 'static' or 'mobility', got 'grid'"]),
+        ({"topology": {"adjacency": {"a": 0}}},
+         ["topology.adjacency: expected a list of [a, b] pairs, got {'a': 0}"]),
+        ({"links": {"overrides": {"a": 0}}}, ["links.overrides: expected a list, got {'a': 0}"]),
+        ({"links": {"overrides": [5]}}, ["links.overrides[0]: expected an object, got 5"]),
+        ({"traffic": {"source": 0}}, ["traffic: expected a list of flows, got {'source': 0}"]),
+        ({"traffic": [[0, 1]]}, ["traffic[0]: expected an object, got [0, 1]"]),
+        ({"link_failures": 3}, ["link_failures: expected a list, got 3"]),
+        ({"link_failures": ["0-1"]}, ["link_failures[0]: expected an object, got '0-1'"]),
+        ({"aco": {"persistence": 1.0}}, ["aco.persistence: must be below 1, got 1.0"]),
+        ({"aco": {"decay": 1.5}}, ["aco.decay: must be at most 1, got 1.5"]),
+        ({"protocol": {"drain_ewma_alpha": 2}}, ["protocol.drain_ewma_alpha: must be at most 1, got 2.0"]),
+        ({"normalization": {"delay_s": [1.0, 1.0]}},
+         ["normalization: bounds for delay need lo < hi, got (1.0, 1.0)"]),
+        ({"traffic": [{"source": 0, "destination": 1, "start_s": 2.0, "stop_s": 2.0}]},
+         ["traffic[0].stop_s: must exceed start_s=2.0"]),
+        ({"link_failures": [{"time_s": 1.0, "a": 1, "b": 1}]},
+         ["link_failures[0]: bad link endpoints (1, 1)"]),
+        ({"link_failures": [{"time_s": 1.0, "a": 0, "b": 2}]},
+         ["link_failures[0]: bad link endpoints (0, 2)"]),
+        ({"nodes": {"count": 2, "positions": [[0.0, 0.0]]}, "topology": {"mode": "mobility"}},
+         ["nodes.positions: expected 2 [x, y] pairs"]),
+        ({"end_time_s": "ten"}, ["end_time_s: expected a number, got 'ten'"]),
+        ([], ["<root>: expected a JSON object"]),
+    ],
+)
+def test_each_malformed_field_is_refused_alone(patch, problems, tmp_path, capsys):
+    # ``patch`` replaces top-level keys of the minimal file; a non-object is the whole file
+    data = {**minimal(), **patch} if isinstance(patch, dict) else patch
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(data)
+    assert err.value.problems == problems
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert cli_main(["validate", str(path)]) == 2
+    assert problems[0] in capsys.readouterr().err
+
+
 def test_top_level_field_paths_have_no_leading_dot():
     data = minimal()
     data["seed"] = "seven"
