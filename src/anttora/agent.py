@@ -27,10 +27,13 @@ handler its ``PacketKind`` names, as ``handler(packet, sender, now)``.
 Handlers are pure with respect to everything outside the agent: they take
 packets and the current simulation time, mutate the agent, and return the
 packets to transmit. Agents never share state; all coordination happens
-through emissions. A new data packet enters through ``send_data``, which
-queues it when no live route exists; whether a discovery starts is decided
-in one place, ``_rediscover``. A link failure sends no route error; a relay
-that meets a dead link sends one back along the data packet's path.
+through emissions, apart from each height change, which ``_set_height``
+makes and reports to the agent's ``on_height`` callable. Every handler that
+reads the sender's link ignores a frame over no link. A new data packet
+enters through ``send_data``, which queues it when no live route exists;
+whether a discovery starts is decided in one place, ``_rediscover``. A link
+failure sends no route error; a relay that meets a dead link sends one back
+along the data packet's path.
 """
 
 from __future__ import annotations
@@ -214,16 +217,6 @@ class ProtocolParams:
     baseline: bool = False
 
 
-class AgentHooks:
-    """Observation points the simulator (and tests) can attach to."""
-
-    def height_changed(self, node: int, dest: int, old: Height, new: Height, now: float) -> None:
-        pass
-
-    def log(self, tag: str, node: int, now: float, **data) -> None:
-        pass
-
-
 class NodeAgent:
     """Protocol logic of a single node."""
 
@@ -233,14 +226,14 @@ class NodeAgent:
         params: ProtocolParams,
         links: LinkSpec,
         initial_energy: float,
-        hooks: AgentHooks | None = None,
+        on_height: Callable[[int, int, Height, Height, float], None] | None = None,
     ):
         self.node = node_id
         self.params = params
         # radios know their own links' capacity and propagation delay and
         # every node's processing delay, the way deployed radios know specs
         self.links = links
-        self.hooks = hooks or AgentHooks()
+        self.on_height = on_height  # called as (node, dest, old, new, now)
         self.energy = NodeEnergy(residual=initial_energy)
 
         self.toward: dict[int, Toward] = {}  # destination -> record
@@ -258,16 +251,13 @@ class NodeAgent:
                 toward.tora.add_link(j)
         return toward
 
-    def _hello(self, neighbor: int) -> NeighborInfo | None:
-        """The last hello heard over the link to ``neighbor``, if it is up."""
-        return self.adjacent[neighbor].hello if neighbor in self.adjacent else None
-
     def _set_height(self, state: NodeToraState, new: Height, now: float) -> None:
         old = state.own_height
         if old == new:
             return
         state.set_own_height(new)
-        self.hooks.height_changed(self.node, state.destination, old, new, now)
+        if self.on_height is not None:
+            self.on_height(self.node, state.destination, old, new, now)
 
     def _metric_link_delay(self, neighbor: int) -> float:
         capacity, propagation = self.links.params(self.node, neighbor)
@@ -291,8 +281,8 @@ class NodeAgent:
         emissions: list[Emission] = []
         for dest, toward in sorted(self.toward.items()):
             toward.tora.remove_link(failed)
-            self._prune(toward.candidates, dest, now, lambda c: c.next_hop == failed)
-            self._prune(toward.cache, dest, now, lambda e: e.next_hop == failed, "cache_purged")
+            self._prune(toward.candidates, lambda c: c.next_hop == failed)
+            self._prune(toward.cache, lambda e: e.next_hop == failed)
             if self.node == dest or has_downstream(toward.tora):
                 # the destination, and a node a downstream link survives at, send nothing
                 continue
@@ -325,7 +315,6 @@ class NodeAgent:
         cutoff = self.params.neighbor_loss_hellos * self.params.hello_interval
         for j, link in sorted(self.adjacent.items()):
             if link.hello is not None and now - link.hello.last_hello > cutoff:
-                self.hooks.log("neighbor_lost", self.node, now, neighbor=j)
                 emissions.extend(self.on_link_failure(j, now))
         if self.energy.residual > 0:
             emissions.append(
@@ -359,16 +348,14 @@ class NodeAgent:
             destination=dest,
             visited=(self.node,),
         )
-        emissions = self._await_route(self._toward(dest), req, now)
-        self.hooks.log("discovery_started", self.node, now, dest=dest)
-        return emissions
+        return self._await_route(self._toward(dest), req, now)
 
     def on_qry_request(self, req: QryRequestAnt, sender: int, now: float) -> list[Emission]:
-        if req.source == self.node:
+        if req.source == self.node or sender not in self.adjacent:
             return []
         dest = req.destination
         if self.node == dest:
-            hello = self._hello(sender)
+            hello = self.adjacent[sender].hello
             if hello is not None:
                 energy = self.energy
                 reply = self._destination_reply(
@@ -391,25 +378,24 @@ class NodeAgent:
                 # one reply per destination and discovery wave over each link:
                 # suppression resets when the link re-activates or a fresh wave
                 # starts, else rediscovery could never be answered
-                activated = self.adjacent[sender].since if sender in self.adjacent else now
-                if toward.replied_at >= max(activated, req.request_start_time):
+                if toward.replied_at >= max(self.adjacent[sender].since, req.request_start_time):
                     return []
             reply = self._relay_reply(req, toward, now)
             if reply is not None:
                 return self._send_reply(toward, reply, now)
-        self.hooks.log("reply_unbuildable", self.node, now, dest=dest)
         return []
 
     def on_qry_reply(self, rep: QryReplyAnt, sender: int, now: float) -> list[Emission]:
+        link = self.adjacent.get(sender)
+        if link is None:
+            return []
         toward = self._toward(rep.destination)
         toward.tora.set_mirror(sender, rep.reporter_height)
         if self.node == rep.destination:
             return []
-        dest = rep.destination
         extended: PathMetrics | None = None
         path: tuple[int, ...] = ()
-        hello = self._hello(sender)
-        usable = hello is not None and rep.path_nodes[0] == sender and self.node not in rep.path_nodes
+        usable = link.hello is not None and rep.path_nodes[0] == sender and self.node not in rep.path_nodes
         if usable:
             extended, path = self._extend_metrics(rep, sender)
             self._insert(toward.candidates, sender, path, extended, now)
@@ -417,7 +403,6 @@ class NodeAgent:
                 deposit = pheromone_deposit(
                     extended, self.params.deposit_weights, self.params.bounds
                 )
-                link = self.adjacent[sender]
                 link.tau = pheromone_update(
                     link.tau, self.params.preference_weights.persistence, deposit
                 )
@@ -430,7 +415,7 @@ class NodeAgent:
             # height would leave stale low mirrors at its neighbors that
             # later absorb reversal cascades and mask partitions
             if extended is not None and self.node != rep.source:
-                reply = self._reply(rep.source, dest, extended, path, toward.tora.own_height)
+                reply = self._reply(rep.source, rep.destination, extended, path, toward.tora.own_height)
                 emissions.extend(self._send_reply(toward, reply, now))
 
         # every request starts in start_discovery and every reply copies the
@@ -474,19 +459,13 @@ class NodeAgent:
 
     def _run_maintenance(self, toward: Toward, trigger: Trigger, now: float) -> list[Emission]:
         state = toward.tora
-        dest = state.destination
         outcome = maintenance_case(state, trigger, now)
-        self.hooks.log(
-            "maintenance", self.node, now, dest=dest, case=outcome.case.value, trigger=trigger.value
-        )
         if outcome.case is MaintenanceCase.DETECT_PARTITION:
-            level = state.concrete_mirrors()[0].level
-            self.hooks.log("partition_detected", self.node, now, dest=dest, level=level)
-            return self._erase_state(toward, level, now)
+            return self._erase_state(toward, state.concrete_mirrors()[0].level, now)
         self._set_height(state, outcome.new_height, now)
         if outcome.new_height.is_null:
             return []
-        return [Emission(UpdPacket(destination=dest, height=state.own_height))]
+        return [Emission(UpdPacket(destination=state.destination, height=state.own_height))]
 
     def _erase_state(self, toward: Toward, level: tuple, now: float) -> list[Emission]:
         """The one route erasure toward the record's destination, run by the
@@ -494,12 +473,11 @@ class NodeAgent:
         reaches; returns that clear. Every candidate's and cached route's
         first hop is a current link, so all of them go."""
         state = toward.tora
-        dest = state.destination
         self._set_height(state, Height.null(self.node), now)
         state.reset_mirrors()
         toward.candidates.clear()
-        self._prune(toward.cache, dest, now, lambda e: True, "cache_purged")
-        return [Emission(ClrPacket(destination=dest, reference_level=level))]
+        toward.cache.clear()
+        return [Emission(ClrPacket(destination=state.destination, reference_level=level))]
 
     def on_error(self, err: ErrorPacket, sender: int, now: float) -> list[Emission]:
         """Purge the routes and candidates over the error's link, either way;
@@ -511,10 +489,10 @@ class NodeAgent:
             return not broken.isdisjoint(zip(route.path, route.path[1:]))
 
         affected: list[Toward] = []
-        for dest, toward in sorted(self.toward.items()):
-            if any(r.live(now) for r in self._prune(toward.cache, dest, now, crosses, "cache_purged")):
+        for _, toward in sorted(self.toward.items()):
+            if any(r.live(now) for r in self._prune(toward.cache, crosses)):
                 affected.append(toward)
-            self._prune(toward.candidates, dest, now, crosses)
+            self._prune(toward.candidates, crosses)
         if self.node != err.path[0]:
             return [Emission(err, to=err.path[err.path.index(self.node) - 1])]
         return [em for toward in affected for em in self._rediscover(toward, now)]
@@ -525,9 +503,9 @@ class NodeAgent:
         if erase:
             return self._erase_state(toward, clr.reference_level, now)
         if affected:
-            dest, reset = clr.destination, set(affected)
-            self._prune(toward.candidates, dest, now, lambda c: c.next_hop in reset)
-            self._prune(toward.cache, dest, now, lambda e: not reset.isdisjoint(e.path[1:]), "cache_purged")
+            reset = set(affected)
+            self._prune(toward.candidates, lambda c: c.next_hop in reset)
+            self._prune(toward.cache, lambda e: not reset.isdisjoint(e.path[1:]))
         return []
 
     # -- data plane ---------------------------------------------------------
@@ -562,8 +540,8 @@ class NodeAgent:
     def route_expiry(self, dest: int, now: float) -> None:
         """Prune the expired routes toward ``dest`` from both tables."""
         toward = self.toward[dest]
-        self._prune(toward.cache, dest, now, lambda r: not r.live(now), "cache_expired")
-        self._prune(toward.candidates, dest, now, lambda r: not r.live(now))
+        self._prune(toward.cache, lambda r: not r.live(now))
+        self._prune(toward.candidates, lambda r: not r.live(now))
 
     # -- internals ------------------------------------------------------------
 
@@ -604,16 +582,11 @@ class NodeAgent:
         created = old.created_at if old and old.live(now) else now
         routes[key] = Route(path, m, created, expires_at=now + self.params.route_ttl)
 
-    def _prune(
-        self, routes: dict, dest: int, now: float, doomed: Callable[[Route], bool], tag: str | None = None
-    ) -> list[Route]:
-        """Remove the routes toward ``dest`` in ``routes`` that ``doomed``
-        picks; returns the routes that went, logged under ``tag`` if one is
-        given."""
-        gone = [routes.pop(k) for k in [k for k, r in routes.items() if doomed(r)]]
-        if gone and tag is not None:
-            self.hooks.log(tag, self.node, now, dest=dest, dropped=len(gone))
-        return gone
+    @staticmethod
+    def _prune(routes: dict, doomed: Callable[[Route], bool]) -> list[Route]:
+        """Remove the routes in ``routes`` that ``doomed`` picks; returns
+        the routes that went."""
+        return [routes.pop(k) for k in [k for k, r in routes.items() if doomed(r)]]
 
     @staticmethod
     def _live(routes: dict, now: float) -> list[Route]:
@@ -638,10 +611,8 @@ class NodeAgent:
     ) -> list[Emission]:
         dest = toward.tora.destination
         if not self.params.baseline and not self.params.qos.admits(metrics):
-            self.hooks.log("route_rejected", self.node, now, dest=dest, path=path)
             return []
         self._insert(toward.cache, path, path, metrics, now)
-        self.hooks.log("route_cached", self.node, now, dest=dest, path=path)
         queued, toward.queue = toward.queue, []
         return [em for seq, bits in queued for em in self.send_data(dest, bits, seq, now)]
 
@@ -653,7 +624,7 @@ class NodeAgent:
         if best is not None:
             m, path = best.metrics, best.path
         else:
-            info = self._hello(dest)
+            info = self.adjacent[dest].hello if dest in self.adjacent else None
             if info is None:
                 return None
             heard = self._destination_reply(

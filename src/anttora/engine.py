@@ -13,6 +13,8 @@ The engine decides whether a frame arrives (link up, energy to receive it);
 what the node does with it, data forwarding included, is the agent handler
 its ``PACKET_KINDS`` entry names. A flow's new data packet goes to its
 source's ``NodeAgent.send_data``, which sends, or queues and rediscovers.
+Apart from its emissions, an agent reports only its height changes, each to
+``_height_changed``, which charges it to the link failure it descends from.
 Two periodic timers drive the agents, hello and evaporation; route expiry is
 the agents' own, read when a route is and pruned at each evaporation tick,
 so no event is scheduled per route.
@@ -34,7 +36,8 @@ from dataclasses import dataclass, replace
 from typing import TextIO
 
 from . import packets
-from .agent import AgentHooks, Emission, NodeAgent
+from .agent import Emission, NodeAgent
+from .heights import Height
 from .packets import CONTROL_BITS_KEYS, PACKET_KINDS, DataPacket, Packet
 from .scenario import Scenario
 
@@ -60,17 +63,6 @@ class MobilityNode:
         return (self.speed * dx / dist, self.speed * dy / dist)
 
 
-class _Hooks(AgentHooks):
-    def __init__(self, sim: "Simulation"):
-        self.sim = sim
-
-    def height_changed(self, node, dest, old, new, now):
-        sim = self.sim
-        self.log("height", node, now, dest=dest, new=new)
-        if sim.current_failure is not None:
-            sim.reaction_sets[sim.current_failure].add(node)
-
-
 class Simulation:
     """One seeded run of a scenario; its event lines go to ``trace_file``."""
 
@@ -86,12 +78,11 @@ class Simulation:
         self.mode = mode or scenario.mode
         self.end_time = scenario.end_time
         self.rng = random.Random(self.seed)
-        self.hooks = _Hooks(self)
         params = scenario.protocol
         if mode:
             params = replace(params, baseline=mode == "baseline_tora")
         self.agents = {
-            i: NodeAgent(i, params, scenario.links, scenario.nodes.initial_energy, self.hooks)
+            i: NodeAgent(i, params, scenario.links, scenario.nodes.initial_energy, self._height_changed)
             for i in range(scenario.nodes.count)
         }
 
@@ -172,14 +163,14 @@ class Simulation:
         for i, pos in enumerate(positions):
             self.mobility[i] = MobilityNode(pos=pos, target=pos, speed=0.0)
         for i in sorted(self.mobility):
-            self._pick_waypoint(i, 0.0)
+            self._pick_waypoint(i)
         r = sc.topology.comm_range
         for a in range(sc.nodes.count):
             for b in range(a + 1, sc.nodes.count):
                 if math.dist(positions[a], positions[b]) <= r:
                     self._connect(a, b)
 
-    def _pick_waypoint(self, node: int, now: float) -> None:
+    def _pick_waypoint(self, node: int) -> None:
         sc = self.scenario
         w, h = sc.topology.area
         lo, hi = sc.topology.speed
@@ -208,6 +199,12 @@ class Simulation:
         # looked up in packets at call time, so a patched encoder is seen
         line = packets.encode_trace(packet, time, seq=self.trace_seq, event=event, node=node)
         self.trace_file.write(line + "\n")
+
+    def _height_changed(self, node: int, dest: int, old: Height, new: Height, now: float) -> None:
+        """Each agent's ``on_height``: charge the height change to the link
+        failure the running event descends from, if any."""
+        if self.current_failure is not None:
+            self.reaction_sets[self.current_failure].add(node)
 
     # -- transmission ----------------------------------------------------------
 
@@ -310,7 +307,6 @@ class Simulation:
         fid = self.current_failure = len(self.failure_events) + 1
         self.failure_events.append((fid, now, *key))
         self.reaction_sets[fid] = set()
-        self.hooks.log("link_failure", -1, now, id=fid, a=key[0], b=key[1])
         for node, peer in ends:
             self.process_emissions(node, self.agents[node].on_link_failure(peer, now), now)
 
@@ -339,14 +335,14 @@ class Simulation:
                 m.pos = (m.pos[0] + vx * (seg_end - t), m.pos[1] + vy * (seg_end - t))
                 if was_paused:
                     if m.pause_until <= seg_end + 1e-12:
-                        self._pick_waypoint(i, seg_end)
+                        self._pick_waypoint(i)
                 elif m.speed > 0 and math.dist(m.pos, m.target) <= 1e-9:
                     m.pos = m.target
                     pause = self.scenario.topology.pause_time
                     if pause > 0:
                         m.pause_until = seg_end + pause
                     else:
-                        self._pick_waypoint(i, seg_end)
+                        self._pick_waypoint(i)
             t = seg_end
 
     def _crossings(self, t0: float, t1: float) -> None:

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from anttora import agent as agent_module
 from anttora.aco import (
     PathMetrics,
     PreferenceWeights,
@@ -35,7 +36,6 @@ from anttora.packets import ClrPacket, DataPacket, QryReplyAnt, QryRequestAnt, U
 
 from conftest import (
     _connected,
-    attach_log,
     connected_random_graph,
     flow,
     records_of,
@@ -236,7 +236,7 @@ BARBELL = (
 )
 
 
-def test_criterion_5_partition_detection_on_barbell():
+def test_criterion_5_partition_detection_on_barbell(monkeypatch):
     """Severing the bridge is detected within 50 events; the stranded side
     erases every height and route, and no CLR crosses the cut."""
     sc = static_scenario(
@@ -246,15 +246,28 @@ def test_criterion_5_partition_detection_on_barbell():
         end_time_s=8.0, seed=3,
     )
     sim = Simulation(sc)
-    log = attach_log(sim)
+    # the event count at each link failure an agent handles, and at each
+    # partition detection toward 7
+    failures, detections = [], []
+    on_link_failure, decide = agent_module.NodeAgent.on_link_failure, agent_module.maintenance_case
+
+    def failing(agent, failed, now):
+        failures.append((sim.pop_count, now))
+        return on_link_failure(agent, failed, now)
+
+    def deciding(state, trigger, now):
+        outcome = decide(state, trigger, now)
+        if outcome.case is MaintenanceCase.DETECT_PARTITION and state.destination == 7:
+            detections.append(sim.pop_count)
+        return outcome
+
+    monkeypatch.setattr(agent_module.NodeAgent, "on_link_failure", failing)
+    monkeypatch.setattr(agent_module, "maintenance_case", deciding)
     sim.run()
-    fail_pop = next(p for p, t, n, tag, d in log if tag == "link_failure")
-    detections = [
-        (p, n) for p, t, n, tag, d in log
-        if tag == "partition_detected" and d["dest"] == 7
-    ]
+    fail_pop, fail_time = failures[0]
+    assert fail_time == 5.05, "a link failed before the cut"
     assert detections, "no partition detected"
-    assert detections[0][0] - fail_pop <= 50, "detection took too many events"
+    assert detections[0] - fail_pop <= 50, "detection took too many events"
     for node in (0, 1, 2, 3):
         agent = sim.agents[node]
         toward = agent.toward.get(7)
@@ -417,13 +430,9 @@ def test_criterion_7_reaction_locality():
             link_failures=[{"time_s": 5.0, "a": cut[0], "b": cut[1]}],
             end_time_s=8.0, seed=run_seed,
         )
-        failed = Simulation(failed_sc)
-        failed_log = attach_log(failed)
-        failed.run()
-        reaction = {
-            node for _, t, node, tag, _ in failed_log
-            if tag == "height" and t >= 5.0
-        }
+        failed = Simulation(failed_sc).run()
+        # the nodes whose height moved in reaction to the one failure
+        reaction = compute_metrics(trace_of(failed)).reaction_locality[1]
         assert reaction, f"graph seed {graph_seed}: nothing reacted"
         fresh_sc = static_scenario(
             n, [e for e in edges if e != cut],
@@ -435,8 +444,8 @@ def test_criterion_7_reaction_locality():
             r.node for r in records_of(fresh)
             if r.event == "rcv" and isinstance(r.packet, (QryRequestAnt, QryReplyAnt))
         }
-        assert len(reaction) < len(touched), (
-            f"graph seed {graph_seed}: reversal touched {len(reaction)} nodes, "
+        assert reaction < len(touched), (
+            f"graph seed {graph_seed}: reversal touched {reaction} nodes, "
             f"rediscovery {len(touched)}"
         )
     _passline(7, "reaction locality")

@@ -134,10 +134,13 @@ def test_later_hello_wins_entirely():
 
 def test_hello_from_an_unlinked_sender_is_ignored():
     # the engine raises every link before a hello can cross it, so a hello
-    # without a link, like an update without one, changes nothing
+    # without a link, like a request, reply or update without one, changes
+    # nothing
     agent = NodeAgent(1, ProtocolParams(), LinkSpec(CAPACITY, PROP, PROC), 100.0)
     assert agent.on_hello(HelloAnt(2, 1.0, 50.0, 0.25, 1000), 2, 1.001) == []
-    assert agent.adjacent == {}
+    assert agent.on_qry_request(QryRequestAnt(1.0, 0, 9, (0, 2)), 2, 1.001) == []
+    assert agent.on_qry_reply(_reply_via(2, 9, 0.004, source=0), 2, 1.001) == []
+    assert agent.adjacent == {} and agent.toward == {}
 
 
 def test_hello_clock_misuse_raises():
@@ -167,10 +170,32 @@ def _agent_linked_to(node, neighbors):
 
 
 def test_an_update_from_an_unlinked_sender_changes_nothing():
+    # nor does a request or a reply from one
     agent = _agent_linked_to(1, [2])
-    state = agent._toward(9).tora
+    toward = agent._toward(9)
+    state = toward.tora
     assert agent.on_upd(UpdPacket(9, Height(1.0, 5, 0, 0, 5)), 5, 1.0) == []
+    assert agent.on_qry_request(QryRequestAnt(0.5, 7, 9, (7, 5)), 5, 1.0) == []
+    assert agent.on_qry_reply(_reply_via(5, 9, 0.004, source=1), 5, 1.0) == []
     assert state.links == {2: Height.null(2)} and state.own_height.is_null
+    assert toward.request is None and toward.candidates == {} and toward.cache == {}
+
+
+def test_a_reply_from_an_unlinked_sender_leaves_the_discovery_running():
+    # adopting a height through a link that is gone would drop the request
+    # with no route cached, leaving the queued data behind a downstream link
+    # that does not exist
+    agent = _agent_hearing_1_and_2()
+    agent.send_data(9, 500, seq=0, now=1.0)
+    agent.on_link_failure(1, 1.1)
+    assert agent.on_qry_reply(_reply_via(1, 9, 0.004, source=0), 1, 1.2) == []
+    toward = agent.toward[9]
+    assert toward.request is not None and toward.tora.own_height.is_null
+    assert sorted(toward.tora.links) == [2] and toward.queue == [(0, 500)]
+    # the discovery still completes over the surviving link
+    out = agent.on_qry_reply(_reply_via(2, 9, 0.004, source=0), 2, 1.3)
+    assert [(em.packet.path, em.to) for em in out] == [((0, 2, 9), 2)]
+    assert toward.request is None and toward.queue == []
 
 
 def test_an_update_at_its_destination_only_mirrors_the_sender():
@@ -759,15 +784,12 @@ def test_an_evaporation_tick_prunes_expired_candidates_and_cached_routes():
     agent.on_link_failure(1, 6.0)
     toward = agent.toward[9]
     assert sorted(toward.candidates) == [2]
-    logged = []
-    agent.hooks.log = lambda tag, node, now, **data: logged.append((tag, now, data))
     agent.evaporation_tick(49.0)  # every route lives until 50.0
     assert sorted(toward.candidates) == [2] and len(toward.cache) == 2
     agent.evaporation_tick(60.0)
     assert toward.candidates == {}
     # the tick prunes expired cached routes too
     assert toward.cache == {}
-    assert logged == [("cache_expired", 60.0, {"dest": 9, "dropped": 2})]
 
 
 def test_clr_drops_routes_through_any_reset_neighbor_but_candidates_only_via_one():
@@ -787,13 +809,13 @@ def test_clr_drops_routes_through_any_reset_neighbor_but_candidates_only_via_one
 def test_clr_at_own_level_erases_like_the_partition_detector():
     agent = _agent_with_routes_to_9([1, 2, 3])
     reported = []
-    agent.hooks.height_changed = lambda *change: reported.append(change)
+    agent.on_height = lambda *change: reported.append(change)
     state = agent.toward[9].tora
     state.set_own_height(Height(9.0, 5, 1, -1, 0))
     state.set_mirror(1, Height(9.0, 5, 1, 0, 1))
     out = agent.on_clr(ClrPacket(9, (9.0, 5, 1)), 3, 9.9)
     assert [(em.packet, em.to) for em in out] == [(ClrPacket(9, (9.0, 5, 1)), None)]
-    # the NULL height goes through the hook the reaction-locality count reads
+    # the NULL height goes to on_height, which the reaction-locality count reads
     assert reported == [(0, 9, Height(9.0, 5, 1, -1, 0), Height.null(0), 9.9)]
     assert agent.toward[9].candidates == {}
     assert agent.toward[9].cache == {}

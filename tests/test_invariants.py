@@ -9,13 +9,15 @@ event lines that the strict decoder accepts, in (timestamp, seq) order, and
 must account for every offered data packet exactly once at its source,
 must deliver a reply to its source only after that source sent a request
 toward the reply's destination, and must end with every held request on
-a NULL height and for its own destination. Every height a node ends a run
-with, the clear-flood erasures' included, is the last one its
-``height_changed`` hook reported, which the reaction-locality count reads,
-or its initial height when it reported none. Every data packet sent from
-its source ends in exactly one line, a ``rcv`` at its destination or a
-``drp`` anywhere, unless it is still in the air when the run ends, over the
-generated scenarios and the golden runs. There too, after a source
+a NULL height and for its own destination, and with a mirrored height
+toward each destination for exactly the node's up links. Every height a
+node ends a run with, the clear-flood erasures' included, is the last one
+it reported to the engine's ``_height_changed``, which the
+reaction-locality count reads, or its initial height when it reported
+none. Every data packet sent from its source ends in exactly one line, a
+``rcv`` at its destination or a ``drp`` anywhere, unless it is still in the
+air when the run ends, over the generated scenarios and the golden runs.
+There too, after a source
 receives a route error naming a link, each data packet it sends over that
 link follows a route from a reply it received after the error. The
 static checks also run on larger graphs with several long flows, whose
@@ -40,7 +42,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anttora.engine import Simulation, _Hooks
+from anttora.engine import Simulation
 from anttora.harness import run_single
 from anttora.metrics import compute_metrics, read_trace, validate_trace_order
 from anttora.packets import DataPacket, ErrorPacket, QryReplyAnt, QryRequestAnt, decode_trace_record
@@ -101,6 +103,7 @@ def assert_static_run_invariants(data) -> None:
     assert_sources_heed_route_errors(lines)
     assert_replies_follow_own_requests(lines)
     assert_discovery_state(sim)
+    assert_mirrors_match_links(sim)
     assert_every_height_was_reported(sim, reported)
 
 
@@ -114,24 +117,25 @@ def test_counters_and_trace_agree(data):
 
 @contextlib.contextmanager
 def reporting_heights():
-    """Within the block, the engine's ``height_changed`` hook also records
-    the last height each (node, destination) reported, in the dict this
-    yields; run one simulation per block."""
+    """Within the block, ``Simulation._height_changed`` also records the
+    last height each (node, destination) reported, in the dict this yields;
+    construct and run one simulation per block, since each agent is handed
+    the method when its simulation is constructed."""
     reported = {}
-    changed = _Hooks.height_changed
+    changed = Simulation._height_changed
 
-    def record(hooks, node, dest, old, new, now):
+    def record(sim, node, dest, old, new, now):
         reported[node, dest] = new
-        changed(hooks, node, dest, old, new, now)
+        changed(sim, node, dest, old, new, now)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Hooks, "height_changed", record)
+        mp.setattr(Simulation, "_height_changed", record)
         yield reported
 
 
 def assert_every_height_was_reported(sim, reported) -> None:
-    """Each state's own height is the last one its hook reported, or its
-    initial height when none was: no height changes past the hook."""
+    """Each state's own height is the last one it reported, or its initial
+    height when none was: no height changes unreported."""
     for node, agent in sim.agents.items():
         for dest, toward in agent.toward.items():
             state = toward.tora
@@ -261,6 +265,14 @@ def assert_discovery_state(sim) -> None:
                 assert toward.request.destination == dest, (node, dest)
 
 
+def assert_mirrors_match_links(sim) -> None:
+    """Each node mirrors a height toward each destination for exactly its
+    up links: no frame over no link leaves a mirror behind."""
+    for node, agent in sim.agents.items():
+        for dest, toward in agent.toward.items():
+            assert set(toward.tora.links) == set(agent.adjacent), (node, dest)
+
+
 @st.composite
 def mobility_scenarios(draw) -> dict:
     n = draw(st.integers(3, 10))
@@ -320,19 +332,18 @@ AT_RANGE = {
 @example(AT_RANGE)
 @given(mobility_scenarios())
 def test_mobility_adjacency_and_ledgers(data):
-    sim = Simulation(parse_scenario(data))
-    step = sim._on_mobility_step
-
-    def checked_step():
-        assert_adjacency_matches_geometry(sim)
-        step()
-
-    # the first step was queued at construction; every later one is
-    # scheduled through the instance attribute, so it runs the check
-    assert_adjacency_matches_geometry(sim)
-    sim._on_mobility_step = checked_step
-    # construction queues no delivery, so recording the run sees every one
     with reporting_heights() as reported, recording_deliveries() as deliveries:
+        sim = Simulation(parse_scenario(data))
+        step = sim._on_mobility_step
+
+        def checked_step():
+            assert_adjacency_matches_geometry(sim)
+            step()
+
+        # the first step was queued at construction; every later one is
+        # scheduled through the instance attribute, so it runs the check
+        assert_adjacency_matches_geometry(sim)
+        sim._on_mobility_step = checked_step
         sim.run()
     lines = trace_of(sim)
     validate_trace_order(lines)
@@ -342,6 +353,7 @@ def test_mobility_adjacency_and_ledgers(data):
     assert_sources_heed_route_errors(lines)
     assert_replies_follow_own_requests(lines)
     assert_discovery_state(sim)
+    assert_mirrors_match_links(sim)
     assert_every_height_was_reported(sim, reported)
 
 
