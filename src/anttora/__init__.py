@@ -23,11 +23,8 @@ from .engine import Simulation
 from .harness import replay, run_experiment, run_single
 from .heights import (
     Height,
-    MaintenanceOutcome,
     NodeToraState,
     apply_clr,
-    classify_link,
-    compare_heights,
     has_downstream,
     maintenance_case,
     new_height_on_reply,
@@ -54,7 +51,6 @@ __all__ = [
     "ErrorPacket",
     "Height",
     "HelloAnt",
-    "MaintenanceOutcome",
     "NeighborInfo",
     "NodeAgent",
     "NodeEnergy",
@@ -73,8 +69,6 @@ __all__ = [
     "Simulation",
     "UpdPacket",
     "apply_clr",
-    "classify_link",
-    "compare_heights",
     "compute_metrics",
     "encode_trace",
     "evaporate",

@@ -54,7 +54,6 @@ from .aco import (
 )
 from .heights import (
     Height,
-    MaintenanceCase,
     NodeToraState,
     Trigger,
     apply_clr,
@@ -459,13 +458,13 @@ class NodeAgent:
 
     def _run_maintenance(self, toward: Toward, trigger: Trigger, now: float) -> list[Emission]:
         state = toward.tora
-        outcome = maintenance_case(state, trigger, now)
-        if outcome.case is MaintenanceCase.DETECT_PARTITION:
+        new = maintenance_case(state, trigger, now)
+        if new is None:
             return self._erase_state(toward, state.concrete_mirrors()[0].level, now)
-        self._set_height(state, outcome.new_height, now)
-        if outcome.new_height.is_null:
+        self._set_height(state, new, now)
+        if new.is_null:
             return []
-        return [Emission(UpdPacket(destination=state.destination, height=state.own_height))]
+        return [Emission(UpdPacket(destination=state.destination, height=new))]
 
     def _erase_state(self, toward: Toward, level: tuple, now: float) -> list[Emission]:
         """The one route erasure toward the record's destination, run by the

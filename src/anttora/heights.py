@@ -7,10 +7,12 @@ of the resulting DAG. A height may also be NULL, meaning the node holds no
 route opinion yet; NULL orders above every concrete height so an
 undiscovered node never attracts traffic.
 
-Everything here is pure state algebra: comparison, link classification, the
-reaction cases a node runs when it loses its last downstream link, and what
-a clear packet asks of a node. It decides; only the agent changes a height,
-through ``NodeToraState.set_own_height``. No I/O, no clocks, no RNG.
+Everything here is pure state algebra: one total order on heights
+(``Height.__lt__``), the reaction a node runs when it loses its last
+downstream link, which returns the node's next height or None on a
+partition, and what a clear packet asks of a node. It decides; only the
+agent changes a height, through ``NodeToraState.set_own_height``.
+No I/O, no clocks, no RNG.
 """
 
 from __future__ import annotations
@@ -18,30 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
-
-class Direction(Enum):
-    """Orientation of a link as seen from the owning node."""
-
-    UP = "up"
-    DN = "dn"
-    UN = "un"
-
 
 class Trigger(Enum):
-    """Why a node lost its last downstream link."""
+    """Why a node lost its last downstream link: a plain link failure
+    (TORA's case 1) or a neighbor's reversal (cases 2-5)."""
 
     LINK_FAILURE = "link_failure"
     UPD_REVERSAL = "upd_reversal"
-
-
-class MaintenanceCase(Enum):
-    GENERATE = "generate"
-    PROPAGATE = "propagate"
-    REFLECT = "reflect"
-    DETECT_PARTITION = "detect_partition"
-    GENERATE_NO_REACTION = "generate_no_reaction"
 
 
 @dataclass(frozen=True)
@@ -91,38 +76,11 @@ class Height:
             return (1, 0.0, 0, 0, 0, 0)
         return (0, self.tau, self.oid, self.r, self.delta, self.node)
 
-
-def compare_heights(a: Height, b: Height) -> int:
-    """Total order over heights: LESS (-1), EQUAL (0) or GREATER (1).
-
-    Concrete heights compare lexicographically on (tau, oid, r, delta,
-    node); a NULL height is greater than any concrete one and all NULL
-    heights compare equal regardless of owner.
-    """
-    ka, kb = a.sort_key(), b.sort_key()
-    if ka < kb:
-        return LESS
-    if ka > kb:
-        return GREATER
-    return EQUAL
-
-
-def classify_link(own: Height, neighbor: Height) -> Direction:
-    """Direction of the link from a node with height ``own`` to ``neighbor``.
-
-    A NULL neighbor is undirected. A node with a NULL height sees any
-    concrete neighbor as downstream (the neighbor is considered lower).
-    """
-    if neighbor.is_null:
-        return Direction.UN
-    if own.is_null:
-        return Direction.DN
-    cmp = compare_heights(neighbor, own)
-    if cmp == LESS:
-        return Direction.DN
-    if cmp == GREATER:
-        return Direction.UP
-    return Direction.UN
+    def __lt__(self, other: "Height") -> bool:
+        """The total order: concrete heights compare on (tau, oid, r, delta,
+        node); a NULL height is above every concrete one and all NULL
+        heights tie regardless of owner."""
+        return self.sort_key() < other.sort_key()
 
 
 @dataclass
@@ -145,10 +103,10 @@ class NodeToraState:
         return Height.zero(node) if node == self.destination else Height.null(node)
 
     def add_link(self, neighbor: int) -> None:
-        self.links.setdefault(neighbor, self.initial_height(neighbor))
+        self.links[neighbor] = self.initial_height(neighbor)
 
     def remove_link(self, neighbor: int) -> None:
-        self.links.pop(neighbor, None)
+        del self.links[neighbor]
 
     def set_mirror(self, neighbor: int, height: Height) -> None:
         self.links[neighbor] = height
@@ -168,15 +126,10 @@ class NodeToraState:
 
 
 def has_downstream(state: NodeToraState) -> bool:
-    """True iff some concrete-height neighbor sits strictly below the node."""
+    """True iff some concrete-height neighbor sits strictly below the node
+    (a NULL mirror is never below anything)."""
     own = state.own_height
-    return any(classify_link(own, h) is Direction.DN for h in state.links.values())
-
-
-def has_upstream(state: NodeToraState) -> bool:
-    """True iff some concrete-height neighbor sits strictly above the node."""
-    own = state.own_height
-    return any(classify_link(own, h) is Direction.UP for h in state.links.values())
+    return any(h < own for h in state.links.values())
 
 
 def new_height_on_reply(neighbor_heights: set[Height] | list[Height], own_id: int) -> Height:
@@ -189,29 +142,18 @@ def new_height_on_reply(neighbor_heights: set[Height] | list[Height], own_id: in
     concrete = [h for h in neighbor_heights if not h.is_null]
     if not concrete:
         raise ValueError("cannot adopt a height from all-NULL neighbors")
-    low = min(concrete, key=Height.sort_key)
+    low = min(concrete)
     return Height(low.tau, low.oid, low.r, low.delta + 1, own_id)
 
 
-@dataclass(frozen=True)
-class MaintenanceOutcome:
-    """Result of running the reaction table after losing all downstream links.
-
-    What the node broadcasts follows from the two fields: a CLR on
-    ``DETECT_PARTITION``, else an UPD when ``new_height`` is concrete and
-    nothing when it is NULL.
-    """
-
-    case: MaintenanceCase
-    new_height: Height
-
-
-def maintenance_case(state: NodeToraState, trigger: Trigger, now: float) -> MaintenanceOutcome:
-    """Decide the single reaction of a node with no remaining downstream link.
+def maintenance_case(state: NodeToraState, trigger: Trigger, now: float) -> Height | None:
+    """The next height of a node with no remaining downstream link, or None
+    when the destination is unreachable (partition: erase routes).
 
     Callers invoke this exactly when the node has just lost its last
     downstream link (the failed link already removed from ``state``); the
-    node's own height is not yet modified. Cases, in order:
+    node's own height is not yet modified. The node announces a concrete
+    result with an UPD and a NULL one with nothing. Cases, in order:
 
     * a plain link failure defines a fresh reference level, or goes NULL
       when nobody upstream would hear about it;
@@ -219,41 +161,31 @@ def maintenance_case(state: NodeToraState, trigger: Trigger, now: float) -> Main
       just below its lowest member;
     * a uniform unreflected level is reflected back with the r bit set;
     * a uniform reflected level that this node itself originated means the
-      destination is unreachable: partition, erase routes;
+      destination is unreachable: None;
     * a uniform reflected level someone else originated starts a fresh
       level here, with no further network-wide reaction implied.
     """
     if has_downstream(state):
         raise ValueError("maintenance invoked while a downstream link exists")
-    me = state.node
-
-    def generate() -> MaintenanceOutcome:
-        if not has_upstream(state):
-            return MaintenanceOutcome(MaintenanceCase.GENERATE, Height.null(me))
-        return MaintenanceOutcome(MaintenanceCase.GENERATE, Height(now, me, 0, 0, me))
-
-    if trigger is Trigger.LINK_FAILURE:
-        return generate()
-
+    me, own = state.node, state.own_height
     mirrors = state.concrete_mirrors()
-    if not mirrors:
-        # Degenerate reversal with no concrete neighbors left; treat as a
-        # fresh failure so the node either re-levels or goes NULL.
-        return generate()
+    fresh = Height(now, me, 0, 0, me)
+    if trigger is Trigger.LINK_FAILURE or not mirrors:
+        # a reversal with no concrete neighbor left counts as a fresh failure
+        return fresh if any(own < h for h in mirrors) else Height.null(me)
 
     levels = {h.level for h in mirrors}
     if len(levels) > 1:
         top = max(levels)
         floor = min(h.delta for h in mirrors if h.level == top)
-        new = Height(top[0], top[1], top[2], floor - 1, me)
-        return MaintenanceOutcome(MaintenanceCase.PROPAGATE, new)
+        return Height(*top, floor - 1, me)
 
-    (tau, oid, r) = next(iter(levels))
+    (tau, oid, r) = levels.pop()
     if r == 0:
-        return MaintenanceOutcome(MaintenanceCase.REFLECT, Height(tau, oid, 1, 0, me))
+        return Height(tau, oid, 1, 0, me)
     if oid == me:
-        return MaintenanceOutcome(MaintenanceCase.DETECT_PARTITION, Height.null(me))
-    return MaintenanceOutcome(MaintenanceCase.GENERATE_NO_REACTION, Height(now, me, 0, 0, me))
+        return None
+    return fresh
 
 
 def apply_clr(state: NodeToraState, level: tuple[float, int, int]) -> tuple[bool, list[int]]:

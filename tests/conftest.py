@@ -1,5 +1,6 @@
-"""Shared scenario builders for engine, harness, and acceptance tests, and
-the batch metric oracle for the aco and agent tests."""
+"""Shared scenario builders for engine, harness, and acceptance tests, the
+batch metric oracle for the aco and agent tests, and the link-direction and
+maintenance oracles for the height, agent and acceptance tests."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import random
 from typing import Sequence
 
 from anttora.aco import PathMetrics
-from anttora.heights import Height
+from anttora.heights import Height, Trigger
 from anttora.packets import HelloAnt, TraceRecord, UpdPacket, decode_trace_record
 from anttora.scenario import Scenario, parse_scenario
 
@@ -66,6 +67,44 @@ def aggregate_metrics(
         drain_rate=max(node_drain_rates),
         hop_count=node_count,
     )
+
+
+def link_direction(own: Height, mirror: Height) -> str:
+    """"dn", "up" or "un": the link to a neighbor mirrored at ``mirror``,
+    seen from a node of height ``own``. A NULL neighbor is undirected; a
+    node with a NULL height sees every concrete neighbor as downstream."""
+    if mirror.is_null:
+        return "un"
+    if mirror < own:
+        return "dn"
+    if own < mirror:
+        return "up"
+    return "un"
+
+
+def five_tuple(h: Height) -> tuple:
+    """A height as the plain lexicographic tuple (tau, oid, r, delta, node):
+    the order oracle for concrete heights."""
+    return (h.tau, h.oid, h.r, h.delta, h.node)
+
+
+def maintenance_oracle(state, trigger, now, levels_equal, r, oid_is_self):
+    """Independent decision table: the height that a node with a concrete
+    height and no downstream link takes, given the selector bits the test
+    built ``state`` from, or None on a partition."""
+    me, own, mirrors = state.node, state.own_height, state.concrete_mirrors()
+    fresh = Height(now, me, 0, 0, me)
+    if trigger is Trigger.LINK_FAILURE:
+        upstream = any(five_tuple(h) > five_tuple(own) for h in mirrors)
+        return fresh if upstream else Height.null(me)
+    if not levels_equal:
+        top = max((h.tau, h.oid, h.r) for h in mirrors)
+        floor = min(h.delta for h in mirrors if (h.tau, h.oid, h.r) == top)
+        return Height(top[0], top[1], top[2], floor - 1, me)
+    tau, oid = mirrors[0].tau, mirrors[0].oid
+    if r == 0:
+        return Height(tau, oid, 1, 0, me)
+    return None if oid_is_self else fresh
 
 
 def scenario_dict(n, edges, flows=(), **overrides) -> dict:

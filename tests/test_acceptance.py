@@ -22,15 +22,7 @@ from anttora.aco import (
 )
 from anttora.engine import Simulation
 from anttora.harness import replay, run_experiment, run_single
-from anttora.heights import (
-    Direction,
-    Height,
-    MaintenanceCase,
-    NodeToraState,
-    Trigger,
-    classify_link,
-    maintenance_case,
-)
+from anttora.heights import Height, NodeToraState, Trigger, maintenance_case
 from anttora.metrics import compute_metrics
 from anttora.packets import ClrPacket, DataPacket, QryReplyAnt, QryRequestAnt, UpdPacket
 
@@ -38,6 +30,8 @@ from conftest import (
     _connected,
     connected_random_graph,
     flow,
+    link_direction,
+    maintenance_oracle,
     records_of,
     static_scenario,
     trace_of,
@@ -56,7 +50,7 @@ def _dn_edges(sim, dest):
             continue
         state = toward.tora
         for j, mirror in sorted(state.links.items()):
-            if classify_link(state.own_height, mirror) is Direction.DN:
+            if link_direction(state.own_height, mirror) == "dn":
                 edges.append((node, j))
     return edges
 
@@ -178,16 +172,6 @@ def test_criterion_3_pheromone_boundedness_and_convergence():
     _passline(3, "pheromone boundedness and convergence")
 
 
-def _maintenance_oracle(trigger, levels_equal, r, oid_is_self):
-    if trigger is Trigger.LINK_FAILURE:
-        return MaintenanceCase.GENERATE
-    if not levels_equal:
-        return MaintenanceCase.PROPAGATE
-    if r == 0:
-        return MaintenanceCase.REFLECT
-    return MaintenanceCase.DETECT_PARTITION if oid_is_self else MaintenanceCase.GENERATE_NO_REACTION
-
-
 def _reversal_state(rng, levels_equal, r, oid_is_self, me=1):
     state = NodeToraState(node=me, destination=999)
     oid = me if oid_is_self else me + 40
@@ -204,7 +188,8 @@ def _reversal_state(rng, levels_equal, r, oid_is_self, me=1):
 
 
 def test_criterion_4_maintenance_decision_table():
-    """Exhaustive and randomized agreement with an independent case table."""
+    """Exhaustive and randomized agreement with an independent decision
+    table that predicts the new height, or None on a partition."""
     rng = random.Random(11)
     combos = list(itertools.product(
         (Trigger.LINK_FAILURE, Trigger.UPD_REVERSAL), (False, True), (0, 1), (False, True)
@@ -214,7 +199,7 @@ def test_criterion_4_maintenance_decision_table():
         for _ in range(4):
             state = _reversal_state(rng, levels_equal, r, oid_is_self)
             out = maintenance_case(state, trigger, now=100.0)
-            assert out.case is _maintenance_oracle(trigger, levels_equal, r, oid_is_self)
+            assert out == maintenance_oracle(state, trigger, 100.0, levels_equal, r, oid_is_self)
             checked += 1
     for _ in range(500):
         trigger = rng.choice((Trigger.LINK_FAILURE, Trigger.UPD_REVERSAL))
@@ -223,7 +208,7 @@ def test_criterion_4_maintenance_decision_table():
         oid_is_self = rng.random() < 0.5
         state = _reversal_state(rng, levels_equal, r, oid_is_self)
         out = maintenance_case(state, trigger, now=100.0)
-        assert out.case is _maintenance_oracle(trigger, levels_equal, r, oid_is_self)
+        assert out == maintenance_oracle(state, trigger, 100.0, levels_equal, r, oid_is_self)
         checked += 1
     assert checked == len(combos) * 4 + 500
     _passline(4, "maintenance decision table")
@@ -256,10 +241,10 @@ def test_criterion_5_partition_detection_on_barbell(monkeypatch):
         return on_link_failure(agent, failed, now)
 
     def deciding(state, trigger, now):
-        outcome = decide(state, trigger, now)
-        if outcome.case is MaintenanceCase.DETECT_PARTITION and state.destination == 7:
+        new = decide(state, trigger, now)
+        if new is None and state.destination == 7:
             detections.append(sim.pop_count)
-        return outcome
+        return new
 
     monkeypatch.setattr(agent_module.NodeAgent, "on_link_failure", failing)
     monkeypatch.setattr(agent_module, "maintenance_case", deciding)
@@ -379,9 +364,9 @@ def _find_cut(n, edges, sim):
         if toward is None:
             continue
         state = toward.tora
-        direction = {j: classify_link(state.own_height, h) for j, h in state.links.items()}
-        dn = [j for j, d in sorted(direction.items()) if d is Direction.DN]
-        up = [j for j, d in sorted(direction.items()) if d is Direction.UP]
+        direction = {j: link_direction(state.own_height, h) for j, h in state.links.items()}
+        dn = [j for j, d in sorted(direction.items()) if d == "dn"]
+        up = [j for j, d in sorted(direction.items()) if d == "up"]
         if len(dn) != 1 or not up:
             continue
         e = (min(u, dn[0]), max(u, dn[0]))

@@ -19,7 +19,7 @@ from anttora.agent import (
     QosConstraints,
     SimClockError,
 )
-from anttora.heights import Direction, Height, classify_link, has_downstream
+from anttora.heights import Height, has_downstream
 from anttora.packets import (
     PACKET_KINDS,
     ClrPacket,
@@ -32,7 +32,7 @@ from anttora.packets import (
 )
 from anttora.scenario import LinkSpec
 
-from conftest import aggregate_metrics
+from conftest import aggregate_metrics, link_direction
 
 CAPACITY, PROP, PROC = 2e6, 1e-3, 5e-4
 HOP_DELAY = 0.002  # nominal control-packet flight time used by the pump
@@ -733,7 +733,7 @@ def test_clr_matching_level_resets_and_rebroadcasts():
     # only the adjacent destination itself may remain downstream
     state = a.toward[2].tora
     for j, mirror in state.links.items():
-        assert classify_link(state.own_height, mirror) is Direction.UN or j == 2
+        assert link_direction(state.own_height, mirror) == "un" or j == 2
 
 
 def test_clr_nonmatching_level_is_not_rebroadcast():

@@ -1,4 +1,4 @@
-"""Height algebra: ordering, link classification, maintenance reactions."""
+"""Height algebra: ordering, link direction, maintenance reactions."""
 
 from __future__ import annotations
 
@@ -8,21 +8,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from anttora.heights import (
-    EQUAL,
-    GREATER,
-    LESS,
-    Direction,
     Height,
-    MaintenanceCase,
     NodeToraState,
     Trigger,
     apply_clr,
-    classify_link,
-    compare_heights,
     has_downstream,
     maintenance_case,
     new_height_on_reply,
 )
+
+from conftest import five_tuple, link_direction, maintenance_oracle
 
 # ---------------------------------------------------------------------------
 # construction
@@ -46,13 +41,6 @@ def test_reference_level_prefix():
 # comparison
 
 
-def _tuple_cmp(a: Height, b: Height) -> int:
-    """Independent oracle: plain lexicographic five-tuple comparison."""
-    ta = (a.tau, a.oid, a.r, a.delta, a.node)
-    tb = (b.tau, b.oid, b.r, b.delta, b.node)
-    return -1 if ta < tb else (1 if ta > tb else 0)
-
-
 def _random_height(rng: random.Random) -> Height:
     return Height(
         float(rng.randint(0, 5)), rng.randint(0, 4), rng.randint(0, 1),
@@ -61,25 +49,28 @@ def _random_height(rng: random.Random) -> Height:
 
 
 def test_destination_is_globally_lowest():
-    assert compare_heights(Height.zero(3), Height(0.0, 0, 0, 1, 0)) == LESS
+    assert Height.zero(3) < Height(0.0, 0, 0, 1, 0)
 
 
 def test_identical_heights_compare_equal():
-    h = Height(5.0, 1, 0, 2, 2)
-    assert compare_heights(h, Height(5.0, 1, 0, 2, 2)) == EQUAL
+    h, twin = Height(5.0, 1, 0, 2, 2), Height(5.0, 1, 0, 2, 2)
+    assert h == twin
+    assert not h < twin and not twin < h
 
 
 def test_null_orders_above_everything():
-    assert compare_heights(Height.null(1), Height(9.0, 9, 1, 9, 9)) == GREATER
-    assert compare_heights(Height(9.0, 9, 1, 9, 9), Height.null(1)) == LESS
-    assert compare_heights(Height.null(1), Height.null(2)) == EQUAL
+    assert not Height.null(1) < Height(9.0, 9, 1, 9, 9)
+    assert Height(9.0, 9, 1, 9, 9) < Height.null(1)
+    # NULLs tie, whoever owns them
+    assert not Height.null(1) < Height.null(2) and not Height.null(2) < Height.null(1)
 
 
 def test_comparison_matches_tuple_oracle():
     rng = random.Random(42)
     for _ in range(200):
         a, b = _random_height(rng), _random_height(rng)
-        assert compare_heights(a, b) == _tuple_cmp(a, b)
+        assert (a < b) == (five_tuple(a) < five_tuple(b))
+        assert (b < a) == (five_tuple(a) > five_tuple(b))
 
 
 @given(st.lists(st.tuples(
@@ -88,47 +79,45 @@ def test_comparison_matches_tuple_oracle():
 ), min_size=3, max_size=3))
 def test_total_order_transitive_antisymmetric(raw):
     a, b, c = (Height(*t) for t in raw)
-    # antisymmetry
-    assert compare_heights(a, b) == -compare_heights(b, a)
-    # totality: exactly one outcome
-    assert compare_heights(a, b) in (LESS, EQUAL, GREATER)
-    # transitivity of <=
-    if compare_heights(a, b) != GREATER and compare_heights(b, c) != GREATER:
-        assert compare_heights(a, c) != GREATER
+    # totality and antisymmetry: exactly one of a < b, b < a, a == b
+    assert (a < b) + (b < a) + (a == b) == 1
+    # transitivity of < and of <=
+    if a < b and b < c:
+        assert a < c
+    if not b < a and not c < b:
+        assert not c < a
 
 
 # ---------------------------------------------------------------------------
-# link classification
+# link direction
 
 
 def test_destination_neighbor_is_downstream():
-    assert classify_link(Height(0.0, 0, 0, 1, 1), Height.zero(9)) is Direction.DN
+    assert link_direction(Height(0.0, 0, 0, 1, 1), Height.zero(9)) == "dn"
 
 
 def test_null_neighbor_is_undirected():
-    assert classify_link(Height(0.0, 0, 0, 1, 1), Height.null(2)) is Direction.UN
+    assert link_direction(Height(0.0, 0, 0, 1, 1), Height.null(2)) == "un"
 
 
 def test_null_own_sees_concrete_neighbor_downstream():
-    assert classify_link(Height.null(1), Height(3.0, 2, 0, 0, 2)) is Direction.DN
+    assert link_direction(Height.null(1), Height(3.0, 2, 0, 0, 2)) == "dn"
 
 
 def test_reflection_bit_dominates_delta():
     own = Height(3.0, 1, 0, 0, 1)
     neighbor = Height(3.0, 1, 1, 0, 2)
-    assert classify_link(own, neighbor) is Direction.UP
+    assert own < neighbor
+    assert link_direction(own, neighbor) == "up"
 
 
 def test_classification_mirrors_between_consistent_nodes():
     rng = random.Random(7)
     for _ in range(300):
         a, b = _random_height(rng), _random_height(rng)
-        if compare_heights(a, b) == EQUAL:
+        if a == b:
             continue
-        d_ab = classify_link(a, b)
-        d_ba = classify_link(b, a)
-        if not a.is_null and not b.is_null:
-            assert (d_ab is Direction.DN) == (d_ba is Direction.UP)
+        assert (link_direction(a, b) == "dn") == (link_direction(b, a) == "up")
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +132,16 @@ def _state(node, dest, mirrors, own=None):
     if own is not None:
         st_.set_own_height(own)
     return st_
+
+
+def test_link_writes_have_no_fallback():
+    s = _state(1, 9, {2: Height(3.0, 5, 0, 0, 2)})
+    s.add_link(2)  # a re-added link starts from the initial height again
+    assert s.links == {2: Height.null(2)}
+    s.remove_link(2)
+    assert s.links == {}
+    with pytest.raises(KeyError):
+        s.remove_link(2)
 
 
 def test_destination_neighbor_has_downstream():
@@ -163,7 +162,8 @@ def test_has_downstream_matches_scan_oracle():
         own = _random_height(rng) if rng.random() < 0.8 else Height.null(0)
         s = _state(0, 99, mirrors, own=own)
         expect = any(
-            not h.is_null and compare_heights(h, own) == LESS for h in mirrors.values()
+            not h.is_null and (own.is_null or five_tuple(h) < five_tuple(own))
+            for h in mirrors.values()
         )
         assert has_downstream(s) == expect
 
@@ -193,11 +193,11 @@ def test_adopt_matches_min_oracle():
         got = new_height_on_reply(hs, 77)
         low = hs[0]
         for h in hs[1:]:
-            if compare_heights(h, low) == LESS:
+            if five_tuple(h) < five_tuple(low):
                 low = h
         assert got == Height(low.tau, low.oid, low.r, low.delta + 1, 77)
         # adopted height sits strictly above the minimum it was built from
-        assert compare_heights(got, low) == GREATER
+        assert low < got
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +206,13 @@ def test_adopt_matches_min_oracle():
 
 def test_generate_on_link_failure_with_upstream():
     s = _state(1, 9, {2: Height(9.0, 9, 1, 9, 2)}, own=Height(0.0, 0, 0, 1, 1))
-    out = maintenance_case(s, Trigger.LINK_FAILURE, now=7.0)
-    assert out.case is MaintenanceCase.GENERATE
-    assert out.new_height == Height(7.0, 1, 0, 0, 1)
-    assert not out.new_height.is_null  # announced with an UPD
+    assert maintenance_case(s, Trigger.LINK_FAILURE, now=7.0) == Height(7.0, 1, 0, 0, 1)
 
 
 def test_generate_without_upstream_goes_null():
     s = _state(1, 9, {2: Height.null(2)}, own=Height(0.0, 0, 0, 1, 1))
-    out = maintenance_case(s, Trigger.LINK_FAILURE, now=7.0)
-    assert out.case is MaintenanceCase.GENERATE
-    assert out.new_height.is_null  # nothing to announce
+    # nothing to announce
+    assert maintenance_case(s, Trigger.LINK_FAILURE, now=7.0) == Height.null(1)
 
 
 def test_propagate_adopts_highest_level():
@@ -225,10 +221,8 @@ def test_propagate_adopts_highest_level():
         3: Height(5.0, 4, 0, 2, 3),
         4: Height(5.0, 4, 0, 4, 4),
     }, own=Height(0.0, 0, 0, 1, 1))
-    out = maintenance_case(s, Trigger.UPD_REVERSAL, now=8.0)
-    assert out.case is MaintenanceCase.PROPAGATE
-    assert out.new_height == Height(5.0, 4, 0, 1, 1)  # min delta 2 at top level, minus 1
-    assert not out.new_height.is_null  # announced with an UPD
+    # min delta 2 at top level, minus 1
+    assert maintenance_case(s, Trigger.UPD_REVERSAL, now=8.0) == Height(5.0, 4, 0, 1, 1)
 
 
 def test_reflect_on_uniform_unreflected_level():
@@ -236,10 +230,7 @@ def test_reflect_on_uniform_unreflected_level():
         2: Height(3.0, 7, 0, 0, 2),
         3: Height(3.0, 7, 0, 5, 3),
     }, own=Height(0.0, 0, 0, 1, 1))
-    out = maintenance_case(s, Trigger.UPD_REVERSAL, now=8.0)
-    assert out.case is MaintenanceCase.REFLECT
-    assert out.new_height == Height(3.0, 7, 1, 0, 1)
-    assert not out.new_height.is_null  # announced with an UPD
+    assert maintenance_case(s, Trigger.UPD_REVERSAL, now=8.0) == Height(3.0, 7, 1, 0, 1)
 
 
 def test_detect_partition_on_own_reflected_level():
@@ -247,9 +238,7 @@ def test_detect_partition_on_own_reflected_level():
         2: Height(3.0, 3, 1, 0, 2),
         4: Height(3.0, 3, 1, 2, 4),
     }, own=Height(3.0, 3, 0, 0, 3))
-    out = maintenance_case(s, Trigger.UPD_REVERSAL, now=8.0)
-    assert out.case is MaintenanceCase.DETECT_PARTITION
-    assert out.new_height.is_null  # the CLR follows from the case
+    assert maintenance_case(s, Trigger.UPD_REVERSAL, now=8.0) is None
 
 
 def test_foreign_reflected_level_generates_fresh_level():
@@ -257,29 +246,18 @@ def test_foreign_reflected_level_generates_fresh_level():
         2: Height(3.0, 7, 1, 0, 2),
         4: Height(3.0, 7, 1, 2, 4),
     }, own=Height(3.0, 7, 0, -1, 1))
-    out = maintenance_case(s, Trigger.UPD_REVERSAL, now=8.5)
-    assert out.case is MaintenanceCase.GENERATE_NO_REACTION
-    assert out.new_height == Height(8.5, 1, 0, 0, 1)
-    assert not out.new_height.is_null  # announced with an UPD
+    assert maintenance_case(s, Trigger.UPD_REVERSAL, now=8.5) == Height(8.5, 1, 0, 0, 1)
+
+
+def test_reversal_without_concrete_neighbors_goes_null():
+    s = _state(1, 9, {2: Height.null(2)}, own=Height(3.0, 7, 0, -1, 1))
+    assert maintenance_case(s, Trigger.UPD_REVERSAL, now=8.5) == Height.null(1)
 
 
 def test_precondition_rejects_surviving_downstream():
     s = _state(1, 9, {9: Height.zero(9)}, own=Height(0.0, 0, 0, 1, 1))
     with pytest.raises(ValueError):
         maintenance_case(s, Trigger.LINK_FAILURE, now=1.0)
-
-
-def _case_oracle(trigger, levels_equal, r, oid_is_self):
-    """Independent decision table over the four selector bits."""
-    if trigger is Trigger.LINK_FAILURE:
-        return MaintenanceCase.GENERATE
-    if not levels_equal:
-        return MaintenanceCase.PROPAGATE
-    if r == 0:
-        return MaintenanceCase.REFLECT
-    if oid_is_self:
-        return MaintenanceCase.DETECT_PARTITION
-    return MaintenanceCase.GENERATE_NO_REACTION
 
 
 def _build_reversal_state(rng, levels_equal, r, oid_is_self, me=1):
@@ -307,11 +285,8 @@ def test_decision_table_exhaustive(levels_equal, r, oid_is_self):
     rng = random.Random(1000 + levels_equal * 4 + r * 2 + oid_is_self)
     s = _build_reversal_state(rng, levels_equal, r, oid_is_self)
     out = maintenance_case(s, Trigger.UPD_REVERSAL, now=200.0)
-    if not levels_equal:
-        # mixed levels always propagate regardless of the other bits
-        assert out.case is MaintenanceCase.PROPAGATE
-    else:
-        assert out.case is _case_oracle(Trigger.UPD_REVERSAL, levels_equal, r, oid_is_self)
+    # mixed levels propagate whatever the other bits say
+    assert out == maintenance_oracle(s, Trigger.UPD_REVERSAL, 200.0, levels_equal, r, oid_is_self)
 
 
 def test_decision_table_randomized():
@@ -323,7 +298,7 @@ def test_decision_table_randomized():
         oid_is_self = rng.random() < 0.5
         s = _build_reversal_state(rng, levels_equal, r, oid_is_self)
         out = maintenance_case(s, trigger, now=200.0)
-        assert out.case is _case_oracle(trigger, levels_equal, r, oid_is_self)
+        assert out == maintenance_oracle(s, trigger, 200.0, levels_equal, r, oid_is_self)
 
 
 def test_new_height_never_collides_with_neighbors():
@@ -334,10 +309,10 @@ def test_new_height_never_collides_with_neighbors():
             rng, rng.random() < 0.5, rng.randint(0, 1), rng.random() < 0.5
         )
         out = maintenance_case(s, trigger, now=300.0)
-        if out.new_height.is_null:
+        if out is None or out.is_null:
             continue
         for mirror in s.links.values():
-            assert out.new_height != mirror
+            assert out != mirror
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +360,7 @@ def test_clr_keeps_destination_mirror_zero():
     assert s.links == {9: Height.zero(9), 2: Height.null(2)}
     # after a full reset every link is undirected or points at the destination
     for j, mirror in s.links.items():
-        direction = classify_link(s.own_height, mirror)
-        assert direction in (Direction.UN, Direction.DN)
-        if direction is Direction.DN:
+        direction = link_direction(s.own_height, mirror)
+        assert direction in ("un", "dn")
+        if direction == "dn":
             assert j == 9
