@@ -9,9 +9,15 @@ the placement. The protocol itself is deterministic, so identical (scenario,
 seed) pairs replay to byte-identical traces. A queued event is the tuple
 ``(time, seq, handler, args)``; events dequeue in (time, seq) order, the
 loop calls ``handler(*args)``, and every delivery strictly follows its send.
-The engine decides whether a frame arrives (link up, energy to receive it);
-what the node does with it, data forwarding included, is the agent handler
-its ``PACKET_KINDS`` entry names. A flow's new data packet goes to its
+A frame is one delivery event per arrival time, ``_on_delivery`` with args
+``(packet, frm, receivers, cause)``: a unicast is a batch of one receiver,
+and a broadcast one batch of every neighbour unless per-link parameters
+split it by arrival time. For each receiver in turn, the engine decides
+whether the frame arrives (link up, energy to receive it); one ``rcv`` line
+then names every receiver that got it, and only then does each receiver's
+agent run the handler its ``PACKET_KINDS`` entry names, in receiver order.
+What the node does with the frame, data forwarding included, is that
+handler's. A flow's new data packet goes to its
 source's ``NodeAgent.send_data``, which sends, or queues and rediscovers.
 Apart from its emissions, an agent reports only its height changes, each to
 ``_height_changed``, which charges it to the link failure it descends from.
@@ -194,10 +200,10 @@ class Simulation:
         key = PACKET_KINDS[type(packet)].bits_key
         return packet.size_bits if key is None else self.scenario.control_bits[key]
 
-    def _trace(self, event: str, node: int, packet: Packet, time: float) -> None:
+    def _trace(self, event: str, nodes: tuple[int, ...], packet: Packet, time: float) -> None:
         self.trace_seq += 1
         # looked up in packets at call time, so a patched encoder is seen
-        line = packets.encode_trace(packet, time, seq=self.trace_seq, event=event, node=node)
+        line = packets.encode_trace(packet, time, seq=self.trace_seq, event=event, nodes=nodes)
         self.trace_file.write(line + "\n")
 
     def _height_changed(self, node: int, dest: int, old: Height, new: Height, now: float) -> None:
@@ -215,26 +221,30 @@ class Simulation:
             if not self.agents[frm].energy.debit(self.scenario.beta_tx * bits):
                 self._drop("tx_suppressed", frm, packet, now)
                 continue
-            self._trace("snd", frm, packet, now)
-            if em.to is None:
-                targets = self._neighbors(frm)
-            else:
-                targets = [em.to]
-            for to in targets:
-                self.deliver(packet, frm, to, now)
+            self._trace("snd", (frm,), packet, now)
+            self.deliver(packet, frm, self._neighbors(frm) if em.to is None else [em.to], now)
 
-    def deliver(self, packet: Packet, frm: int, to: int, now: float) -> None:
-        """Schedule a point-to-point delivery; drops if the link is down."""
-        if not self._link_up(frm, to):
-            self._drop("drop_link_down_at_send", to, packet, now)
-            return
+    def deliver(self, packet: Packet, frm: int, receivers: list[int], now: float) -> None:
+        """Queue one delivery of ``packet`` from ``frm`` per arrival time, each
+        naming its receivers in the order given; a receiver with no up link
+        is dropped at send."""
+        links = self.scenario.links
         bits = self._bits_of(packet)
-        capacity, propagation = self.scenario.links.params(frm, to)
-        processing = self.scenario.links.processing
-        arrival = now + bits / capacity + propagation + processing
-        self.counters["frames_sent"] += 1
-        # a frame sent in reaction to a link failure carries the failure's id
-        self.schedule(arrival, self._on_delivery, packet, frm, to, self.current_failure)
+        # only per-link overrides give a receiver another arrival time
+        arrival = now + bits / links.capacity + links.propagation + links.processing
+        batches: dict[float, list[int]] = {}
+        for to in receivers:
+            if not self._link_up(frm, to):
+                self._drop("drop_link_down_at_send", to, packet, now)
+                continue
+            if links.overrides:
+                capacity, propagation = links.params(frm, to)
+                arrival = now + bits / capacity + propagation + links.processing
+            batches.setdefault(arrival, []).append(to)
+        for arrival, batch in batches.items():
+            self.counters["frames_sent"] += len(batch)
+            # a frame sent in reaction to a link failure carries the failure's id
+            self.schedule(arrival, self._on_delivery, packet, frm, batch, self.current_failure)
 
     def _drop(self, reason: str, node: int, packet: Packet | None, now: float) -> None:
         """The only writer of ``drp`` lines and drop-reason counters: counts
@@ -242,28 +252,37 @@ class Simulation:
         unless ``packet`` is None, as for a frame in the air at the end."""
         self.counters[reason] += 1
         if packet is not None:
-            self._trace("drp", node, packet, now)
+            self._trace("drp", (node,), packet, now)
 
     # -- event handlers -----------------------------------------------------------
 
-    def _on_delivery(self, packet: Packet, frm: int, to: int, cause: int | None) -> None:
+    def _on_delivery(self, packet: Packet, frm: int, receivers: list[int], cause: int | None) -> None:
+        """Deliver one frame to its receivers: check each, write one ``rcv``
+        line for those that got it, then run their handlers in order. No
+        handler reads another node's state or the links, so each receiver
+        still pays for the frame before it pays for its reply."""
         now = self.now
         self.current_failure = cause
-        if not self._link_up(frm, to):
-            self._drop("drop_cancelled_in_flight", to, packet, now)
+        cost = self.scenario.beta_rx * self._bits_of(packet)
+        got = []
+        for to in receivers:
+            if not self._link_up(frm, to):
+                self._drop("drop_cancelled_in_flight", to, packet, now)
+            elif not self.agents[to].energy.debit(cost):
+                self._drop("drop_rx_energy", to, packet, now)
+            else:
+                got.append(to)
+        if not got:
             return
-        agent = self.agents[to]
-        bits = self._bits_of(packet)
-        if not agent.energy.debit(self.scenario.beta_rx * bits):
-            self._drop("drop_rx_energy", to, packet, now)
-            return
-        self.counters["frames_delivered"] += 1
-        self._trace("rcv", to, packet, now)
-        if isinstance(packet, DataPacket) and packet.destination == to:
+        self.counters["frames_delivered"] += len(got)
+        self._trace("rcv", tuple(got), packet, now)
+        if isinstance(packet, DataPacket) and packet.destination in got:
             self.counters["data_delivered"] += 1
-        # looked up on the agent at call time, so a patched handler is seen
-        out = getattr(agent, PACKET_KINDS[type(packet)].handler)(packet, frm, now)
-        self.process_emissions(to, out, now)
+        handler = PACKET_KINDS[type(packet)].handler
+        for to in got:
+            # looked up on the agent at call time, so a patched handler is seen
+            out = getattr(self.agents[to], handler)(packet, frm, now)
+            self.process_emissions(to, out, now)
 
     def _on_hello_timer(self) -> None:
         now = self.now
@@ -403,7 +422,8 @@ class Simulation:
         # each attribute access makes a new bound method, hence == and not is
         for _t, _seq, handler, args in queue:
             if handler == self._on_delivery:
-                self._drop("drop_end_of_run", args[2], None, self.end_time)
+                for to in args[2]:
+                    self._drop("drop_end_of_run", to, None, self.end_time)
         queue.clear()
         self._flush_stuck_data()
         self.counters["frames_dropped"] = sum(self.counters[r] for r in FRAME_DROPS)

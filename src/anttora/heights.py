@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 
 class Trigger(Enum):
@@ -70,8 +71,11 @@ class Height:
             return None
         return (self.tau, self.oid, self.r)
 
+    @cached_property
     def sort_key(self) -> tuple:
-        # NULL sorts strictly above every concrete height; all NULLs tie.
+        # NULL sorts strictly above every concrete height; all NULLs tie. Built
+        # on the first compare and kept in the instance dict, which the frozen
+        # dataclass's equality and hash never read
         if self.is_null:
             return (1, 0.0, 0, 0, 0, 0)
         return (0, self.tau, self.oid, self.r, self.delta, self.node)
@@ -80,7 +84,7 @@ class Height:
         """The total order: concrete heights compare on (tau, oid, r, delta,
         node); a NULL height is above every concrete one and all NULL
         heights tie regardless of owner."""
-        return self.sort_key() < other.sort_key()
+        return self.sort_key < other.sort_key
 
 
 @dataclass

@@ -99,20 +99,21 @@ def compute_metrics(lines: Iterable[str]) -> RunMetrics:
         if line[0] == "#":
             _parse_annotation(line.rstrip("\n"), params, metrics)
             continue
-        ts, seq, event, node, packet = decode(line)
+        ts, seq, event, nodes, packet = decode(line)
         if ts < last_time or (ts == last_time and seq <= last_seq):
             raise TraceDecodeError(_DISORDER)
         last_time, last_seq = ts, seq
         token, size_param, is_data = _FOLD[type(packet)]
+        # only a rcv line names more than one node
         if is_data:
             key = (packet.source, packet.destination, packet.seq)
-            if event == "snd" and node == key[0]:
+            if event == "snd" and nodes[0] == key[0]:
                 offered.add(key)
                 if key not in first_send:
                     first_send[key] = ts
-            elif event == "drp" and node == key[0] and key not in offered:
+            elif event == "drp" and nodes[0] == key[0] and key not in offered:
                 offered.add(key)  # queued at the source and never transmitted
-            elif event == "rcv" and node == key[1]:
+            elif event == "rcv" and key[1] in nodes:
                 delivered_at[key] = ts
         elif event == "snd":
             control[token] = control.get(token, 0) + 1
@@ -122,7 +123,9 @@ def compute_metrics(lines: Iterable[str]) -> RunMetrics:
                 beta = params["beta_tx"] if event == "snd" else params["beta_rx"]
             except KeyError as exc:
                 raise TraceDecodeError(f"trace header missing parameter {exc}") from None
-            energy[node] = energy.get(node, 0.0) + beta * bits
+            cost = beta * bits
+            for node in nodes:
+                energy[node] = energy.get(node, 0.0) + cost
     metrics.data_sent = len(offered)
     metrics.data_delivered = len(delivered_at)
     metrics.pdr = metrics.data_delivered / metrics.data_sent if metrics.data_sent else 0.0

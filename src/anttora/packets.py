@@ -10,17 +10,21 @@ regression is exact.
 
 Trace line layout::
 
-    <timestamp> <seq> <event> <node> <type> <field>=<value> ...
+    <timestamp> <seq> <event> <nodes> <type> <field>=<value> ...
 
 with the timestamp zero-padded to sort lexically, ``seq`` the engine event
-counter, ``event`` one of ``snd``/``rcv``/``drp``, and ``node`` the node the
-event happened at.
+counter, ``event`` one of ``snd``/``rcv``/``drp``, and ``nodes`` the node the
+event happened at. A ``rcv`` line may name several nodes, the receivers that
+got one frame at one instant: their ascending ids joined by ``,``, as in
+``... rcv 1,4,7 hello ...``, with no id repeated. A ``snd`` or ``drp`` line,
+and a ``rcv`` line with one receiver, names one plain id, so a trace that
+gives each receiver its own ``rcv`` line reads the same.
 
-A line is a head, ``<timestamp> <seq> <event> <node>``, and a body, the type
+A line is a head, ``<timestamp> <seq> <event> <nodes>``, and a body, the type
 token and its fields. The head is formatted, parsed and checked on every
 line. The body is a pure function of the packet, and a run repeats a few
-bodies many times: a broadcast's ``snd`` line and its neighbours' ``rcv``
-lines, often with other events between them, and a data packet's hops. So
+bodies many times: a broadcast's ``snd`` line and its receivers' ``rcv``
+line, often with other events between them, and a data packet's hops. So
 each side keeps a bounded memo of the bodies it has seen, at most
 ``MEMO_SIZE`` entries and emptied when full: the encoder maps a packet object
 (by identity, never by equality, since ``0.0 == -0.0`` spell differently) to
@@ -306,13 +310,29 @@ FIELD_CODECS: dict[type, tuple[tuple[str, Callable, Callable], ...]] = {
 
 
 class TraceRecord(NamedTuple):
-    """One packet event: when, where, and which way it moved."""
+    """One packet event: when, where, and which way it moved. ``nodes`` holds
+    one id, or for a ``rcv`` the ascending ids of every receiver."""
 
     timestamp: float
     seq: int
     event: str
-    node: int
+    nodes: tuple[int, ...]
     packet: Packet
+
+
+def _nodes_fault(event: str, nodes: tuple[int, ...]) -> str | None:
+    """Why ``nodes`` cannot head an ``event`` line, or None if it can."""
+    if not nodes:
+        return "a line names at least one node"
+    if len(nodes) == 1:
+        return None
+    if event != "rcv":
+        return f"only a rcv line names several nodes, not {event}"
+    if len(set(nodes)) != len(nodes):
+        return f"receivers {nodes} repeat a node"
+    if list(nodes) != sorted(nodes):
+        return f"receivers {nodes} are not in ascending order"
+    return None
 
 
 # builds a TraceRecord from a tuple of its fields without the NamedTuple's
@@ -348,23 +368,27 @@ def _encode_body(packet: Packet) -> str:
 
 
 def encode_trace(
-    packet: Packet, timestamp: float, *, seq: int = 0, event: str = "snd", node: int = 0
+    packet: Packet, timestamp: float, *, seq: int = 0, event: str = "snd", nodes: tuple[int, ...] = (0,)
 ) -> str:
     """Serialize one packet event to its canonical single-line form."""
     if not math.isfinite(timestamp) or timestamp < 0:
         raise ValueError(f"timestamp must be finite and nonnegative, got {timestamp!r}")
     if event not in TRACE_EVENTS:
         raise ValueError(f"event must be one of {TRACE_EVENTS}, got {event!r}")
-    if type(seq) is not int or type(node) is not int:  # refuse a bool or a float
-        _fmt_int("seq", seq)
-        _fmt_int("node", node)
+    _fmt_int("seq", seq)  # refuses a bool or a float, as for each node id
+    if type(nodes) is not tuple:
+        raise ValueError(f"nodes must be a tuple of node ids, got {nodes!r}")
+    nodes_text = ",".join([_fmt_int("node", node) for node in nodes])
+    fault = _nodes_fault(event, nodes)
+    if fault is not None:
+        raise ValueError(f"cannot encode nodes {nodes!r}: {fault}")
     hit = _encoded.get(id(packet))  # a live entry holds its packet, so a hit is this object
     if hit is None:
         body = _encode_body(packet)
         remember(_encoded, id(packet), (packet, body))
     else:
         body = hit[1]
-    return f"{timestamp:017.6f} {seq:08d} {event} {node} {body}"
+    return f"{timestamp:017.6f} {seq:08d} {event} {nodes_text} {body}"
 
 
 def _decode_body(rest: str) -> Packet:
@@ -396,23 +420,28 @@ def decode_trace_record(line: str) -> TraceRecord:
     parts = line.split(" ", 4)  # the four head tokens, then the body
     if len(parts) < 5:
         raise TraceDecodeError(f"trace line too short: {line!r}")
-    ts_raw, seq_raw, event, node_raw, rest = parts
+    ts_raw, seq_raw, event, nodes_raw, rest = parts
     # a good head reads in one try; any other goes through the strict parse,
     # which raises the error naming its first bad field
     try:
-        timestamp, seq, node = float(ts_raw), int(seq_raw), int(node_raw)
+        timestamp, seq = float(ts_raw), int(seq_raw)
+        nodes = tuple(map(int, nodes_raw.split(","))) if "," in nodes_raw else (int(nodes_raw),)
     except ValueError:
         timestamp = math.nan
-    if not 0.0 <= timestamp < math.inf or event not in TRACE_EVENTS:
-        timestamp, seq, node = _decode_head(ts_raw, seq_raw, event, node_raw)
+    if (
+        not 0.0 <= timestamp < math.inf
+        or event not in TRACE_EVENTS
+        or (len(nodes) > 1 and _nodes_fault(event, nodes) is not None)
+    ):
+        timestamp, seq, nodes = _decode_head(ts_raw, seq_raw, event, nodes_raw)
     packet = _decoded.get(rest)
     if packet is None:  # the key keeps a line's newline; the parse never sees it
         packet = _decode_body(rest.rstrip("\n"))
         remember(_decoded, rest, packet)
-    return _new_record(TraceRecord, (timestamp, seq, event, node, packet))
+    return _new_record(TraceRecord, (timestamp, seq, event, nodes, packet))
 
 
-def _decode_head(ts_raw: str, seq_raw: str, event: str, node_raw: str) -> tuple[float, int, int]:
+def _decode_head(ts_raw: str, seq_raw: str, event: str, nodes_raw: str) -> tuple[float, int, tuple[int, ...]]:
     """Strictly parse a head field by field, raising on its first bad field."""
     timestamp = _parse_float("timestamp", ts_raw)
     if timestamp < 0:
@@ -420,4 +449,8 @@ def _decode_head(ts_raw: str, seq_raw: str, event: str, node_raw: str) -> tuple[
     seq = _parse_int("seq", seq_raw)
     if event not in TRACE_EVENTS:
         raise TraceDecodeError(f"unknown trace event {event!r}")
-    return timestamp, seq, _parse_int("node", node_raw)
+    nodes = tuple(_parse_int("node", raw) for raw in nodes_raw.split(","))
+    fault = _nodes_fault(event, nodes)
+    if fault is not None:
+        raise TraceFieldError("node", f"{fault} in {nodes_raw!r}")
+    return timestamp, seq, nodes

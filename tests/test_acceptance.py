@@ -260,7 +260,7 @@ def test_criterion_5_partition_detection_on_barbell(monkeypatch):
         assert all(not t.cache for t in agent.toward.values())
     crossed = [
         r for r in records_of(sim)
-        if r.event == "rcv" and isinstance(r.packet, ClrPacket) and r.node >= 4
+        if r.event == "rcv" and isinstance(r.packet, ClrPacket) and max(r.nodes) >= 4
     ]
     assert crossed == []
     _passline(5, "partition detection and erasure")
@@ -426,8 +426,9 @@ def test_criterion_7_reaction_locality():
         )
         fresh = Simulation(fresh_sc).run()
         touched = {
-            r.node for r in records_of(fresh)
+            node for r in records_of(fresh)
             if r.event == "rcv" and isinstance(r.packet, (QryRequestAnt, QryReplyAnt))
+            for node in r.nodes
         }
         assert reaction < len(touched), (
             f"graph seed {graph_seed}: reversal touched {reaction} nodes, "
@@ -453,7 +454,7 @@ def test_criterion_8_static_lossless_delivery():
     assert metrics.pdr == 1.0
     paths = {
         r.packet.path for r in records_of(sim)
-        if r.event == "snd" and isinstance(r.packet, DataPacket) and r.node == 0
+        if r.event == "snd" and isinstance(r.packet, DataPacket) and r.nodes == (0,)
     }
     assert len(paths) == 1, f"route flapped: {paths}"
     path = paths.pop()

@@ -97,7 +97,7 @@ def test_delivery_time_arithmetic():
     )
     sim = Simulation(sc)
     pkt = DataPacket(0, 1, 0, 1000, (0, 1))
-    sim.deliver(pkt, 0, 1, now=1.0)
+    sim.deliver(pkt, 0, [1], now=1.0)
     (arrival,) = [t for t, _seq, handler, _args in sim.queue if handler == sim._on_delivery]
     assert arrival == pytest.approx(1.0 + 0.001 + 0.001 + 0.0005, abs=1e-12)
 
@@ -110,8 +110,53 @@ def test_broadcast_fans_out_to_each_neighbor():
     hello = HelloAnt(0, 0.0, 100.0, 0.0, 512)
     sim.process_emissions(0, [Emission(hello)], 0.0)
     deliveries = [args for _t, _seq, handler, args in sim.queue if handler == sim._on_delivery]
-    assert len(deliveries) == 3
-    assert sorted(args[2] for args in deliveries) == [1, 2, 3]
+    assert [args[2] for args in deliveries] == [[1, 2, 3]]
+
+
+def test_per_link_parameters_split_a_broadcast_by_arrival_time():
+    sc = static_scenario(
+        4, [(0, 1), (0, 2), (0, 3)], links={"overrides": [{"a": 0, "b": 2, "capacity_bps": 1e5}]}
+    )
+    sim = Simulation(sc)
+    from anttora.agent import Emission
+
+    sim.process_emissions(0, [Emission(HelloAnt(0, 0.0, 100.0, 0.0, 512))], 0.0)
+    deliveries = sorted((t, args[2]) for t, _seq, handler, args in sim.queue if handler == sim._on_delivery)
+    # the slow link's receiver hears the frame later, in its own event
+    assert [receivers for _t, receivers in deliveries] == [[1, 3], [2]]
+    assert deliveries[0][0] < deliveries[1][0]
+
+
+@pytest.mark.parametrize("reason", ["drop_cancelled_in_flight", "drop_rx_energy"])
+def test_a_receiver_lost_in_flight_drops_while_the_others_share_one_line(reason):
+    sim = Simulation(static_scenario(4, [(0, 1), (0, 2), (0, 3)]))
+    from anttora.agent import Emission
+
+    sim.process_emissions(0, [Emission(HelloAnt(0, 0.0, 100.0, 0.0, 512))], 0.0)
+    ((t, _seq, handler, args),) = [ev for ev in sim.queue if ev[2] == sim._on_delivery]
+    if reason == "drop_cancelled_in_flight":
+        sim.adj[0].discard(2)
+        sim.adj[2].discard(0)
+    else:
+        sim.agents[2].energy.residual = 0.0
+    sim.now = t
+    handler(*args)
+    assert [(r.event, r.nodes) for r in records_of(sim)] == [("snd", (0,)), ("drp", (2,)), ("rcv", (1, 3))]
+    assert (sim.counters[reason], sim.counters["frames_delivered"]) == (1, 2)
+    # each receiver that got the frame ran its handler, the lost one did not
+    assert [sim.agents[i].adjacent[0].hello is not None for i in (1, 2, 3)] == [True, False, True]
+
+
+def test_a_batch_in_the_air_at_the_end_counts_one_drop_per_receiver():
+    # the only hellos go out at t=0 and land long before the end
+    sim = Simulation(static_scenario(4, [(0, 1), (0, 2), (0, 3)], end_time_s=0.5))
+    from anttora.agent import Emission
+
+    sim.process_emissions(0, [Emission(HelloAnt(0, 0.5, 100.0, 0.0, 512))], 0.5)
+    sim.run()
+    assert sim.counters["drop_end_of_run"] == 3
+    c = sim.counters
+    assert c["frames_sent"] + c["drop_link_down_at_send"] == c["frames_delivered"] + c["frames_dropped"]
 
 
 def test_send_on_downed_link_is_counted_drop():
@@ -120,7 +165,7 @@ def test_send_on_downed_link_is_counted_drop():
     for peers in sim.adj.values():
         peers.clear()
     queued = len(sim.queue)
-    sim.deliver(DataPacket(0, 1, 0, 100, (0, 1)), 0, 1, 0.5)
+    sim.deliver(DataPacket(0, 1, 0, 100, (0, 1)), 0, [1], 0.5)
     assert len(sim.queue) == queued
     assert sim.counters["drop_link_down_at_send"] == 1
 
@@ -406,7 +451,7 @@ def test_expired_route_triggers_rediscovery_and_still_delivers():
     # a discovery's request keeps its start time however often it is sent
     discoveries = {
         r.packet.request_start_time for r in records_of(sim)
-        if r.event == "snd" and r.node == 0 and isinstance(r.packet, QryRequestAnt) and r.packet.source == 0
+        if r.event == "snd" and r.nodes == (0,) and isinstance(r.packet, QryRequestAnt) and r.packet.source == 0
     }
     assert len(discoveries) == 2
 

@@ -19,6 +19,16 @@ k: trace_sha256=...`` line per scenario). Re-pin that file with
         sed -n "s/^\(output scenario [0-9]*: trace_sha256=[0-9a-f]*\).*/$w \1/p"
     done > tests/golden/bench_seed1.txt
 
+The same runs print each scenario's report numbers after its trace digest;
+CI diffs them against ``tests/golden/bench_seed1_outputs.txt``, which a
+change to the trace format alone must leave as it is. Re-pin it only for a
+change that moves what a run reports, with
+
+    for w in mobility-100n mobility-100n-baseline static-churn-40n; do
+      python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 |
+        sed -n "s/^\(output scenario [0-9]*:\) trace_sha256=[0-9a-f]* \(.*\)/$w \1 \2/p"
+    done > tests/golden/bench_seed1_outputs.txt
+
 CI also diffs the median of every ``count``-unit row of a traced seed-1 run
 against ``tests/golden/bench_seed1_calls.txt`` (one ``<workload> <metric>
 <median>`` line per row). Re-pin it only for a behaviour or perf change

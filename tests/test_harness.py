@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 import anttora
-from anttora import harness
+from anttora import harness, packets
 from anttora.cli import main as cli_main
 from anttora.engine import Simulation
 from anttora.harness import replay, run_experiment, run_single, write_trace
@@ -184,7 +184,7 @@ def test_cli_replay_rejects_malformed_annotation(bad, tmp_path, capsys):
     assert f"error: malformed annotation {bad!r}" in capsys.readouterr().err
 
 
-def test_run_and_replay_memory_stays_flat_as_the_trace_grows(tmp_path):
+def test_run_and_replay_memory_stays_flat_as_the_trace_grows(tmp_path, monkeypatch):
     # the trace streams through files, so a run four times as long needs
     # about the same peak memory; holding the trace in memory costs over
     # three bytes per trace byte
@@ -193,6 +193,12 @@ def test_run_and_replay_memory_stays_flat_as_the_trace_grows(tmp_path):
             6, [(i, i + 1) for i in range(5)], flows=[flow(0, 5)], end_time_s=end_time
         )
         path = str(tmp_path / f"{end_time}.trace")
+        # a body memo holds up to MEMO_SIZE bodies at any trace length, but how
+        # full it is at the peak varies by tens of kilobytes from run to run;
+        # one-entry memos keep that out of the difference of the two peaks
+        monkeypatch.setattr(packets, "MEMO_SIZE", 1)
+        for memo in ("_encoded", "_decoded"):
+            monkeypatch.setattr(packets, memo, {})
         tracemalloc.start()
         try:
             run_experiment(sc, trace_path=path)

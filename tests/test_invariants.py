@@ -24,7 +24,9 @@ static checks also run on larger graphs with several long flows, whose
 relays answer requests while link pheromone moves. In baseline mode, where
 the evaporation tick only prunes expired routes, the whole trace is the
 same for every evaporation period. In a mobility run, the whole trace is the
-same for every mobility step.
+same for every mobility step. Over the generated scenarios and the golden
+runs, a trace rewritten to give each receiver of a frame its own ``rcv``
+line, as traces were once written, folds to the same metrics.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ def assert_static_run_invariants(data) -> None:
     assert_discovery_state(sim)
     assert_mirrors_match_links(sim)
     assert_every_height_was_reported(sim, reported)
+    assert_one_line_per_receiver_folds_alike(lines)
 
 
 @settings(deadline=None)
@@ -164,7 +167,7 @@ def assert_offered_data_conserved(lines, sim) -> None:
             continue
         rec = decode_trace_record(line)
         pkt = rec.packet
-        if isinstance(pkt, DataPacket) and rec.event in ("snd", "drp") and rec.node == pkt.source:
+        if isinstance(pkt, DataPacket) and rec.event in ("snd", "drp") and rec.nodes == (pkt.source,):
             outcomes[pkt.source, pkt.destination, pkt.seq] += 1
     assert all(n == 1 for n in outcomes.values()), outcomes.most_common(1)
     assert len(outcomes) == sim.counters["data_offered"]
@@ -173,13 +176,14 @@ def assert_offered_data_conserved(lines, sim) -> None:
 @contextlib.contextmanager
 def recording_deliveries():
     """Within the block, ``Simulation.schedule`` also records each frame
-    delivery it queues as ``(time, packet)``, in the list this yields."""
+    delivery it queues as ``(time, packet)``, once per receiver the queued
+    event names, in the list this yields."""
     deliveries = []
     schedule = Simulation.schedule
 
     def record(sim, time, handler, *args):
         if handler == sim._on_delivery:
-            deliveries.append((time, args[0]))
+            deliveries.extend((time, args[0]) for _ in args[2])
         schedule(sim, time, handler, *args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -206,9 +210,9 @@ def assert_every_sent_packet_has_a_fate(lines, sim, deliveries) -> None:
         if not isinstance(pkt, DataPacket):
             continue
         key = pkt.source, pkt.destination, pkt.seq
-        if rec.event == "snd" and rec.node == pkt.source:
+        if rec.event == "snd" and rec.nodes == (pkt.source,):
             sent.add(key)
-        elif rec.event == "drp" or (rec.event == "rcv" and rec.node == pkt.destination):
+        elif rec.event == "drp" or (rec.event == "rcv" and pkt.destination in rec.nodes):
             ends[key] += 1
     for key in sorted(sent):
         assert ends[key] == (0 if key in in_air else 1), key
@@ -224,15 +228,15 @@ def assert_sources_heed_route_errors(lines) -> None:
         if not line or line.startswith("#"):
             continue
         rec = decode_trace_record(line)
-        pkt, node = rec.packet, rec.node
-        if rec.event == "rcv" and isinstance(pkt, ErrorPacket) and node == pkt.path[0]:
-            fresh.setdefault(node, {})[frozenset(pkt.path[-2:])] = set()
-        elif rec.event == "rcv" and isinstance(pkt, QryReplyAnt) and node == pkt.source:
-            for routes in fresh.get(node, {}).values():
-                routes.add((node,) + pkt.path_nodes)
-        elif rec.event == "snd" and isinstance(pkt, DataPacket) and node == pkt.source:
+        pkt, nodes = rec.packet, rec.nodes
+        if rec.event == "rcv" and isinstance(pkt, ErrorPacket) and pkt.path[0] in nodes:
+            fresh.setdefault(pkt.path[0], {})[frozenset(pkt.path[-2:])] = set()
+        elif rec.event == "rcv" and isinstance(pkt, QryReplyAnt) and pkt.source in nodes:
+            for routes in fresh.get(pkt.source, {}).values():
+                routes.add((pkt.source,) + pkt.path_nodes)
+        elif rec.event == "snd" and isinstance(pkt, DataPacket) and nodes == (pkt.source,):
             for hop in zip(pkt.path, pkt.path[1:]):
-                routes = fresh.get(node, {}).get(frozenset(hop))
+                routes = fresh.get(pkt.source, {}).get(frozenset(hop))
                 assert routes is None or pkt.path in routes, line
 
 
@@ -246,7 +250,7 @@ def assert_replies_follow_own_requests(lines) -> None:
             continue
         rec = decode_trace_record(line)
         pkt = rec.packet
-        if rec.node != getattr(pkt, "source", None):
+        if getattr(pkt, "source", None) not in rec.nodes:
             continue
         if isinstance(pkt, QryRequestAnt) and rec.event == "snd":
             asked.add((pkt.source, pkt.destination))
@@ -355,6 +359,31 @@ def test_mobility_adjacency_and_ledgers(data):
     assert_discovery_state(sim)
     assert_mirrors_match_links(sim)
     assert_every_height_was_reported(sim, reported)
+    assert_one_line_per_receiver_folds_alike(lines)
+
+
+def one_line_per_receiver(lines) -> list[str]:
+    """``lines`` as a trace that gives each receiver its own ``rcv`` line:
+    each line naming several receivers becomes one line per receiver, in
+    the same place, and every event line is renumbered in order."""
+    out, seq = [], 0
+    for line in lines:
+        if not line or line.startswith("#"):
+            out.append(line)
+            continue
+        timestamp, _seq, event, nodes, body = line.split(" ", 4)
+        for node in nodes.split(","):
+            seq += 1
+            out.append(f"{timestamp} {seq:08d} {event} {node} {body}")
+    return out
+
+
+def assert_one_line_per_receiver_folds_alike(lines) -> None:
+    """The metrics fold reads a ``rcv`` line naming several receivers as it
+    reads one line per receiver."""
+    split = one_line_per_receiver(lines)
+    assert all("," not in line.split(" ", 4)[3] for line in split if line and line[0] != "#")
+    assert compute_metrics(split) == compute_metrics(lines)
 
 
 def golden_run(name):
@@ -369,6 +398,13 @@ def golden_run(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_every_sent_packet_has_a_fate_in_the_golden_runs(name):
     assert_every_sent_packet_has_a_fate(*golden_run(name))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_one_line_per_receiver_folds_alike_in_the_golden_runs(name):
+    lines, _, _ = golden_run(name)
+    assert len(one_line_per_receiver(lines)) > len(lines)
+    assert_one_line_per_receiver_folds_alike(lines)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))

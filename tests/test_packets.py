@@ -58,12 +58,47 @@ def test_encoding_is_deterministic():
 
 
 def test_every_type_round_trips():
-    for i, pkt in enumerate(_sample_packets()):
-        line = encode_trace(pkt, 2.5, seq=i, event="rcv", node=9)
-        rec = decode_trace_record(line)
-        assert rec.packet == pkt
-        assert rec.timestamp == 2.5
-        assert (rec.seq, rec.event, rec.node) == (i, "rcv", 9)
+    for nodes in ((9,), (1, 4, 9)):
+        for i, pkt in enumerate(_sample_packets()):
+            line = encode_trace(pkt, 2.5, seq=i, event="rcv", nodes=nodes)
+            rec = decode_trace_record(line)
+            assert rec.packet == pkt
+            assert rec.timestamp == 2.5
+            assert (rec.seq, rec.event, rec.nodes) == (i, "rcv", nodes)
+
+
+def test_a_reception_names_its_receivers_in_the_head():
+    hello = HelloAnt(3, 1.0, 50.0, 0.25, 512)
+    assert encode_trace(hello, 1.0, seq=2, event="rcv", nodes=(1, 4, 7)).split(" ", 4)[2:4] == ["rcv", "1,4,7"]
+    # one receiver writes a plain id, as a line with one node always did
+    assert encode_trace(hello, 1.0, seq=2, event="rcv", nodes=(4,)).split(" ", 4)[2:4] == ["rcv", "4"]
+
+
+# receiver lists a line may not carry, by the refusal's name: (event, nodes)
+REFUSED_NODES = {
+    "empty": ("rcv", ()),
+    "unsorted": ("rcv", (4, 1, 7)),
+    "repeated": ("rcv", (1, 4, 4)),
+    "list on snd": ("snd", (1, 4)),
+    "list on drp": ("drp", (1, 4)),
+}
+
+
+@pytest.mark.parametrize("event, nodes", REFUSED_NODES.values(), ids=list(REFUSED_NODES))
+def test_encoder_refuses_a_receiver_list(event, nodes):
+    with pytest.raises(ValueError):
+        encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0, event=event, nodes=nodes)
+
+
+@pytest.mark.parametrize("event, nodes", REFUSED_NODES.values(), ids=list(REFUSED_NODES))
+def test_decoder_refuses_a_receiver_list(event, nodes):
+    line = encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0, seq=1, event="rcv", nodes=(1, 4))
+    decode_trace_record(line)  # the body is memoized; the head is still checked
+    tokens = line.split(" ")
+    tokens[2:4] = [event, ",".join(map(str, nodes))]
+    with pytest.raises(TraceFieldError) as err:
+        decode_trace_record(" ".join(tokens))
+    assert err.value.field_name == "node"
 
 
 def test_six_digit_precision_distinguishes_packets():
@@ -102,7 +137,11 @@ def test_encoder_refuses_values_the_decoder_would_refuse(pkt):
         encode_trace(pkt, 1.0)
 
 
-@pytest.mark.parametrize("head", [{"seq": True, "node": True}, {"seq": True}, {"node": 2.0}, {"seq": 1.0}])
+@pytest.mark.parametrize(
+    "head",
+    [{"seq": True, "nodes": (True,)}, {"seq": True}, {"nodes": (2.0,)}, {"seq": 1.0}, {"nodes": 2},
+     {"nodes": (1, 2.0)}, {"nodes": [1]}],
+)
 def test_encoder_refuses_a_head_the_decoder_would_refuse(head):
     with pytest.raises(ValueError):
         encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0, **head)
@@ -205,17 +244,24 @@ _any_packet = st.one_of(
 )
 
 
-@given(packet=_any_packet, t=_q6, seq=_int_slot, node=_int_slot, event=st.sampled_from(TRACE_EVENTS))
-def test_encoder_writes_only_what_the_decoder_reads_back(packet, t, seq, node, event):
+# a head's nodes: one id nine times in ten, else a list of up to three ids in
+# any order, which only a rcv line may carry and only ascending
+_nodes = st.integers(0, 9).flatmap(
+    lambda k: st.tuples(_int_slot) if k else st.lists(_int_slot, max_size=3).map(tuple)
+)
+
+
+@given(packet=_any_packet, t=_q6, seq=_int_slot, nodes=_nodes, event=st.sampled_from(TRACE_EVENTS))
+def test_encoder_writes_only_what_the_decoder_reads_back(packet, t, seq, nodes, event):
     try:
-        line = encode_trace(packet, t, seq=seq, event=event, node=node)
+        line = encode_trace(packet, t, seq=seq, event=event, nodes=nodes)
     except ValueError:
         return
     rec = decode_trace_record(line)
-    assert rec == (t, seq, event, node, packet)
+    assert rec == (t, seq, event, nodes, packet)
     # == cannot tell True from 1 or 2.0 from 2; the spelling can
-    assert repr(rec) == repr(TraceRecord(t, seq, event, node, packet))
-    assert encode_trace(rec.packet, rec.timestamp, seq=rec.seq, event=rec.event, node=rec.node) == line
+    assert repr(rec) == repr(TraceRecord(t, seq, event, nodes, packet))
+    assert encode_trace(rec.packet, rec.timestamp, seq=rec.seq, event=rec.event, nodes=rec.nodes) == line
 
 
 def test_encode_memo_gives_each_packet_its_own_text():
@@ -278,7 +324,7 @@ def test_memos_stay_bounded_and_never_mix_up_packets(monkeypatch):
 )
 def test_a_repeated_body_still_checks_the_head(field_name, index, bad, monkeypatch):
     monkeypatch.setattr(packets, "_decoded", {})
-    line = encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0, seq=1, node=9)
+    line = encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0, seq=1, nodes=(9,))
     decode_trace_record(line)
     for i, other in enumerate(_sample_packets()):  # the body is memoized lines ago
         decode_trace_record(encode_trace(other, 2.0, seq=2 + i))
@@ -295,7 +341,7 @@ def test_a_repeated_body_still_checks_the_head(field_name, index, bad, monkeypat
     [({0: "x", 3: "y"}, "timestamp"), ({1: "1.5", 2: "bogus"}, "seq"), ({2: "bogus", 3: "y"}, None)],
 )
 def test_a_bad_head_is_refused_at_its_first_bad_field(bad, field_name):
-    tokens = encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0, seq=1, node=9).split(" ")
+    tokens = encode_trace(HelloAnt(3, 1.0, 50.0, 0.25, 512), 1.0, seq=1, nodes=(9,)).split(" ")
     for index, token in bad.items():
         tokens[index] = token
     with pytest.raises(TraceDecodeError) as err:
@@ -306,8 +352,8 @@ def test_a_bad_head_is_refused_at_its_first_bad_field(bad, field_name):
 
 def test_records_that_share_a_body_keep_their_own_head():
     data = DataPacket(0, 7, 12, 1000, (0, 2, 5, 7))
-    heads = [(1.5, 4, "snd", 0), (1.5, 5, "rcv", 2), (1.75, 6, "drp", 2)]
-    lines = [encode_trace(data, t, seq=seq, event=event, node=node) for t, seq, event, node in heads]
+    heads = [(1.5, 4, "snd", (0,)), (1.5, 5, "rcv", (2,)), (1.75, 6, "drp", (2,)), (1.75, 7, "rcv", (3, 5))]
+    lines = [encode_trace(data, t, seq=seq, event=event, nodes=nodes) for t, seq, event, nodes in heads]
     assert len({line.split(" ", 4)[4] for line in lines}) == 1
     records = [decode_trace_record(line) for line in lines]
     assert [tuple(rec[:4]) for rec in records] == heads
