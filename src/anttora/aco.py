@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 NORMAL_FLOOR = 1e-6
 DRAIN_FLOOR = 1e-12  # keeps reciprocal drain finite before any energy is spent
@@ -24,35 +24,45 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PathMetrics:
-    """Aggregated QoS quantities of one path between distinct endpoints.
-
-    delay sums link transmission+propagation and node processing delays;
-    bandwidth is the minimum over links; energy the minimum residual over
-    nodes; drain_rate the maximum dissipation rate over nodes; hop_count
-    counts the nodes in the path, endpoints included.
-    """
-
+class _PathMetricsFields(NamedTuple):
     delay: float
     bandwidth: float
     energy: float
     drain_rate: float
     hop_count: int
 
-    def __post_init__(self) -> None:
-        for name in ("delay", "bandwidth", "energy", "drain_rate"):
-            _require_finite(name, getattr(self, name))
-        if self.delay <= 0:
-            raise ValueError(f"delay must be positive, got {self.delay}")
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
-        if self.energy < 0:
-            raise ValueError(f"energy must be nonnegative, got {self.energy}")
-        if self.drain_rate < 0:
-            raise ValueError(f"drain_rate must be nonnegative, got {self.drain_rate}")
-        if self.hop_count < 2:
-            raise ValueError(f"a path joins at least 2 nodes, got {self.hop_count}")
+
+class PathMetrics(_PathMetricsFields):
+    """Aggregated QoS quantities of one path between distinct endpoints.
+
+    delay sums link transmission+propagation and node processing delays;
+    bandwidth is the minimum over links; energy the minimum residual over
+    nodes; drain_rate the maximum dissipation rate over nodes; hop_count
+    counts the nodes in the path, endpoints included. A tuple, checked when
+    built.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, delay: float, bandwidth: float, energy: float, drain_rate: float, hop_count: int
+    ) -> "PathMetrics":
+        finite = math.isfinite
+        if not (finite(delay) and finite(bandwidth) and finite(energy) and finite(drain_rate)):
+            values = (delay, bandwidth, energy, drain_rate)
+            for name, value in zip(("delay", "bandwidth", "energy", "drain_rate"), values):
+                _require_finite(name, value)
+        if delay <= 0:
+            raise ValueError(f"delay must be positive, got {delay}")
+        if bandwidth <= 0:
+            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        if energy < 0:
+            raise ValueError(f"energy must be nonnegative, got {energy}")
+        if drain_rate < 0:
+            raise ValueError(f"drain_rate must be nonnegative, got {drain_rate}")
+        if hop_count < 2:
+            raise ValueError(f"a path joins at least 2 nodes, got {hop_count}")
+        return tuple.__new__(cls, (delay, bandwidth, energy, drain_rate, hop_count))
 
 
 @dataclass(frozen=True)
@@ -153,15 +163,21 @@ def deposit_ratio(
 
 
 def pheromone_deposit(m: PathMetrics, w: DepositWeights, bounds: NormalizationBounds) -> float:
-    """Pheromone quantity earned by a discovered path of quality ``m``."""
-    return deposit_ratio(
-        normalize(m.bandwidth, *bounds.bandwidth),
-        normalize(m.energy, *bounds.energy),
-        normalize(m.delay, *bounds.delay),
-        normalize(float(m.hop_count), *bounds.hop_count),
-        normalize(m.drain_rate, *bounds.drain_rate),
-        w,
-    )
+    """Pheromone quantity earned by a discovered path of quality ``m``: each
+    metric scaled as ``normalize`` scales it, then ``deposit_ratio``."""
+    scaled = []
+    for value, (lo, hi) in (
+        (m.bandwidth, bounds.bandwidth),
+        (m.energy, bounds.energy),
+        (m.delay, bounds.delay),
+        (float(m.hop_count), bounds.hop_count),
+        (m.drain_rate, bounds.drain_rate),
+    ):
+        x = (value - lo) / (hi - lo)
+        # where normalize's max(0.0, x) gives 0.0 for a -0.0, this keeps the
+        # -0.0, and the sum with the floor comes out the same
+        scaled.append(NORMAL_FLOOR + (1.0 - NORMAL_FLOOR) * (0.0 if x < 0.0 else 1.0 if x > 1.0 else x))
+    return deposit_ratio(*scaled, w)
 
 
 def pheromone_update(tau: float, rho: float, delta_tau: float) -> float:

@@ -10,9 +10,10 @@ hello; ``link_up`` makes it and ``on_link_failure`` drops it. ``_insert``
 writes both route tables and ``_prune`` prunes both. A route lives one route
 TTL from its last use, and ``Route.live`` is the one expiry test every
 reader applies, so an expired route acts as if it were gone;
-``evaporation_tick`` prunes the expired routes, and nothing schedules an
-expiry. ``_best`` picks a route; its ``_best_first`` ranks each route by the
-current tau of its first hop and its own metrics. Baseline mode never ranks.
+``evaporation_tick`` has ``route_expiry`` drop the expired routes, and
+nothing schedules an expiry. ``_best`` picks a route; its ``_best_first``
+ranks each route by the current tau of its first hop and its own metrics.
+Baseline mode never ranks.
 
 A node is route-required toward a destination exactly while its record holds
 a request. It takes one up in one place, ``_await_route``, and drops it in
@@ -38,9 +39,8 @@ along the data packet's path.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .aco import (
     DepositWeights,
@@ -150,7 +150,7 @@ class NodeEnergy:
         self.window_spent = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Route:
     """A reply-borne source route: a candidate toward a destination via its
     first hop, or a QoS-admitted route in the cache."""
@@ -189,8 +189,7 @@ class Toward:
     queue: list[tuple[int, int]] = field(default_factory=list)  # [(seq, bits)]
 
 
-@dataclass(frozen=True)
-class Emission:
+class Emission(NamedTuple):
     """A packet to transmit; ``to`` is None for a broadcast."""
 
     packet: Packet
@@ -369,7 +368,7 @@ class NodeAgent:
             if not has_downstream(state):
                 if toward.request is not None:
                     return []
-                fwd = dataclasses.replace(req, visited=req.visited + (self.node,))
+                fwd = QryRequestAnt(req.request_start_time, req.source, dest, req.visited + (self.node,))
                 return self._await_route(toward, fwd, now)
             if state.own_height.is_null:
                 self._adopt_height(toward, now)
@@ -407,7 +406,7 @@ class NodeAgent:
                 )
 
         emissions: list[Emission] = []
-        if toward.request is not None and toward.tora.concrete_mirrors():
+        if toward.request is not None and any(not h.is_null for h in toward.tora.links.values()):
             self._adopt_height(toward, now)
             # the source consumes the reply without republishing it: its
             # reverse-path stack is empty, and advertising the source
@@ -537,10 +536,11 @@ class NodeAgent:
         return emissions
 
     def route_expiry(self, dest: int, now: float) -> None:
-        """Prune the expired routes toward ``dest`` from both tables."""
+        """Prune the expired routes toward ``dest`` from both tables: those
+        that ``Route.live`` calls expired, by its test written out."""
         toward = self.toward[dest]
-        self._prune(toward.cache, lambda r: not r.live(now))
-        self._prune(toward.candidates, lambda r: not r.live(now))
+        toward.cache = {path: r for path, r in toward.cache.items() if r.expires_at > now}
+        toward.candidates = {hop: r for hop, r in toward.candidates.items() if r.expires_at > now}
 
     # -- internals ------------------------------------------------------------
 

@@ -232,9 +232,10 @@ class Simulation:
         bits = self._bits_of(packet)
         # only per-link overrides give a receiver another arrival time
         arrival = now + bits / links.capacity + links.propagation + links.processing
+        up = self.adj[frm]
         batches: dict[float, list[int]] = {}
         for to in receivers:
-            if not self._link_up(frm, to):
+            if to not in up:
                 self._drop("drop_link_down_at_send", to, packet, now)
                 continue
             if links.overrides:
@@ -264,11 +265,12 @@ class Simulation:
         now = self.now
         self.current_failure = cause
         cost = self.scenario.beta_rx * self._bits_of(packet)
+        up, agents = self.adj[frm], self.agents
         got = []
         for to in receivers:
-            if not self._link_up(frm, to):
+            if to not in up:
                 self._drop("drop_cancelled_in_flight", to, packet, now)
-            elif not self.agents[to].energy.debit(cost):
+            elif not agents[to].energy.debit(cost):
                 self._drop("drop_rx_energy", to, packet, now)
             else:
                 got.append(to)
@@ -281,8 +283,9 @@ class Simulation:
         handler = PACKET_KINDS[type(packet)].handler
         for to in got:
             # looked up on the agent at call time, so a patched handler is seen
-            out = getattr(self.agents[to], handler)(packet, frm, now)
-            self.process_emissions(to, out, now)
+            out = getattr(agents[to], handler)(packet, frm, now)
+            if out:
+                self.process_emissions(to, out, now)
 
     def _on_hello_timer(self) -> None:
         now = self.now

@@ -8,18 +8,23 @@ route opinion yet; NULL orders above every concrete height so an
 undiscovered node never attracts traffic.
 
 Everything here is pure state algebra: one total order on heights
-(``Height.__lt__``), the reaction a node runs when it loses its last
-downstream link, which returns the node's next height or None on a
-partition, and what a clear packet asks of a node. It decides; only the
-agent changes a height, through ``NodeToraState.set_own_height``.
+(``Height``'s own ``<``, ``>``, ``<=`` and ``>=``), the reaction a node runs
+when it loses its last downstream link, which returns the node's next height
+or None on a partition, and what a clear packet asks of a node. It decides;
+only the agent changes a height, through ``NodeToraState.set_own_height``.
 No I/O, no clocks, no RNG.
+
+A ``Height`` is a tuple: its constructor checks it, its equality and hash
+are the tuple's, and its order is TORA's, not the tuple's. On two concrete
+heights the two agree, so the order compares the tuples themselves; it
+differs only where a NULL height is involved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from typing import NamedTuple
 
 
 class Trigger(Enum):
@@ -30,8 +35,20 @@ class Trigger(Enum):
     UPD_REVERSAL = "upd_reversal"
 
 
-@dataclass(frozen=True)
-class Height:
+class _HeightFields(NamedTuple):
+    tau: float | None
+    oid: int | None
+    r: int | None
+    delta: int | None
+    node: int
+
+
+# the tuple's own constructor and order, which skip Height's
+_tuple_new = tuple.__new__
+_tuple_lt = tuple.__lt__
+
+
+class Height(_HeightFields):
     """Ordering tag of one node relative to one destination.
 
     Either all of (tau, oid, r, delta) are None (a NULL height) or none are.
@@ -39,18 +56,18 @@ class Height:
     nodes within a level. ``node`` is always the owning node's id.
     """
 
-    tau: float | None
-    oid: int | None
-    r: int | None
-    delta: int | None
-    node: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        missing = sum(p is None for p in (self.tau, self.oid, self.r, self.delta))
+    def __new__(
+        cls, tau: float | None, oid: int | None, r: int | None, delta: int | None, node: int
+    ) -> "Height":
+        self = _tuple_new(cls, (tau, oid, r, delta, node))
+        missing = (tau is None) + (oid is None) + (r is None) + (delta is None)
         if missing not in (0, 4):
             raise ValueError(f"height must be fully NULL or fully set: {self!r}")
-        if self.r is not None and self.r not in (0, 1):
-            raise ValueError(f"reflection bit must be 0 or 1, got {self.r!r}")
+        if r is not None and r not in (0, 1):
+            raise ValueError(f"reflection bit must be 0 or 1, got {r!r}")
+        return self
 
     @classmethod
     def null(cls, node: int) -> "Height":
@@ -71,20 +88,22 @@ class Height:
             return None
         return (self.tau, self.oid, self.r)
 
-    @cached_property
-    def sort_key(self) -> tuple:
-        # NULL sorts strictly above every concrete height; all NULLs tie. Built
-        # on the first compare and kept in the instance dict, which the frozen
-        # dataclass's equality and hash never read
-        if self.is_null:
-            return (1, 0.0, 0, 0, 0, 0)
-        return (0, self.tau, self.oid, self.r, self.delta, self.node)
-
     def __lt__(self, other: "Height") -> bool:
         """The total order: concrete heights compare on (tau, oid, r, delta,
         node); a NULL height is above every concrete one and all NULL
         heights tie regardless of owner."""
-        return self.sort_key < other.sort_key
+        if self.tau is None:
+            return False
+        return other.tau is None or _tuple_lt(self, other)
+
+    def __gt__(self, other: "Height") -> bool:
+        return other < self
+
+    def __le__(self, other: "Height") -> bool:
+        return not other < self
+
+    def __ge__(self, other: "Height") -> bool:
+        return not self < other
 
 
 @dataclass
@@ -133,7 +152,10 @@ def has_downstream(state: NodeToraState) -> bool:
     """True iff some concrete-height neighbor sits strictly below the node
     (a NULL mirror is never below anything)."""
     own = state.own_height
-    return any(h < own for h in state.links.values())
+    if own.tau is None:  # every concrete mirror is below a NULL height
+        return any(h.tau is not None for h in state.links.values())
+    # two concrete heights order as their tuples do
+    return any(h.tau is not None and _tuple_lt(h, own) for h in state.links.values())
 
 
 def new_height_on_reply(neighbor_heights: set[Height] | list[Height], own_id: int) -> Height:

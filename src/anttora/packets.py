@@ -8,6 +8,10 @@ packet event in a run serializes to exactly one line of fixed-order
 identical runs produce byte-identical traces and the golden-file
 regression is exact.
 
+Every packet is a tuple with named fields whose constructor runs the
+packet's checks, and nothing changes it once built. Build one only through
+that constructor: a NamedTuple's ``_replace`` and ``_make`` skip it.
+
 Trace line layout::
 
     <timestamp> <seq> <event> <nodes> <type> <field>=<value> ...
@@ -32,6 +36,13 @@ its text, and the decoder maps a body's text to its packet. A call that
 raises leaves its memo as it was, so a hit returns exactly what a strict
 decode of the same text returned.
 
+``FIELD_CODECS`` lists each packet type's fields in line order with their
+format and parse functions, and both directions read it. From it each type
+also gets a ``%`` template and a compiled pattern of its canonical body,
+which write and read a body in one step; they take only what the
+field-by-field codec would write or read the same way, and leave the rest to
+it, which then writes it, reads it, or raises the error naming the field.
+
 ``decode_trace_record`` is the one parser of event lines: the metrics fold
 reads the records it returns. It refuses a head the encoder would refuse to
 write, so a timestamp must be a finite, nonnegative decimal.
@@ -40,12 +51,18 @@ write, so a timestamp must be a finite, nonnegative decimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple, Union
+import re
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Union, get_type_hints
 
 from .heights import Height
 
 TRACE_EVENTS = ("snd", "rcv", "drp")
+
+# builds a tuple subclass from a tuple of its fields without the class's own
+# __new__: each packet's __new__ calls it once its checks pass, and the
+# decoder builds every TraceRecord with it
+_tuple_new = tuple.__new__
 
 
 class TraceDecodeError(ValueError):
@@ -64,49 +81,52 @@ class TraceFieldError(TraceDecodeError):
         self.field_name = field_name
 
 
-@dataclass(frozen=True)
-class HelloAnt:
-    """Per-second beacon carrying the sender's energy budget."""
-
+class _HelloFields(NamedTuple):
     sender: int
     send_time: float
     residual_energy: float
     drain_rate: float
     size_bits: int
 
-    def __post_init__(self) -> None:
-        if self.size_bits <= 0:
+
+class HelloAnt(_HelloFields):
+    """Per-second beacon carrying the sender's energy budget."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, sender: int, send_time: float, residual_energy: float, drain_rate: float, size_bits: int
+    ) -> "HelloAnt":
+        if size_bits <= 0:
             raise ValueError("hello size_bits must be positive")
-        if self.send_time < 0:
+        if send_time < 0:
             raise ValueError("hello send_time must be nonnegative")
+        return _tuple_new(cls, (sender, send_time, residual_energy, drain_rate, size_bits))
 
 
-@dataclass(frozen=True)
-class QryRequestAnt:
-    """Flooded discovery request, accumulating the nodes it visited."""
-
+class _QryRequestFields(NamedTuple):
     request_start_time: float
     source: int
     destination: int
     visited: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.visited or self.visited[0] != self.source:
+
+class QryRequestAnt(_QryRequestFields):
+    """Flooded discovery request, accumulating the nodes it visited."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, request_start_time: float, source: int, destination: int, visited: tuple[int, ...]
+    ) -> "QryRequestAnt":
+        if not visited or visited[0] != source:
             raise ValueError("visited stack must begin with the source")
-        if len(set(self.visited)) != len(self.visited):
+        if len(set(visited)) != len(visited):
             raise ValueError("visited stack must not repeat a node")
+        return _tuple_new(cls, (request_start_time, source, destination, visited))
 
 
-@dataclass(frozen=True)
-class QryReplyAnt:
-    """Reply broadcast back toward the source, growing path metrics.
-
-    ``path_nodes`` is the route from the reporting node to the destination,
-    inclusive; each relay prepends itself, so the source can reconstruct
-    the full path it is admitting. ``reporter_height`` lets receivers mirror
-    the reporter's position in the DAG.
-    """
-
+class _QryReplyFields(NamedTuple):
     hop_count: int
     delay: float
     energy: float
@@ -117,68 +137,106 @@ class QryReplyAnt:
     path_nodes: tuple[int, ...]
     reporter_height: Height
 
-    def __post_init__(self) -> None:
-        if self.hop_count < 1:
+
+class QryReplyAnt(_QryReplyFields):
+    """Reply broadcast back toward the source, growing path metrics.
+
+    ``path_nodes`` is the route from the reporting node to the destination,
+    inclusive; each relay prepends itself, so the source can reconstruct
+    the full path it is admitting. ``reporter_height`` lets receivers mirror
+    the reporter's position in the DAG.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        hop_count: int,
+        delay: float,
+        energy: float,
+        drain_rate: float,
+        bandwidth: float,
+        source: int,
+        destination: int,
+        path_nodes: tuple[int, ...],
+        reporter_height: Height,
+    ) -> "QryReplyAnt":
+        if hop_count < 1:
             raise ValueError("reply hop_count counts at least the reporter")
-        if self.delay < 0 or self.energy < 0 or self.drain_rate < 0:
+        if delay < 0 or energy < 0 or drain_rate < 0:
             raise ValueError("reply metric fields must be nonnegative")
-        if self.bandwidth <= 0:
+        if bandwidth <= 0:
             raise ValueError("reply bandwidth must be positive")
-        if not self.path_nodes:
+        if not path_nodes:
             raise ValueError("reply must name the route it reports")
-        if len(set(self.path_nodes)) != len(self.path_nodes):
+        if len(set(path_nodes)) != len(path_nodes):
             raise ValueError("reported route must be loop-free")
+        metrics = (hop_count, delay, energy, drain_rate, bandwidth)
+        return _tuple_new(cls, (*metrics, source, destination, path_nodes, reporter_height))
 
 
-@dataclass(frozen=True)
-class UpdPacket:
+class UpdPacket(NamedTuple):
     """Height announcement broadcast during route maintenance."""
 
     destination: int
     height: Height
 
 
-@dataclass(frozen=True)
-class ErrorPacket:
+class _ErrorFields(NamedTuple):
+    path: tuple[int, ...]
+
+
+class ErrorPacket(_ErrorFields):
     """Route error sent back hop by hop along a data packet's ``path``, cut
     after the dead link it names: the last two nodes."""
 
-    path: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.path) < 2 or len(set(self.path)) != len(self.path):
+    def __new__(cls, path: tuple[int, ...]) -> "ErrorPacket":
+        if len(path) < 2 or len(set(path)) != len(path):
             raise ValueError("error path must name a link and be loop-free")
+        return _tuple_new(cls, (path,))
 
 
-@dataclass(frozen=True)
-class ClrPacket:
-    """Route-erasure flood carrying the reflected reference level."""
-
+class _ClrFields(NamedTuple):
     destination: int
     reference_level: tuple[float, int, int]
 
-    def __post_init__(self) -> None:
-        if self.reference_level[2] != 1:
+
+class ClrPacket(_ClrFields):
+    """Route-erasure flood carrying the reflected reference level."""
+
+    __slots__ = ()
+
+    def __new__(cls, destination: int, reference_level: tuple[float, int, int]) -> "ClrPacket":
+        if reference_level[2] != 1:
             raise ValueError("clear packets carry a reflected (r=1) level")
+        return _tuple_new(cls, (destination, reference_level))
 
 
-@dataclass(frozen=True)
-class DataPacket:
-    """Payload following a cached source route hop by hop."""
-
+class _DataFields(NamedTuple):
     source: int
     destination: int
     seq: int
     size_bits: int
     path: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.size_bits <= 0:
+
+class DataPacket(_DataFields):
+    """Payload following a cached source route hop by hop."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, source: int, destination: int, seq: int, size_bits: int, path: tuple[int, ...]
+    ) -> "DataPacket":
+        if size_bits <= 0:
             raise ValueError("data size_bits must be positive")
-        if len(self.path) < 2 or self.path[0] != self.source or self.path[-1] != self.destination:
+        if len(path) < 2 or path[0] != source or path[-1] != destination:
             raise ValueError("data path must run source to destination")
-        if len(set(self.path)) != len(self.path):
+        if len(set(path)) != len(path):
             raise ValueError("data path must be loop-free")
+        return _tuple_new(cls, (source, destination, seq, size_bits, path))
 
 
 Packet = Union[HelloAnt, QryRequestAnt, QryReplyAnt, UpdPacket, ErrorPacket, ClrPacket, DataPacket]
@@ -292,21 +350,124 @@ def _parse_level(name: str, raw: str) -> tuple[float, int, int]:
     return (_parse_float(name, parts[0]), _parse_int(name, parts[1]), _parse_int(name, parts[2]))
 
 
-# (format, parse) by field annotation; a packet field of any other type
-# fails the import that builds FIELD_CODECS
+# (format, parse) by field type; a packet field of any other type fails the
+# import that builds FIELD_CODECS
 _CODEC_OF_TYPE = {
-    "int": (_fmt_int, _parse_int),
-    "float": (_fmt_float, _parse_float),
-    "tuple[int, ...]": (_fmt_ids, _parse_ids),
-    "tuple[float, int, int]": (_fmt_level, _parse_level),
-    "Height": (_fmt_height, _parse_height),
+    int: (_fmt_int, _parse_int),
+    float: (_fmt_float, _parse_float),
+    tuple[int, ...]: (_fmt_ids, _parse_ids),
+    tuple[float, int, int]: (_fmt_level, _parse_level),
+    Height: (_fmt_height, _parse_height),
 }
+
+
+def _field_codecs(cls: type) -> tuple[tuple[str, Callable, Callable], ...]:
+    # the types are evaluated, not read as the annotation strings a NamedTuple
+    # keeps, whose form differs between Python versions
+    hints = get_type_hints(cls)
+    return tuple((name, *_CODEC_OF_TYPE[hints[name]]) for name in cls._fields)
+
 
 # per packet class, its fields in line order as (name, format, parse);
 # encode and decode both read this table
 FIELD_CODECS: dict[type, tuple[tuple[str, Callable, Callable], ...]] = {
-    cls: tuple((f.name, *_CODEC_OF_TYPE[f.type]) for f in fields(cls)) for cls in PACKET_KINDS
+    cls: _field_codecs(cls) for cls in PACKET_KINDS
 }
+
+
+# The one-step codec, whose template and reader the module docstring
+# describes, and what it needs of each field format.
+
+_INT_ONLY = {int}
+_CONCRETE_HEIGHT = (float, int, int, int, int)
+_LEVEL = (float, int, int)
+
+
+def _ids_text(ids: tuple) -> str | None:
+    if {*map(type, ids)} <= _INT_ONLY:
+        return ",".join(map(str, ids)) if ids else "-"
+    return None
+
+
+def _level_text(level: tuple) -> str | None:
+    if tuple(map(type, level)) == _LEVEL and math.isfinite(level[0]):
+        return "%.6f:%d:%d" % level
+    return None
+
+
+def _height_text(h: Height) -> str | None:
+    if h.tau is None:
+        return "null:%d" % h.node if type(h.node) is int else None
+    if tuple(map(type, h)) == _CONCRETE_HEIGHT and math.isfinite(h.tau):
+        return "%.6f:%d:%d:%d:%d" % h
+    return None
+
+
+def _read_ids(raw: str) -> tuple[int, ...]:
+    return () if raw == "-" else tuple(map(int, raw.split(",")))
+
+
+def _read_level(raw: str) -> tuple[float, int, int]:
+    tau, oid, r = raw.split(":")
+    return (float(tau), int(oid), int(r))
+
+
+def _read_height(raw: str) -> Height:
+    if raw[0] == "n":
+        return Height.null(int(raw[5:]))
+    tau, oid, r, delta, node = raw.split(":")
+    return Height(float(tau), int(oid), int(r), int(delta), int(node))
+
+
+class _OneStep(NamedTuple):
+    """How the one-step codec writes and reads a field of one format."""
+
+    type: type  # of the values it writes
+    placeholder: str
+    # a value's text, or None to step aside; no function where the
+    # placeholder formats the value itself
+    text: Callable | None
+    pattern: str  # of the text it reads
+    read: Callable  # converts that text
+
+
+_INT_TEXT = r"-?[0-9]+"
+_FLOAT_TEXT = r"-?[0-9]{1,308}\.[0-9]+"  # at most 308 digits before the point, so finite
+_ONE_STEP = {
+    _fmt_int: _OneStep(int, "%d", None, _INT_TEXT, int),
+    _fmt_float: _OneStep(float, "%.6f", None, _FLOAT_TEXT, float),
+    _fmt_ids: _OneStep(tuple, "%s", _ids_text, rf"-|{_INT_TEXT}(?:,{_INT_TEXT})*", _read_ids),
+    _fmt_level: _OneStep(tuple, "%s", _level_text, rf"{_FLOAT_TEXT}(?::{_INT_TEXT}){{2}}", _read_level),
+    _fmt_height: _OneStep(
+        Height, "%s", _height_text, rf"null:{_INT_TEXT}|{_FLOAT_TEXT}(?::{_INT_TEXT}){{4}}", _read_height
+    ),
+}
+
+
+def _template(cls: type) -> tuple[str, tuple[type, ...], tuple[int, ...], tuple[tuple[int, Callable], ...]]:
+    """The body template of ``cls``, a placeholder for each value, and what
+    it asks of a packet: the type of each value, the positions of the
+    decimals, and the position and text function of each value that the
+    placeholder cannot format."""
+    steps = [(i, name, _ONE_STEP[fmt]) for i, (name, fmt, _) in enumerate(FIELD_CODECS[cls])]
+    return (
+        " ".join([PACKET_KINDS[cls].token] + [f"{name}={step.placeholder}" for _, name, step in steps]),
+        tuple(step.type for _, _, step in steps),
+        tuple(i for i, _, step in steps if step.type is float),
+        tuple((i, step.text) for i, _, step in steps if step.text is not None),
+    )
+
+
+def _reader(cls: type) -> tuple[type, re.Pattern, tuple[Callable, ...]]:
+    """``cls``, the pattern of its canonical fields after the type token,
+    one group per field, and the function converting each group."""
+    steps = [(name, _ONE_STEP[fmt]) for name, fmt, _ in FIELD_CODECS[cls]]
+    pattern = " ".join(f"{name}=({step.pattern})" for name, step in steps)
+    return cls, re.compile(pattern), tuple(step.read for _, step in steps)
+
+
+_TEMPLATES = {cls: _template(cls) for cls in PACKET_KINDS}
+_READERS = {kind.token: _reader(cls) for cls, kind in PACKET_KINDS.items()}
 
 
 class TraceRecord(NamedTuple):
@@ -335,11 +496,6 @@ def _nodes_fault(event: str, nodes: tuple[int, ...]) -> str | None:
     return None
 
 
-# builds a TraceRecord from a tuple of its fields without the NamedTuple's
-# Python-level __new__, which the decoder would otherwise call on every line
-_new_record = tuple.__new__
-
-
 # the most entries a body memo holds; a full memo is emptied before its next
 # entry goes in, and the size is read at each call
 MEMO_SIZE = 256
@@ -360,6 +516,33 @@ def remember(memo: dict, key, value) -> None:
 
 def _encode_body(packet: Packet) -> str:
     """Format a packet as a line's body, ``<type> <field>=<value> ...``."""
+    body = _write_body(packet)
+    return _encode_fields(packet) if body is None else body
+
+
+def _write_body(packet: Packet) -> str | None:
+    """The body its class's template writes, or None where it steps aside."""
+    template = _TEMPLATES.get(type(packet))
+    if template is None:
+        return None
+    text, types, decimals, texts = template
+    # a sum of finite decimals is finite unless it overflows, which steps aside too
+    if tuple(map(type, packet)) != types or not math.isfinite(sum(map(packet.__getitem__, decimals))):
+        return None
+    try:
+        if not texts:
+            return text % packet
+        values = list(packet)
+        for i, value_text in texts:
+            values[i] = value_text(values[i])
+        return None if None in values else text % tuple(values)
+    except ValueError:  # an int too long to write, which the field-by-field codec reports
+        return None
+
+
+def _encode_fields(packet: Packet) -> str:
+    """Format a packet as a line's body field by field, raising on the first
+    field it cannot write."""
     kind = PACKET_KINDS.get(type(packet))
     if kind is None:
         raise ValueError(f"not a protocol packet: {type(packet).__name__}")
@@ -375,13 +558,20 @@ def encode_trace(
         raise ValueError(f"timestamp must be finite and nonnegative, got {timestamp!r}")
     if event not in TRACE_EVENTS:
         raise ValueError(f"event must be one of {TRACE_EVENTS}, got {event!r}")
-    _fmt_int("seq", seq)  # refuses a bool or a float, as for each node id
+    if type(seq) is not int:
+        _fmt_int("seq", seq)  # refuses a bool or a float, as for each node id
     if type(nodes) is not tuple:
         raise ValueError(f"nodes must be a tuple of node ids, got {nodes!r}")
-    nodes_text = ",".join([_fmt_int("node", node) for node in nodes])
-    fault = _nodes_fault(event, nodes)
-    if fault is not None:
-        raise ValueError(f"cannot encode nodes {nodes!r}: {fault}")
+    if len(nodes) == 1 and type(nodes[0]) is int:
+        nodes_text = str(nodes[0])
+    else:
+        if {*map(type, nodes)} <= _INT_ONLY:
+            nodes_text = ",".join(map(str, nodes))
+        else:  # raises for the first id that is not an int
+            nodes_text = ",".join([_fmt_int("node", node) for node in nodes])
+        fault = _nodes_fault(event, nodes)
+        if fault is not None:
+            raise ValueError(f"cannot encode nodes {nodes!r}: {fault}")
     hit = _encoded.get(id(packet))  # a live entry holds its packet, so a hit is this object
     if hit is None:
         body = _encode_body(packet)
@@ -392,7 +582,25 @@ def encode_trace(
 
 
 def _decode_body(rest: str) -> Packet:
-    """Strictly parse a line's body, ``<type> <field>=<value> ...``."""
+    """Parse a line's body, ``<type> <field>=<value> ...``: in one step by
+    its class's reader when the body is canonical, else strictly, field by
+    field."""
+    token, _, fields_text = rest.partition(" ")
+    reader = _READERS.get(token)
+    if reader is not None:
+        cls, pattern, reads = reader
+        match = pattern.fullmatch(fields_text)
+        if match is not None:
+            try:
+                return cls(*[read(raw) for read, raw in zip(reads, match.groups())])
+            except ValueError:
+                pass  # the strict parse raises the error that names the field
+    return _decode_fields(rest)
+
+
+def _decode_fields(rest: str) -> Packet:
+    """Strictly parse a line's body field by field, raising on its first bad
+    field."""
     tokens = rest.split(" ")
     type_token = tokens[0]
     cls = PACKET_OF_TOKEN.get(type_token)
@@ -438,7 +646,7 @@ def decode_trace_record(line: str) -> TraceRecord:
     if packet is None:  # the key keeps a line's newline; the parse never sees it
         packet = _decode_body(rest.rstrip("\n"))
         remember(_decoded, rest, packet)
-    return _new_record(TraceRecord, (timestamp, seq, event, nodes, packet))
+    return _tuple_new(TraceRecord, (timestamp, seq, event, nodes, packet))
 
 
 def _decode_head(ts_raw: str, seq_raw: str, event: str, nodes_raw: str) -> tuple[float, int, tuple[int, ...]]:

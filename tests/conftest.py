@@ -1,6 +1,7 @@
 """Shared scenario builders for engine, harness, and acceptance tests, the
-batch metric oracle for the aco and agent tests, and the link-direction and
-maintenance oracles for the height, agent and acceptance tests."""
+batch metric oracle for the aco and agent tests, the link-direction and
+maintenance oracles for the height, agent and acceptance tests, and the
+field-by-field trace body codec, the oracle for the packet codec tests."""
 
 from __future__ import annotations
 
@@ -10,7 +11,20 @@ from typing import Sequence
 
 from anttora.aco import PathMetrics
 from anttora.heights import Height, Trigger
-from anttora.packets import HelloAnt, TraceRecord, UpdPacket, decode_trace_record
+from anttora.packets import (
+    ClrPacket,
+    DataPacket,
+    ErrorPacket,
+    HelloAnt,
+    QryReplyAnt,
+    QryRequestAnt,
+    TraceDecodeError,
+    TraceFieldError,
+    TraceRecord,
+    UnknownPacketTypeError,
+    UpdPacket,
+    decode_trace_record,
+)
 from anttora.scenario import Scenario, parse_scenario
 
 # event lines with one malformed field: (packet, its field token, the
@@ -26,6 +40,154 @@ MALFORMED_EVENT_FIELDS = {
         HelloAnt(3, 1.0, 50.0, 0.25, 512), "0000000001.000000 ", "-000000001.000000 ", "timestamp"
     ),
 }
+
+
+# The trace body codec written out field by field, as each packet type's type
+# token and its fields in line order, each as (name, value kind). Bodies that
+# the packet codec writes and reads must come out as these functions write and
+# read them, and bodies these refuse must be refused with the same error.
+REFERENCE_FIELDS = {
+    HelloAnt: ("hello", (
+        ("sender", "int"), ("send_time", "float"), ("residual_energy", "float"), ("drain_rate", "float"),
+        ("size_bits", "int"),
+    )),
+    QryRequestAnt: ("qreq", (
+        ("request_start_time", "float"), ("source", "int"), ("destination", "int"), ("visited", "ids"),
+    )),
+    QryReplyAnt: ("qrep", (
+        ("hop_count", "int"), ("delay", "float"), ("energy", "float"), ("drain_rate", "float"),
+        ("bandwidth", "float"), ("source", "int"), ("destination", "int"), ("path_nodes", "ids"),
+        ("reporter_height", "height"),
+    )),
+    UpdPacket: ("upd", (("destination", "int"), ("height", "height"))),
+    ErrorPacket: ("err", (("path", "ids"),)),
+    ClrPacket: ("clr", (("destination", "int"), ("reference_level", "level"))),
+    DataPacket: ("data", (
+        ("source", "int"), ("destination", "int"), ("seq", "int"), ("size_bits", "int"), ("path", "ids"),
+    )),
+}
+
+
+def _ref_fmt_int(name: str, value) -> str:
+    if type(value) is not int:
+        raise ValueError(f"cannot encode field {name}={value!r}: expected an int")
+    return str(value)
+
+
+def _ref_fmt_float(name: str, value) -> str:
+    if isinstance(value, bool) or not math.isfinite(value):
+        raise ValueError(f"cannot encode field {name}={value!r}: expected a finite number")
+    return f"{value:.6f}"
+
+
+def _ref_fmt_ids(name: str, ids) -> str:
+    return ",".join(_ref_fmt_int(name, i) for i in ids) if ids else "-"
+
+
+def _ref_fmt_height(name: str, h: Height) -> str:
+    if h.is_null:
+        return f"null:{_ref_fmt_int('node', h.node)}"
+    return (
+        f"{_ref_fmt_float('tau', h.tau)}:{_ref_fmt_int('oid', h.oid)}:{_ref_fmt_int('r', h.r)}"
+        f":{_ref_fmt_int('delta', h.delta)}:{_ref_fmt_int('node', h.node)}"
+    )
+
+
+def _ref_fmt_level(name: str, level) -> str:
+    return f"{_ref_fmt_float('tau', level[0])}:{_ref_fmt_int('oid', level[1])}:{_ref_fmt_int('r', level[2])}"
+
+
+def _ref_parse_int(name: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise TraceFieldError(name, f"expected integer, got {raw!r}") from None
+
+
+def _ref_parse_float(name: str, raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise TraceFieldError(name, f"expected decimal, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise TraceFieldError(name, f"expected finite decimal, got {raw!r}")
+    return value
+
+
+def _ref_parse_ids(name: str, raw: str) -> tuple[int, ...]:
+    if raw == "-":
+        return ()
+    return tuple(_ref_parse_int(name, part) for part in raw.split(","))
+
+
+def _ref_parse_height(name: str, raw: str) -> Height:
+    parts = raw.split(":")
+    if len(parts) == 2 and parts[0] == "null":
+        return Height.null(_ref_parse_int(name, parts[1]))
+    if len(parts) != 5:
+        raise TraceFieldError(name, f"expected 5-part height, got {raw!r}")
+    values = (
+        _ref_parse_float(name, parts[0]),
+        _ref_parse_int(name, parts[1]),
+        _ref_parse_int(name, parts[2]),
+        _ref_parse_int(name, parts[3]),
+        _ref_parse_int(name, parts[4]),
+    )
+    try:
+        return Height(*values)
+    except ValueError as exc:
+        raise TraceFieldError(name, f"{exc} in {raw!r}") from None
+
+
+def _ref_parse_level(name: str, raw: str) -> tuple[float, int, int]:
+    parts = raw.split(":")
+    if len(parts) != 3:
+        raise TraceFieldError(name, f"expected 3-part level, got {raw!r}")
+    return (_ref_parse_float(name, parts[0]), _ref_parse_int(name, parts[1]), _ref_parse_int(name, parts[2]))
+
+
+# (format, parse) by value kind
+REFERENCE_CODECS = {
+    "int": (_ref_fmt_int, _ref_parse_int),
+    "float": (_ref_fmt_float, _ref_parse_float),
+    "ids": (_ref_fmt_ids, _ref_parse_ids),
+    "height": (_ref_fmt_height, _ref_parse_height),
+    "level": (_ref_fmt_level, _ref_parse_level),
+}
+
+
+def reference_encode_body(packet) -> str:
+    """A packet as a line's body, ``<type> <field>=<value> ...``, formatted
+    field by field."""
+    if type(packet) not in REFERENCE_FIELDS:
+        raise ValueError(f"not a protocol packet: {type(packet).__name__}")
+    token, fields = REFERENCE_FIELDS[type(packet)]
+    texts = [f"{name}={REFERENCE_CODECS[kind][0](name, getattr(packet, name))}" for name, kind in fields]
+    return " ".join([token, *texts])
+
+
+def reference_decode_body(rest: str):
+    """Strictly parse a line's body field by field."""
+    tokens = rest.split(" ")
+    type_token = tokens[0]
+    classes = {token: cls for cls, (token, _) in REFERENCE_FIELDS.items()}
+    if type_token not in classes:
+        raise UnknownPacketTypeError(f"unknown packet type token {type_token!r}")
+    cls = classes[type_token]
+    fields = REFERENCE_FIELDS[cls][1]
+    body = tokens[1:]
+    if len(body) != len(fields):
+        raise TraceDecodeError(f"{type_token} line has {len(body)} fields, expected {len(fields)}")
+    values = []
+    for (name, kind), token in zip(fields, body):
+        key, sep, raw = token.partition("=")
+        if key != name or not sep:
+            raise TraceFieldError(name, f"expected {name}=<value>, got {token!r}")
+        values.append(REFERENCE_CODECS[kind][1](name, raw))
+    try:
+        return cls(*values)
+    except ValueError as exc:
+        raise TraceDecodeError(f"decoded {type_token} violates its invariants: {exc}") from exc
 
 
 def aggregate_metrics(

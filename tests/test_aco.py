@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 
@@ -111,6 +110,35 @@ def test_deposit_prefers_higher_bandwidth():
     lo = pheromone_deposit(PathMetrics(0.01, 2e6, 10.0, 0.1, 3), w, bounds)
     hi = pheromone_deposit(PathMetrics(0.01, 4e6, 10.0, 0.1, 3), w, bounds)
     assert hi > lo
+
+
+# inside, at and beyond each default bound, and a negative zero, which a
+# bound of 0.0 scales to -0.0
+_any_scale = st.one_of(st.floats(0.0, 1e8), st.sampled_from([-0.0, 1e-6, 1e-4, 1e-3, 2.0, 32.0, 100.0, 1e7]))
+
+
+@given(
+    delay=_any_scale.filter(lambda v: v > 0), bandwidth=_any_scale.filter(lambda v: v > 0),
+    energy=_any_scale, drain=_any_scale, hops=st.integers(2, 40),
+    zero_lows=st.booleans(),
+)
+def test_deposit_scales_each_metric_as_normalize_does(delay, bandwidth, energy, drain, hops, zero_lows):
+    bounds = NormalizationBounds()
+    if zero_lows:
+        bounds = NormalizationBounds(*[(0.0, hi) for _, hi in (
+            bounds.delay, bounds.bandwidth, bounds.energy, bounds.drain_rate, bounds.hop_count
+        )])
+    m = PathMetrics(delay, bandwidth, energy, drain, hops)
+    w = DepositWeights(1.0, 0.5, 2.0, 1.0, 0.0)
+    want = deposit_ratio(
+        normalize(m.bandwidth, *bounds.bandwidth),
+        normalize(m.energy, *bounds.energy),
+        normalize(m.delay, *bounds.delay),
+        normalize(float(m.hop_count), *bounds.hop_count),
+        normalize(m.drain_rate, *bounds.drain_rate),
+        w,
+    )
+    assert pheromone_deposit(m, w, bounds) == want
 
 
 _metric_values = {
@@ -297,7 +325,7 @@ def test_zero_drain_rate_is_floored_not_rejected():
     cands = [_entry(0.5, drain=0.0), _entry(0.8, drain=0.0, delay=0.02), _entry(1.0)]
     got = path_preference(cands, PreferenceWeights())
     floored = [
-        (tau, dataclasses.replace(m, drain_rate=max(m.drain_rate, DRAIN_FLOOR)))
+        (tau, PathMetrics(m.delay, m.bandwidth, m.energy, max(m.drain_rate, DRAIN_FLOOR), m.hop_count))
         for tau, m in cands
     ]
     want = _preference_oracle(floored, PreferenceWeights())

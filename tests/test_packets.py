@@ -6,7 +6,7 @@ import inspect
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from anttora import packets
 from anttora.agent import NodeAgent, ProtocolParams
@@ -31,7 +31,13 @@ from anttora.packets import (
 )
 from anttora.scenario import DEFAULT_CONTROL_BITS, LinkSpec
 
-from conftest import MALFORMED_EVENT_FIELDS
+from conftest import (
+    MALFORMED_EVENT_FIELDS,
+    REFERENCE_CODECS,
+    REFERENCE_FIELDS,
+    reference_decode_body,
+    reference_encode_body,
+)
 
 # six-fractional-digit grid: values that survive the canonical rounding
 _q6 = st.integers(0, 10_000_000).map(lambda n: n / 1e6)
@@ -390,3 +396,93 @@ def test_registry_names_agent_handlers_and_defaulted_bits_keys():
         agent.link_up(sender, 0.0)
         assert isinstance(getattr(agent, kind.handler)(samples[cls], sender, 2.0), list)
     assert set(CONTROL_BITS_KEYS) == set(DEFAULT_CONTROL_BITS)
+
+
+def test_field_codecs_are_pinned():
+    # each field's name and codec, per packet type, in line order: a Python
+    # that read the field types otherwise would write another trace
+    got = {
+        cls: [(name, fmt.__name__, parse.__name__) for name, fmt, parse in codecs]
+        for cls, codecs in packets.FIELD_CODECS.items()
+    }
+    kinds = {
+        "int": ("_fmt_int", "_parse_int"),
+        "float": ("_fmt_float", "_parse_float"),
+        "ids": ("_fmt_ids", "_parse_ids"),
+        "height": ("_fmt_height", "_parse_height"),
+        "level": ("_fmt_level", "_parse_level"),
+    }
+    assert set(kinds) == set(REFERENCE_CODECS)
+    assert got == {
+        cls: [(name, *kinds[kind]) for name, kind in fields] for cls, (_, fields) in REFERENCE_FIELDS.items()
+    }
+    assert {cls: token for cls, (token, _) in REFERENCE_FIELDS.items()} == {
+        cls: kind.token for cls, kind in PACKET_KINDS.items()
+    }
+
+
+# what a value slot may be handed: the six-digit grid, a negative zero, large
+# and non-finite magnitudes, and the types the encoder refuses
+_wild = st.one_of(
+    _q6,
+    st.just(-0.0),
+    st.integers(-3, 99),
+    st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+)
+_wild_hops = st.lists(_wild, max_size=3)
+_wild_height = st.one_of(
+    st.builds(Height.null, _wild),
+    st.builds(Height, _wild, _wild, st.sampled_from([0, 1, False, True, 0.0, 1.0]), _wild, _wild),
+)
+_wild_packet = st.one_of(
+    _packets(HelloAnt, _wild, _wild, _wild, _wild, _wild),
+    _packets(lambda t, s, d, hops: QryRequestAnt(t, s, d, (s, *hops)), _wild, _wild, _wild, _wild_hops),
+    _packets(QryReplyAnt, _wild, _wild, _wild, _wild, _wild, _wild, _wild, _wild_hops.map(tuple), _wild_height),
+    _packets(UpdPacket, _wild, _wild_height),
+    _packets(ErrorPacket, st.lists(_wild, min_size=2, max_size=4).map(tuple)),
+    _packets(ClrPacket, _wild, st.tuples(_wild, _wild, st.sampled_from([1, True, 1.0]))),
+    _packets(
+        lambda s, d, seq, bits, hops: DataPacket(s, d, seq, bits, (s, *hops, d)),
+        _wild, _wild, _wild, _wild, _wild_hops,
+    ),
+)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives, as a comparable value: the repr and class of
+    its result, or the class, text and blamed field of what it raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "field_name", None))
+    return ("returned", type(result), repr(result))
+
+
+@given(packet=_wild_packet)
+@example(packet=HelloAnt(3, -0.0, 10**30, 0.25, 10**30))
+@example(packet=HelloAnt(3, 1.0, math.nan, 0.25, 512))
+@example(packet=HelloAnt(True, 1.0, 50.0, 0.25, 512))
+@example(packet=UpdPacket(1, Height(-math.inf, 2, 0, 1, 3)))
+def test_body_encoder_agrees_with_the_field_by_field_codec(packet):
+    assert _outcome(packets._encode_body, packet) == _outcome(reference_encode_body, packet)
+
+
+# a body with up to three characters replaced by up to three others
+@given(
+    packet=_wild_packet,
+    cut=st.tuples(st.integers(0, 200), st.integers(0, 3)),
+    patch=st.text("0123456789-.,:=+ naeiflux_", max_size=3),
+)
+@example(packet=HelloAnt(3, 1.0, 50.0, 0.25, 512), cut=(6, 0), patch="+")
+@example(packet=UpdPacket(7, Height(1.0, 2, 0, 0, 4)), cut=(25, 1), patch="7")
+def test_body_decoder_agrees_with_the_field_by_field_codec(packet, cut, patch):
+    try:
+        body = reference_encode_body(packet)
+    except ValueError:
+        return
+    start = min(cut[0], len(body))
+    mutated = body[:start] + patch + body[start + cut[1]:]
+    for text in (body, mutated):
+        assert _outcome(packets._decode_body, text) == _outcome(reference_decode_body, text)
