@@ -12,7 +12,6 @@ at ``DRAIN_FLOOR``, so a path over nodes that have spent nothing scores finitely
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 NORMAL_FLOOR = 1e-6
@@ -65,33 +64,30 @@ class PathMetrics(_PathMetricsFields):
         return tuple.__new__(cls, (delay, bandwidth, energy, drain_rate, hop_count))
 
 
-@dataclass(frozen=True)
-class DepositWeights:
-    """Exponents weighting each metric in the pheromone deposit ratio."""
-
+class _DepositWeightsFields(NamedTuple):
     bandwidth: float = 1.0
     energy: float = 1.0
     delay: float = 1.0
     hop_count: float = 1.0
     drain_rate: float = 1.0
 
-    def __post_init__(self) -> None:
-        for name in ("bandwidth", "energy", "delay", "hop_count", "drain_rate"):
-            v = getattr(self, name)
+
+class DepositWeights(_DepositWeightsFields):
+    """Exponents weighting each metric in the pheromone deposit ratio. A
+    tuple, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "DepositWeights":
+        self = super().__new__(cls, *args, **kwargs)
+        for name, v in zip(self._fields, self):
             _require_finite(name, v)
             if v < 0:
                 raise ValueError(f"deposit weight {name} must be >= 0, got {v}")
+        return self
 
 
-@dataclass(frozen=True)
-class PreferenceWeights:
-    """Exponents for next-hop preference, plus the two decay factors.
-
-    ``persistence`` scales old pheromone at deposit time (in (0, 1));
-    ``decay`` is the fraction evaporated on each evaporation tick (in
-    (0, 1]).
-    """
-
+class _PreferenceWeightsFields(NamedTuple):
     pheromone: float = 1.0
     delay: float = 1.0
     hop_count: float = 1.0
@@ -101,7 +97,20 @@ class PreferenceWeights:
     persistence: float = 0.7
     decay: float = 0.1
 
-    def __post_init__(self) -> None:
+
+class PreferenceWeights(_PreferenceWeightsFields):
+    """Exponents for next-hop preference, plus the two decay factors. A
+    tuple, checked when built.
+
+    ``persistence`` scales old pheromone at deposit time (in (0, 1));
+    ``decay`` is the fraction evaporated on each evaporation tick (in
+    (0, 1]).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "PreferenceWeights":
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("pheromone", "delay", "hop_count", "bandwidth", "energy", "drain_rate"):
             v = getattr(self, name)
             _require_finite(name, v)
@@ -111,29 +120,35 @@ class PreferenceWeights:
             raise ValueError(f"persistence must be in (0, 1), got {self.persistence}")
         if not 0.0 < self.decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
+        return self
 
 
-@dataclass(frozen=True)
-class NormalizationBounds:
-    """Per-scenario reference ranges mapping raw metrics into [floor, 1].
-
-    The deposit ratio mixes quantities of different units; each metric is
-    min-max scaled against these bounds (and clamped) before entering it.
-    """
-
+class _NormalizationBoundsFields(NamedTuple):
     delay: tuple[float, float] = (1e-4, 1.0)
     bandwidth: tuple[float, float] = (1e3, 1e7)
     energy: tuple[float, float] = (1e-3, 100.0)
     drain_rate: tuple[float, float] = (1e-6, 1.0)
     hop_count: tuple[float, float] = (2.0, 32.0)
 
-    def __post_init__(self) -> None:
-        for name in ("delay", "bandwidth", "energy", "drain_rate", "hop_count"):
-            lo, hi = getattr(self, name)
+
+class NormalizationBounds(_NormalizationBoundsFields):
+    """Per-scenario reference ranges mapping raw metrics into [floor, 1]. A
+    tuple, checked when built.
+
+    The deposit ratio mixes quantities of different units; each metric is
+    min-max scaled against these bounds (and clamped) before entering it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "NormalizationBounds":
+        self = super().__new__(cls, *args, **kwargs)
+        for name, (lo, hi) in zip(self._fields, self):
             _require_finite(name, lo)
             _require_finite(name, hi)
             if not lo < hi:
                 raise ValueError(f"bounds for {name} need lo < hi, got ({lo}, {hi})")
+        return self
 
 
 def normalize(value: float, lo: float, hi: float, floor: float = NORMAL_FLOOR) -> float:

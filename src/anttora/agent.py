@@ -39,7 +39,6 @@ along the data packet's path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .aco import (
@@ -80,22 +79,28 @@ class SimClockError(Exception):
     """A packet arrived at or before its own send time."""
 
 
-@dataclass(frozen=True)
-class QosConstraints:
-    """Componentwise admission thresholds for cached routes."""
-
+class _QosConstraintsFields(NamedTuple):
     max_delay: float = 10.0
     min_bandwidth: float = 1.0
     min_energy: float = 1e-6
     max_drain_rate: float = 1e6
     max_hop_count: int = 32  # counts nodes, endpoints included
 
-    def __post_init__(self) -> None:
+
+class QosConstraints(_QosConstraintsFields):
+    """Componentwise admission thresholds for cached routes. A tuple,
+    checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "QosConstraints":
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("max_delay", "min_bandwidth", "min_energy", "max_drain_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_hop_count < 2:
             raise ValueError(f"max_hop_count must be >= 2, got {self.max_hop_count}")
+        return self
 
     def admits(self, m: PathMetrics) -> bool:
         return (
@@ -107,9 +112,9 @@ class QosConstraints:
         )
 
 
-@dataclass
-class NeighborInfo:
-    """Last heard energy budget and bandwidth estimate for one neighbor."""
+class NeighborInfo(NamedTuple):
+    """Last heard energy budget and bandwidth estimate for one neighbor;
+    each hello replaces it whole."""
 
     residual_energy: float
     drain_rate: float
@@ -117,22 +122,26 @@ class NeighborInfo:
     last_hello: float
 
 
-@dataclass
 class Link:
     """One up link: when it came up, its pheromone and the last hello heard."""
 
-    since: float
-    tau: float
-    hello: NeighborInfo | None = None
+    __slots__ = ("since", "tau", "hello")
+
+    def __init__(self, since: float, tau: float) -> None:
+        self.since = since
+        self.tau = tau
+        self.hello: NeighborInfo | None = None
 
 
-@dataclass
 class NodeEnergy:
     """Residual battery plus a smoothed estimate of the dissipation rate."""
 
-    residual: float
-    drain_rate: float = 0.0
-    window_spent: float = 0.0
+    __slots__ = ("residual", "drain_rate", "window_spent")
+
+    def __init__(self, residual: float) -> None:
+        self.residual = residual
+        self.drain_rate = 0.0
+        self.window_spent = 0.0
 
     def debit(self, joules: float) -> bool:
         """Spend energy if affordable; a refused debit leaves state alone."""
@@ -150,21 +159,24 @@ class NodeEnergy:
         self.window_spent = 0.0
 
 
-@dataclass(slots=True)
 class Route:
     """A reply-borne source route: a candidate toward a destination via its
-    first hop, or a QoS-admitted route in the cache."""
+    first hop, or a QoS-admitted route in the cache. Only ``expires_at``
+    changes once it is built."""
 
-    path: tuple[int, ...]
-    metrics: PathMetrics
-    created_at: float
-    expires_at: float
+    __slots__ = ("path", "metrics", "created_at", "expires_at")
 
-    def __post_init__(self) -> None:
-        if len(set(self.path)) != len(self.path):
+    def __init__(
+        self, path: tuple[int, ...], metrics: PathMetrics, created_at: float, expires_at: float
+    ) -> None:
+        if len(set(path)) != len(path):
             raise ValueError("route path must be loop-free")
-        if self.expires_at <= self.created_at:
+        if expires_at <= created_at:
             raise ValueError("route must expire after creation")
+        self.path = path
+        self.metrics = metrics
+        self.created_at = created_at
+        self.expires_at = expires_at
 
     @property
     def next_hop(self) -> int:
@@ -176,17 +188,19 @@ class Route:
         return self.expires_at > now
 
 
-@dataclass
 class Toward:
     """What a node keeps toward one destination. The node is route-required
     toward it exactly while ``request`` is set."""
 
-    tora: NodeToraState
-    candidates: dict[int, Route] = field(default_factory=dict)  # first hop -> route
-    cache: dict[tuple[int, ...], Route] = field(default_factory=dict)  # path -> route
-    request: QryRequestAnt | None = None
-    replied_at: float = -1.0
-    queue: list[tuple[int, int]] = field(default_factory=list)  # [(seq, bits)]
+    __slots__ = ("tora", "candidates", "cache", "request", "replied_at", "queue")
+
+    def __init__(self, tora: NodeToraState) -> None:
+        self.tora = tora
+        self.candidates: dict[int, Route] = {}  # first hop -> route
+        self.cache: dict[tuple[int, ...], Route] = {}  # path -> route
+        self.request: QryRequestAnt | None = None
+        self.replied_at = -1.0
+        self.queue: list[tuple[int, int]] = []  # [(seq, bits)]
 
 
 class Emission(NamedTuple):
@@ -196,8 +210,7 @@ class Emission(NamedTuple):
     to: int | None = None
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class ProtocolParams(NamedTuple):
     """Tunables shared by every agent in a run."""
 
     hello_interval: float = 1.0
@@ -208,10 +221,10 @@ class ProtocolParams:
     initial_pheromone: float = 0.1
     metric_packet_bits: int = 512
     drain_alpha: float = 0.3
-    deposit_weights: DepositWeights = field(default_factory=DepositWeights)
-    preference_weights: PreferenceWeights = field(default_factory=PreferenceWeights)
-    bounds: NormalizationBounds = field(default_factory=NormalizationBounds)
-    qos: QosConstraints = field(default_factory=QosConstraints)
+    deposit_weights: DepositWeights = DepositWeights()
+    preference_weights: PreferenceWeights = PreferenceWeights()
+    bounds: NormalizationBounds = NormalizationBounds()
+    qos: QosConstraints = QosConstraints()
     baseline: bool = False
 
 

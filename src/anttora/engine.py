@@ -38,7 +38,6 @@ import heapq
 import io
 import math
 import random
-from dataclasses import dataclass, replace
 from typing import TextIO
 
 from . import packets
@@ -51,12 +50,19 @@ from .scenario import Scenario
 FRAME_DROPS = ("drop_link_down_at_send", "drop_cancelled_in_flight", "drop_rx_energy", "drop_end_of_run")
 
 
-@dataclass
 class MobilityNode:
-    pos: tuple[float, float]
-    target: tuple[float, float]
-    speed: float
-    pause_until: float = 0.0
+    """Where a node is, the waypoint it heads for at what speed, and until
+    when it pauses."""
+
+    __slots__ = ("pos", "target", "speed", "pause_until")
+
+    def __init__(
+        self, pos: tuple[float, float], target: tuple[float, float], speed: float, pause_until: float = 0.0
+    ) -> None:
+        self.pos = pos
+        self.target = target
+        self.speed = speed
+        self.pause_until = pause_until
 
     def velocity(self, now: float) -> tuple[float, float]:
         if now < self.pause_until or self.speed <= 0.0:
@@ -86,7 +92,7 @@ class Simulation:
         self.rng = random.Random(self.seed)
         params = scenario.protocol
         if mode:
-            params = replace(params, baseline=mode == "baseline_tora")
+            params = params._replace(baseline=mode == "baseline_tora")
         self.agents = {
             i: NodeAgent(i, params, scenario.links, scenario.nodes.initial_energy, self._height_changed)
             for i in range(scenario.nodes.count)

@@ -24,7 +24,7 @@ from typing import BinaryIO, Iterable
 
 from .engine import Simulation
 # validate_trace_order is not called here; perfbench/layers.py wraps it in this module by name
-from .metrics import RunMetrics, compute_metrics, read_trace, validate_trace_order
+from .metrics import RunMetrics, compute_metrics, ordered_sum, read_trace, validate_trace_order
 from .scenario import Scenario
 
 REPORT_SCHEMA = "anttora-report-v1"
@@ -57,7 +57,7 @@ def run_single(
 def _summary_stat(values: list[float]) -> dict:
     if not values:
         return {"mean": 0.0, "min": 0.0, "max": 0.0}
-    return {"mean": sum(values) / len(values), "min": min(values), "max": max(values)}
+    return {"mean": ordered_sum(values) / len(values), "min": min(values), "max": max(values)}
 
 
 def run_experiment(
@@ -97,7 +97,7 @@ def run_experiment(
                 [float(sum(r["metrics"]["control_packets"].values())) for r in runs]
             ),
             "energy_spent_total": _summary_stat(
-                [sum(r["metrics"]["energy_spent"].values()) for r in runs]
+                [ordered_sum(r["metrics"]["energy_spent"].values()) for r in runs]
             ),
         },
     }

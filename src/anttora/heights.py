@@ -22,7 +22,6 @@ differs only where a NULL height is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -106,20 +105,19 @@ class Height(_HeightFields):
         return not self < other
 
 
-@dataclass
 class NodeToraState:
     """One node's routing state toward one destination. ``links`` maps each
     neighbor to the last height heard from it; a link's direction follows
     from that mirror and ``own_height``, written only by ``set_own_height``
     once built. A held route request is the agent's record, not kept here."""
 
-    node: int
-    destination: int
-    links: dict[int, Height] = field(default_factory=dict)
-    own_height: Height = field(init=False)
+    __slots__ = ("node", "destination", "links", "own_height")
 
-    def __post_init__(self) -> None:
-        self.own_height = self.initial_height(self.node)
+    def __init__(self, node: int, destination: int) -> None:
+        self.node = node
+        self.destination = destination
+        self.links: dict[int, Height] = {}
+        self.own_height = self.initial_height(node)
 
     def initial_height(self, node: int) -> Height:
         """Zero for the destination, NULL for every other node."""

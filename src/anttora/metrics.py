@@ -12,24 +12,38 @@ record, so a trace is never split or parsed a second time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .packets import PACKET_KINDS, DataPacket, TraceDecodeError, decode_trace_record
 
 
-@dataclass
 class RunMetrics:
-    """Delivery, delay, overhead, and energy accounting for one run."""
+    """Delivery, delay, overhead, and energy accounting for one run; two
+    are equal when every field is, and the repr names every field."""
 
-    data_sent: int = 0
-    data_delivered: int = 0
-    pdr: float = 0.0
-    mean_end_to_end_delay: float = 0.0
-    control_packets: dict[str, int] = field(default_factory=dict)
-    energy_spent: dict[int, float] = field(default_factory=dict)
-    cache_size: list[tuple[float, int]] = field(default_factory=list)
-    reaction_locality: dict[int, int] = field(default_factory=dict)
+    __slots__ = (
+        "data_sent", "data_delivered", "pdr", "mean_end_to_end_delay",
+        "control_packets", "energy_spent", "cache_size", "reaction_locality",
+    )
+
+    def __init__(self) -> None:
+        self.data_sent = 0
+        self.data_delivered = 0
+        self.pdr = 0.0
+        self.mean_end_to_end_delay = 0.0
+        self.control_packets: dict[str, int] = {}
+        self.energy_spent: dict[int, float] = {}
+        self.cache_size: list[tuple[float, int]] = []
+        self.reaction_locality: dict[int, int] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RunMetrics:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"RunMetrics({fields})"
 
     def to_dict(self) -> dict:
         return {
@@ -46,6 +60,17 @@ class RunMetrics:
             "cache_size": [[t, total] for t, total in self.cache_size],
             "reaction_locality": {str(k): v for k, v in sorted(self.reaction_locality.items())},
         }
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The sum of ``values`` added one by one, left to right, from the int
+    0, as ``sum`` adds them before Python 3.12; from 3.12 ``sum`` rounds a
+    float sum another way, and a report must read the same on every
+    Python."""
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 _DISORDER = "trace packet events are not in canonical order"
@@ -132,7 +157,7 @@ def compute_metrics(lines: Iterable[str]) -> RunMetrics:
     delays = [
         delivered_at[k] - first_send[k] for k in sorted(delivered_at) if k in first_send
     ]
-    metrics.mean_end_to_end_delay = sum(delays) / len(delays) if delays else 0.0
+    metrics.mean_end_to_end_delay = ordered_sum(delays) / len(delays) if delays else 0.0
     return metrics
 
 

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Union, get_type_hints
 
 from .heights import Height
@@ -242,8 +241,7 @@ class DataPacket(_DataFields):
 Packet = Union[HelloAnt, QryRequestAnt, QryReplyAnt, UpdPacket, ErrorPacket, ClrPacket, DataPacket]
 
 
-@dataclass(frozen=True)
-class PacketKind:
+class PacketKind(NamedTuple):
     """What the trace, the frame-cost model and the dispatcher know of one
     packet type.
 

@@ -4,13 +4,20 @@ Scenarios are JSON with a fixed vocabulary. Parsing is strict: unknown keys
 are rejected, every complaint carries the offending field path, and all
 omitted optional sections fall back to the documented defaults so a minimal
 file stays reproducible.
+
+Every record a parse builds is a tuple with named fields whose defaults are
+the documented ones. The weights, bounds and QoS constraints check
+themselves when built; a NamedTuple's ``_replace`` skips those checks, so
+the parser uses it only on records that have none.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .aco import DepositWeights, NormalizationBounds, PreferenceWeights
 from .agent import ProtocolParams, QosConstraints
@@ -35,8 +42,7 @@ class ScenarioError(ValueError):
         self.problems = problems
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     source: int
     destination: int
     rate_pps: float
@@ -45,27 +51,25 @@ class Flow:
     stop: float
 
 
-@dataclass(frozen=True)
-class LinkFailure:
+class LinkFailure(NamedTuple):
     time: float
     a: int
     b: int
 
 
-@dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(NamedTuple):
     capacity: float = 2e6
     propagation: float = 1e-3
     processing: float = 5e-4
-    overrides: dict[tuple[int, int], tuple[float, float]] = field(default_factory=dict)
+    # a tuple's default is one object shared by every instance, so a read-only one
+    overrides: Mapping[tuple[int, int], tuple[float, float]] = MappingProxyType({})
 
     def params(self, a: int, b: int) -> tuple[float, float]:
         key = (min(a, b), max(a, b))
         return self.overrides.get(key, (self.capacity, self.propagation))
 
 
-@dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(NamedTuple):
     mode: str = "static"
     adjacency: tuple[tuple[int, int], ...] = ()
     area: tuple[float, float] = (500.0, 500.0)
@@ -76,15 +80,13 @@ class TopologySpec:
     placement_seed: int | None = None
 
 
-@dataclass(frozen=True)
-class NodesSpec:
+class NodesSpec(NamedTuple):
     count: int = 0
     initial_energy: float = 100.0
     positions: tuple[tuple[float, float], ...] | None = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     nodes: NodesSpec
     topology: TopologySpec
     links: LinkSpec
@@ -310,14 +312,14 @@ def _parse_weights(ctx: _Ctx, data: dict):
     )
     dw_defaults, pw_defaults = DepositWeights(), PreferenceWeights()
     dw_raw = ctx.subsection(data, "aco", "deposit_weights")
-    dw_fields = [f.name for f in fields(DepositWeights)]
+    dw_fields = DepositWeights._fields
     ctx.section(dw_raw, "aco.deposit_weights", set(dw_fields))
     dw_kwargs = {
         k: ctx.number(dw_raw, "aco.deposit_weights", k, getattr(dw_defaults, k), minimum=0.0)
         for k in dw_fields
     }
     pw_raw = ctx.subsection(data, "aco", "preference_weights")
-    pw_fields = [f.name for f in fields(PreferenceWeights) if f.name not in ("persistence", "decay")]
+    pw_fields = [name for name in PreferenceWeights._fields if name not in ("persistence", "decay")]
     ctx.section(pw_raw, "aco.preference_weights", set(pw_fields))
     pw_kwargs = {
         k: ctx.number(pw_raw, "aco.preference_weights", k, getattr(pw_defaults, k), minimum=0.0)
@@ -517,7 +519,7 @@ def parse_scenario(data: dict) -> Scenario:
         mode = "ant_tora"
     if topology.mode == "mobility" and nodes.positions is None and topology.placement_seed is None:
         # fall back to the run seed for placement
-        topology = replace(topology, placement_seed=seed)
+        topology = topology._replace(placement_seed=seed)
 
     if ctx.problems:
         raise ScenarioError(ctx.problems)

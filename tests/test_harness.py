@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
@@ -16,7 +19,7 @@ from anttora.cli import main as cli_main
 from anttora.engine import Simulation
 from anttora.harness import replay, run_experiment, run_single, write_trace
 from anttora.metrics import compute_metrics, validate_trace_order
-from anttora.packets import HelloAnt, TraceDecodeError, decode_trace_record, encode_trace
+from anttora.packets import DataPacket, HelloAnt, TraceDecodeError, decode_trace_record, encode_trace
 
 from conftest import MALFORMED_EVENT_FIELDS, flow, records_of, scenario_dict, static_scenario, trace_of
 
@@ -44,6 +47,37 @@ def test_single_repetition_summary_equals_run_metrics():
     assert report["summary"]["pdr"]["min"] == run["pdr"]
     assert report["summary"]["pdr"]["max"] == run["pdr"]
     assert report["summary"]["mean_end_to_end_delay"]["mean"] == run["mean_end_to_end_delay"]
+
+
+def _left_to_right(values) -> float:
+    return functools.reduce(operator.add, values, 0)
+
+
+def test_report_float_sums_add_left_to_right():
+    # from Python 3.12 sum() rounds a float sum as math.fsum mostly does, not
+    # as adding one by one does; each sum here tells the two apart, so a
+    # report that summed with sum() would read otherwise on 3.12 and later
+    delays = [0.1, 0.2, 0.3]
+    sent = [DataPacket(0, 1, k, 1000, (0, 1)) for k in range(3)]
+    lines = [
+        *BETAS,
+        *(encode_trace(p, 0.0, seq=k + 1, event="snd", nodes=(0,)) for k, p in enumerate(sent)),
+        *(
+            encode_trace(p, d, seq=k + 4, event="rcv", nodes=(1,))
+            for k, (p, d) in enumerate(zip(sent, delays))
+        ),
+    ]
+    assert _left_to_right(delays) != math.fsum(delays)
+    assert compute_metrics(lines).mean_end_to_end_delay == _left_to_right(delays) / 3
+
+    report = run_experiment(static_scenario(8, RING8, flows=[flow(0, 4)]))
+    energy = report["runs"][0]["metrics"]["energy_spent"].values()
+    assert _left_to_right(energy) != math.fsum(energy)
+    assert report["summary"]["energy_spent_total"]["mean"] == _left_to_right(energy)
+
+    tenths = [0.1] * 10
+    assert _left_to_right(tenths) != math.fsum(tenths)
+    assert harness._summary_stat(tenths)["mean"] == _left_to_right(tenths) / 10
 
 
 def test_seed_derivation_is_base_plus_index():

@@ -43,3 +43,23 @@ def test_module_imports_alone_in_a_fresh_interpreter(module, entry):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_no_module_loads_dataclasses():
+    # a fresh run pays for its imports: dataclasses brings inspect, ast, dis
+    # and tokenize, and generates each class it builds with exec
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "static_line.json")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(PACKAGE_DIR)}
+    code = "; ".join(
+        [
+            "import sys",
+            *(f"import anttora.{module}" for module in MODULES),
+            f"anttora.scenario.load_scenario({golden!r})",
+            "print('dataclasses' in sys.modules)",
+        ]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -1,7 +1,10 @@
-"""The value records a run builds by the thousand (the seven packet types,
-``Height``, ``PathMetrics`` and ``Emission``): each is a tuple whose
-constructor refuses what breaks its invariants, whose fields cannot be
-assigned, and, for ``Height``, whose order is TORA's and not the tuple's."""
+"""The value records: those a run builds by the thousand (the seven packet
+types, ``Height``, ``PathMetrics`` and ``Emission``) and those the scenario
+parser builds once (the weights, bounds and constraints, the parameters and
+the scenario's parts). Each is a tuple whose constructor refuses what breaks
+its invariants, whose fields cannot be assigned, and, for ``Height``, whose
+order is TORA's and not the tuple's. ``Route`` is no tuple, since its expiry
+moves, but its constructor refuses as the tuples' do."""
 
 from __future__ import annotations
 
@@ -11,10 +14,11 @@ import operator
 import pytest
 from hypothesis import given, strategies as st
 
-from anttora.aco import PathMetrics
-from anttora.agent import Emission
+from anttora.aco import DepositWeights, NormalizationBounds, PathMetrics, PreferenceWeights
+from anttora.agent import Emission, NeighborInfo, ProtocolParams, QosConstraints, Route
 from anttora.heights import Height
 from anttora.packets import (
+    PACKET_KINDS,
     ClrPacket,
     DataPacket,
     ErrorPacket,
@@ -25,6 +29,7 @@ from anttora.packets import (
     decode_trace_record,
     encode_trace,
 )
+from anttora.scenario import Flow, LinkFailure, LinkSpec, NodesSpec, TopologySpec, parse_scenario
 
 H = Height(2.5, 3, 1, -2, 4)
 
@@ -41,6 +46,19 @@ RECORDS = {
     "null height": Height.null(2),
     "metrics": PathMetrics(0.01, 1e6, 10.0, 0.0, 3),
     "emission": Emission(HelloAnt(3, 1.0, 50.0, 0.25, 512), to=4),
+    "neighbor": NeighborInfo(50.0, 0.25, 1e6, 2.0),
+    "packet kind": PACKET_KINDS[HelloAnt],
+    "deposit weights": DepositWeights(),
+    "preference weights": PreferenceWeights(),
+    "bounds": NormalizationBounds(),
+    "qos": QosConstraints(),
+    "protocol": ProtocolParams(),
+    "flow": Flow(0, 1, 1.0, 1000, 1.0, 2.0),
+    "link failure": LinkFailure(1.0, 0, 1),
+    "links": LinkSpec(),
+    "topology": TopologySpec(),
+    "nodes": NodesSpec(count=2),
+    "scenario": parse_scenario({"nodes": {"count": 2}, "topology": {"adjacency": [[0, 1]]}}),
 }
 
 _REPLY = (3, 0.0125, 40.0, 0.5, 2e6, 0, 7, (5, 6, 7), H)
@@ -103,6 +121,38 @@ REFUSALS = {
         PathMetrics, (0.01, 1e6, 10.0, 0.0, 1), ValueError, "a path joins at least 2 nodes, got 1"
     ),
     "emission arity": (Emission, (), TypeError, "missing 1 required positional argument: 'packet'"),
+    "deposit nan": (DepositWeights, (1.0, math.nan), ValueError, "energy must be finite, got nan"),
+    "deposit negative": (
+        DepositWeights, (-1.0,), ValueError, "deposit weight bandwidth must be >= 0, got -1.0"
+    ),
+    "preference inf": (PreferenceWeights, (math.inf,), ValueError, "pheromone must be finite, got inf"),
+    "preference negative": (
+        PreferenceWeights, (1.0, 1.0, 1.0, 1.0, 1.0, -0.5), ValueError,
+        "preference weight drain_rate must be >= 0, got -0.5",
+    ),
+    "preference persistence": (
+        PreferenceWeights, (1.0,) * 7, ValueError, "persistence must be in (0, 1), got 1.0"
+    ),
+    "preference decay": (
+        PreferenceWeights, (1.0,) * 6 + (0.5, 0.0), ValueError, "decay must be in (0, 1], got 0.0"
+    ),
+    "bounds inf": (
+        NormalizationBounds, ((1e-4, 1.0), (1e3, math.inf)), ValueError, "bandwidth must be finite, got inf"
+    ),
+    "bounds order": (
+        NormalizationBounds, ((1.0, 1.0),), ValueError, "bounds for delay need lo < hi, got (1.0, 1.0)"
+    ),
+    "qos delay": (QosConstraints, (0.0,), ValueError, "max_delay must be positive"),
+    "qos drain": (QosConstraints, (10.0, 1.0, 1e-6, -1.0), ValueError, "max_drain_rate must be positive"),
+    "qos hops": (QosConstraints, (10.0, 1.0, 1e-6, 1e6, 1), ValueError, "max_hop_count must be >= 2, got 1"),
+    "route loop": (
+        Route, ((0, 2, 0), PathMetrics(0.01, 1e6, 10.0, 0.0, 3), 1.0, 2.0), ValueError,
+        "route path must be loop-free",
+    ),
+    "route expiry": (
+        Route, ((0, 2), PathMetrics(0.01, 1e6, 10.0, 0.0, 2), 2.0, 2.0), ValueError,
+        "route must expire after creation",
+    ),
 }
 
 
@@ -123,7 +173,7 @@ def test_no_field_of_a_record_can_be_assigned(record):
         record.extra = 1
 
 
-@pytest.mark.parametrize("name", [n for n in RECORDS if type(RECORDS[n]).__module__ == "anttora.packets"])
+@pytest.mark.parametrize("name", [n for n in RECORDS if type(RECORDS[n]) in PACKET_KINDS])
 def test_a_decoded_packet_is_of_exactly_the_encoded_type(name):
     # the types are tuples, so == alone would let one type stand for another
     packet = RECORDS[name]

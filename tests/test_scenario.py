@@ -7,7 +7,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import fields, replace
 
 import pytest
 
@@ -38,11 +37,11 @@ def minimal():
 
 
 def test_minimal_file_gets_documented_defaults():
-    """Every omitted setting is its dataclass default, compared whole."""
+    """Every omitted setting is its record's default, compared whole."""
     sc = parse_scenario(minimal())
     assert sc.protocol == ProtocolParams()
     assert sc.links == LinkSpec()
-    assert replace(sc.topology, adjacency=()) == TopologySpec()
+    assert sc.topology._replace(adjacency=()) == TopologySpec()
     assert sc.nodes == NodesSpec(count=2)
     assert sc.protocol.evaporation_period == 1.0
     assert sc.beta_tx == 5e-7
@@ -204,10 +203,10 @@ def test_static_link_failure_must_name_a_link(topology, problems, tmp_path, caps
 
 
 def test_validate_lists_weight_problems_in_field_order(tmp_path):
-    # the weights are read in their dataclasses' field order, so the listing
+    # the weights are read in their records' field order, so the listing
     # does not depend on the hash seed of the process that validates
-    deposit = [f.name for f in fields(DepositWeights)]
-    preference = [f.name for f in fields(PreferenceWeights) if f.name not in ("persistence", "decay")]
+    deposit = list(DepositWeights._fields)
+    preference = [name for name in PreferenceWeights._fields if name not in ("persistence", "decay")]
     data = minimal()
     data["aco"] = {
         "deposit_weights": {name: -1 for name in deposit},
