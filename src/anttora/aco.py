@@ -180,19 +180,16 @@ def deposit_ratio(
 def pheromone_deposit(m: PathMetrics, w: DepositWeights, bounds: NormalizationBounds) -> float:
     """Pheromone quantity earned by a discovered path of quality ``m``: each
     metric scaled as ``normalize`` scales it, then ``deposit_ratio``."""
+    span = 1.0 - NORMAL_FLOOR
     scaled = []
-    for value, (lo, hi) in (
-        (m.bandwidth, bounds.bandwidth),
-        (m.energy, bounds.energy),
-        (m.delay, bounds.delay),
-        (float(m.hop_count), bounds.hop_count),
-        (m.drain_rate, bounds.drain_rate),
-    ):
+    # PathMetrics and NormalizationBounds name the five metrics in one order
+    for value, (lo, hi) in zip(m, bounds):
         x = (value - lo) / (hi - lo)
         # where normalize's max(0.0, x) gives 0.0 for a -0.0, this keeps the
         # -0.0, and the sum with the floor comes out the same
-        scaled.append(NORMAL_FLOOR + (1.0 - NORMAL_FLOOR) * (0.0 if x < 0.0 else 1.0 if x > 1.0 else x))
-    return deposit_ratio(*scaled, w)
+        scaled.append(NORMAL_FLOOR + span * (0.0 if x < 0.0 else 1.0 if x > 1.0 else x))
+    delay, bandwidth, energy, drain_rate, hop_count = scaled
+    return deposit_ratio(bandwidth, energy, delay, hop_count, drain_rate, w)
 
 
 def pheromone_update(tau: float, rho: float, delta_tau: float) -> float:

@@ -39,6 +39,7 @@ along the data packet's path.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .aco import (
@@ -123,14 +124,16 @@ class NeighborInfo(NamedTuple):
 
 
 class Link:
-    """One up link: when it came up, its pheromone and the last hello heard."""
+    """One up link: when it came up, its pheromone, the last hello heard,
+    and the delay a metric packet takes over it, which its parameters fix."""
 
-    __slots__ = ("since", "tau", "hello")
+    __slots__ = ("since", "tau", "hello", "delay")
 
-    def __init__(self, since: float, tau: float) -> None:
+    def __init__(self, since: float, tau: float, delay: float) -> None:
         self.since = since
         self.tau = tau
         self.hello: NeighborInfo | None = None
+        self.delay = delay
 
 
 class NodeEnergy:
@@ -192,12 +195,14 @@ class Toward:
     """What a node keeps toward one destination. The node is route-required
     toward it exactly while ``request`` is set."""
 
-    __slots__ = ("tora", "candidates", "cache", "request", "replied_at", "queue")
+    __slots__ = ("tora", "candidates", "cache", "expiry_floor", "request", "replied_at", "queue")
 
     def __init__(self, tora: NodeToraState) -> None:
         self.tora = tora
         self.candidates: dict[int, Route] = {}  # first hop -> route
         self.cache: dict[tuple[int, ...], Route] = {}  # path -> route
+        # at most the earliest expiry in either table; see route_expiry
+        self.expiry_floor = -math.inf
         self.request: QryRequestAnt | None = None
         self.replied_at = -1.0
         self.queue: list[tuple[int, int]] = []  # [(seq, bits)]
@@ -270,16 +275,14 @@ class NodeAgent:
         if self.on_height is not None:
             self.on_height(self.node, state.destination, old, new, now)
 
-    def _metric_link_delay(self, neighbor: int) -> float:
-        capacity, propagation = self.links.params(self.node, neighbor)
-        return propagation + self.params.metric_packet_bits / capacity
-
     # -- link layer --------------------------------------------------------
 
     def link_up(self, neighbor: int, now: float) -> list[Emission]:
         if neighbor in self.adjacent:
             return []
-        self.adjacent[neighbor] = Link(since=now, tau=self.params.initial_pheromone)
+        capacity, propagation = self.links.params(self.node, neighbor)
+        delay = propagation + self.params.metric_packet_bits / capacity
+        self.adjacent[neighbor] = Link(now, self.params.initial_pheromone, delay)
         for toward in self.toward.values():
             toward.tora.add_link(neighbor)
         # an outstanding discovery gets another chance over the new link
@@ -310,11 +313,9 @@ class NodeAgent:
         link = self.adjacent.get(sender)
         if link is None:
             return []
+        # residual energy, drain rate, estimated bandwidth, last hello
         link.hello = NeighborInfo(
-            residual_energy=hello.residual_energy,
-            drain_rate=hello.drain_rate,
-            est_bandwidth=hello.size_bits / (now - hello.send_time),
-            last_hello=now,
+            hello.residual_energy, hello.drain_rate, hello.size_bits / (now - hello.send_time), now
         )
         return []
 
@@ -409,7 +410,7 @@ class NodeAgent:
         usable = link.hello is not None and rep.path_nodes[0] == sender and self.node not in rep.path_nodes
         if usable:
             extended, path = self._extend_metrics(rep, sender)
-            self._insert(toward.candidates, sender, path, extended, now)
+            self._insert(toward, toward.candidates, sender, path, extended, now)
             if not self.params.baseline:
                 deposit = pheromone_deposit(
                     extended, self.params.deposit_weights, self.params.bounds
@@ -550,10 +551,26 @@ class NodeAgent:
 
     def route_expiry(self, dest: int, now: float) -> None:
         """Prune the expired routes toward ``dest`` from both tables: those
-        that ``Route.live`` calls expired, by its test written out."""
+        that ``Route.live`` calls expired, by its test written out.
+
+        Nothing is rebuilt while ``now`` is below the record's
+        ``expiry_floor``, a lower bound on every expiry in both tables, for
+        then no route has expired. The bound starts at -inf, so a record
+        whose tables were filled directly is pruned at its first tick; each
+        rebuild sets it to the earliest expiry left (+inf for none);
+        ``_insert``, which adds every route, lowers it to the new route's
+        expiry if that is earlier; and every other writer only removes
+        routes or, as a refresh on use does, pushes an expiry later, so it
+        stays a bound."""
         toward = self.toward[dest]
-        toward.cache = {path: r for path, r in toward.cache.items() if r.expires_at > now}
-        toward.candidates = {hop: r for hop, r in toward.candidates.items() if r.expires_at > now}
+        if now < toward.expiry_floor:
+            return
+        cache = toward.cache = {path: r for path, r in toward.cache.items() if r.expires_at > now}
+        candidates = toward.candidates = {
+            hop: r for hop, r in toward.candidates.items() if r.expires_at > now
+        }
+        expiries = [r.expires_at for r in cache.values()] + [r.expires_at for r in candidates.values()]
+        toward.expiry_floor = min(expiries, default=math.inf)
 
     # -- internals ------------------------------------------------------------
 
@@ -585,14 +602,19 @@ class NodeAgent:
             return []
         return self.start_discovery(toward.tora.destination, now)
 
-    def _insert(self, routes: dict, key, path: tuple[int, ...], m: PathMetrics, now: float) -> None:
-        """File a route under ``key`` in ``routes``, live for one route TTL.
-        The one writer of both tables: the route keeps the ``created_at`` of
-        a live route it replaces, so a route that replaces an expired one
-        starts a fresh age."""
+    def _insert(
+        self, toward: Toward, routes: dict, key, path: tuple[int, ...], m: PathMetrics, now: float
+    ) -> None:
+        """File a route under ``key`` in ``routes``, one of ``toward``'s
+        tables, live for one route TTL. The one writer of both tables: the
+        route keeps the ``created_at`` of a live route it replaces, so a
+        route that replaces an expired one starts a fresh age."""
         old = routes.get(key)
         created = old.created_at if old and old.live(now) else now
-        routes[key] = Route(path, m, created, expires_at=now + self.params.route_ttl)
+        expires = now + self.params.route_ttl
+        routes[key] = Route(path, m, created, expires)
+        if expires < toward.expiry_floor:
+            toward.expiry_floor = expires
 
     @staticmethod
     def _prune(routes: dict, doomed: Callable[[Route], bool]) -> list[Route]:
@@ -608,9 +630,10 @@ class NodeAgent:
     def _extend_metrics(
         self, rep: QryReplyAnt, sender: int
     ) -> tuple[PathMetrics, tuple[int, ...]]:
-        info = self.adjacent[sender].hello
+        link = self.adjacent[sender]
+        info = link.hello
         metrics = PathMetrics(
-            delay=rep.delay + self._metric_link_delay(sender) + self.links.processing,
+            delay=rep.delay + link.delay + self.links.processing,
             bandwidth=min(rep.bandwidth, info.est_bandwidth),
             energy=min(rep.energy, self.energy.residual),
             drain_rate=max(rep.drain_rate, self.energy.drain_rate),
@@ -624,7 +647,7 @@ class NodeAgent:
         dest = toward.tora.destination
         if not self.params.baseline and not self.params.qos.admits(metrics):
             return []
-        self._insert(toward.cache, path, path, metrics, now)
+        self._insert(toward, toward.cache, path, path, metrics, now)
         queued, toward.queue = toward.queue, []
         return [em for seq, bits in queued for em in self.send_data(dest, bits, seq, now)]
 

@@ -240,6 +240,7 @@ class Simulation:
         arrival = now + bits / links.capacity + links.propagation + links.processing
         up = self.adj[frm]
         batches: dict[float, list[int]] = {}
+        last = batch = None
         for to in receivers:
             if to not in up:
                 self._drop("drop_link_down_at_send", to, packet, now)
@@ -247,7 +248,11 @@ class Simulation:
             if links.overrides:
                 capacity, propagation = links.params(frm, to)
                 arrival = now + bits / capacity + propagation + links.processing
-            batches.setdefault(arrival, []).append(to)
+            # the dict is touched only where the arrival time changes
+            if arrival != last:
+                last = arrival
+                batch = batches.setdefault(arrival, [])
+            batch.append(to)
         for arrival, batch in batches.items():
             self.counters["frames_sent"] += len(batch)
             # a frame sent in reaction to a link failure carries the failure's id
@@ -375,7 +380,17 @@ class Simulation:
 
     def _crossings(self, t0: float, t1: float) -> None:
         """Schedule the exact range crossings of pairwise-linear motion on
-        [t0, t1)."""
+        [t0, t1), pair by pair in (a, b) order.
+
+        Only the pairs in a distance band around the range are solved.
+        Velocities are constant within a segment and no node moves faster
+        than ``vmax``, so a pair's distance changes by at most ``2 * vmax *
+        (t1 - t0)`` in it. A pair whose distance at ``t0`` is farther than
+        that from the range, plus 1 m of slack for rounding, stays on its
+        side of the range, and its quadratic has no root in the segment:
+        the skin argument of Verlet neighbour lists (Allen and Tildesley,
+        *Computer Simulation of Liquids*, 1987). Every other pair is solved
+        as the all-pairs scan solved it."""
         r = self.scenario.topology.comm_range
         rr = r * r
         # each node's position and velocity, read once per segment
@@ -383,15 +398,22 @@ class Simulation:
             (i, m.pos[0], m.pos[1], *m.velocity(t0))
             for i, m in sorted(self.mobility.items())
         ]
+        vmax = max((math.hypot(vx, vy) for _i, _x, _y, vx, vy in state), default=0.0)
+        skin = 2.0 * vmax * (t1 - t0) + 1.0
+        inner = max(r - skin, 0.0) ** 2
+        outer = (r + skin) ** 2
         for ai, (a, ax, ay, avx, avy) in enumerate(state):
             for b, bx, by, bvx, bvy in state[ai + 1 :]:
                 dx, dy = ax - bx, ay - by
+                d2 = dx * dx + dy * dy
+                if d2 < inner or d2 > outer:
+                    continue
                 vx, vy = avx - bvx, avy - bvy
                 qa = vx * vx + vy * vy
                 if qa <= 1e-18:
                     continue
                 qb = 2.0 * (dx * vx + dy * vy)
-                qc = dx * dx + dy * dy - rr
+                qc = d2 - rr
                 disc = qb * qb - 4.0 * qa * qc
                 if disc <= 0.0:
                     continue

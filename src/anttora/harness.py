@@ -45,11 +45,14 @@ def run_single(
         path = trace_path
         if path is None:
             path = os.path.join(stack.enter_context(tempfile.TemporaryDirectory()), "run.trace")
-        with tempfile.TemporaryFile("w+", encoding="utf-8") as spool:
+        # write-only, so no write resets a text decoder; read back as bytes
+        # through the same descriptor
+        with tempfile.TemporaryFile("w", encoding="utf-8") as spool:
             sim = Simulation(scenario, seed=seed, mode=mode, trace_file=spool).run()
             spool.flush()
-            spool.buffer.seek(0)
-            write_trace(path, sim.trace_lines(), spool.buffer)
+            with open(spool.fileno(), "rb", closefd=False) as events:
+                events.seek(0)
+                write_trace(path, sim.trace_lines(), events)
         metrics = compute_metrics(read_trace(path))
     return trace_path, metrics, sim
 

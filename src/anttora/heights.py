@@ -70,7 +70,15 @@ class Height(_HeightFields):
 
     @classmethod
     def null(cls, node: int) -> "Height":
-        return cls(None, None, None, None, node)
+        """The NULL height of ``node``. A ``Height`` is immutable, so one
+        per int node id is built and shared; a subclass, or a node id that
+        is not an int (1.0 and True would find node 1's), builds its own."""
+        if cls is not Height or type(node) is not int:
+            return cls(None, None, None, None, node)
+        null = _NULLS.get(node)
+        if null is None:
+            null = _NULLS[node] = cls(None, None, None, None, node)
+        return null
 
     @classmethod
     def zero(cls, node: int) -> "Height":
@@ -103,6 +111,10 @@ class Height(_HeightFields):
 
     def __ge__(self, other: "Height") -> bool:
         return not self < other
+
+
+# node id -> its shared NULL height, filled by Height.null
+_NULLS: dict[int, Height] = {}
 
 
 class NodeToraState:

@@ -1,7 +1,8 @@
 """Shared scenario builders for engine, harness, and acceptance tests, the
 batch metric oracle for the aco and agent tests, the link-direction and
-maintenance oracles for the height, agent and acceptance tests, and the
-field-by-field trace body codec, the oracle for the packet codec tests."""
+maintenance oracles for the height, agent and acceptance tests, the
+field-by-field trace body codec, the oracle for the packet codec tests, and
+the all-pairs range-crossing scan, the oracle for the engine's pruned one."""
 
 from __future__ import annotations
 
@@ -267,6 +268,32 @@ def maintenance_oracle(state, trigger, now, levels_equal, r, oid_is_self):
     if r == 0:
         return Height(tau, oid, 1, 0, me)
     return None if oid_is_self else fresh
+
+
+def reference_crossings(mobility, r, t0, t1) -> list[tuple[float, int, int, bool]]:
+    """Every range crossing of pairwise-linear motion on [t0, t1), as
+    (time, a, b, up) in the order the engine schedules them: the engine's
+    all-pairs scan, which solves every pair's quadratic."""
+    rr = r * r
+    state = [(i, m.pos[0], m.pos[1], *m.velocity(t0)) for i, m in sorted(mobility.items())]
+    out = []
+    for ai, (a, ax, ay, avx, avy) in enumerate(state):
+        for b, bx, by, bvx, bvy in state[ai + 1 :]:
+            dx, dy = ax - bx, ay - by
+            vx, vy = avx - bvx, avy - bvy
+            qa = vx * vx + vy * vy
+            if qa <= 1e-18:
+                continue
+            qb = 2.0 * (dx * vx + dy * vy)
+            qc = dx * dx + dy * dy - rr
+            disc = qb * qb - 4.0 * qa * qc
+            if disc <= 0.0:
+                continue
+            sq = math.sqrt(disc)
+            for s, up in (((-qb - sq) / (2 * qa), True), ((-qb + sq) / (2 * qa), False)):
+                if s > -1e-12 and t0 + s < t1 - 1e-12:
+                    out.append((t0 + max(s, 0.0), a, b, up))
+    return out
 
 
 def scenario_dict(n, edges, flows=(), **overrides) -> dict:

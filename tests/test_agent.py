@@ -10,13 +10,15 @@ import heapq
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from anttora.aco import PreferenceWeights, path_preference
+from anttora.aco import PathMetrics, PreferenceWeights, path_preference
 from anttora.agent import (
     NodeAgent,
     NodeEnergy,
     ProtocolParams,
     QosConstraints,
+    Route,
     SimClockError,
 )
 from anttora.heights import Height, has_downstream
@@ -790,6 +792,64 @@ def test_an_evaporation_tick_prunes_expired_candidates_and_cached_routes():
     assert toward.candidates == {}
     # the tick prunes expired cached routes too
     assert toward.cache == {}
+
+
+# what the expiry-bound property mixes: inserts, a refresh on use, prunes,
+# erasures, direct removals from a table, and evaporation ticks
+ROUTE_TABLE_OPS = ("insert", "refresh", "prune", "erase", "remove", "tick")
+
+
+@settings(deadline=None)
+@given(
+    fill=st.lists(st.floats(0.1, 3.0), max_size=4),
+    ops=st.lists(
+        st.tuples(st.sampled_from(ROUTE_TABLE_OPS), st.integers(0, 2**16), st.floats(0.0, 1.5)),
+        max_size=40,
+    ),
+)
+# a route filed after a rebuild emptied its record must lower the bound
+@example(fill=[], ops=[("insert", 0, 0.0), ("tick", 0, 1.0), ("insert", 0, 0.0), ("tick", 0, 1.0)])
+# the bound is the earliest expiry left, not the latest
+@example(fill=[], ops=[("insert", 0, 0.0), ("insert", 4, 0.5), ("tick", 0, 0.0), ("tick", 0, 0.7)])
+def test_a_tick_leaves_the_tables_a_full_rebuild_would(fill, ops):
+    """Whatever the expiry bound skips, every tick leaves both tables of
+    every record as rebuilding them would: the routes that ``live`` keeps."""
+    # a TTL of one time step or so, so that routes expire between ticks
+    ttl = 1.0
+    agent = NodeAgent(0, ProtocolParams(route_ttl=ttl), LinkSpec(CAPACITY, PROP, PROC), 100.0)
+    for j in (1, 2, 3):
+        agent.link_up(j, 0.0)
+    m = PathMetrics(0.01, 1e6, 50.0, 0.1, 3)
+    # a record filled directly, before its first tick, as the tests above do
+    direct = agent._toward(9)
+    for k, expires in enumerate(fill):
+        direct.cache[(0, 1 + k % 3, 5 + k, 9)] = Route((0, 1 + k % 3, 5 + k, 9), m, 0.0, expires)
+    agent._toward(8)
+    now = 0.0
+    for op, pick, step in ops:
+        now += step
+        toward = agent.toward[8 + pick % 2]
+        dest = toward.tora.destination
+        table = toward.cache if pick & 2 else toward.candidates
+        hop = 1 + pick % 3
+        if op == "insert":
+            path = (0, hop, dest) if pick & 4 else (0, hop, 6, dest)
+            agent._insert(toward, table, path if table is toward.cache else hop, path, m, now)
+        elif op == "refresh":
+            for r in agent._live(toward.cache, now)[:1]:
+                r.expires_at = now + ttl  # as send_data refreshes a route it uses
+        elif op == "prune":
+            agent._prune(table, lambda r: r.next_hop == hop)
+        elif op == "erase":
+            agent._erase_state(toward, (now, 0, 1), now)
+        elif op == "remove" and table:
+            del table[sorted(table)[pick % len(table)]]
+        elif op == "tick":
+            before = {t.tora.destination: (dict(t.cache), dict(t.candidates)) for t in agent.toward.values()}
+            agent.evaporation_tick(now)
+            for d, (cache, candidates) in before.items():
+                assert agent.toward[d].cache == {k: r for k, r in cache.items() if r.live(now)}
+                assert agent.toward[d].candidates == {k: r for k, r in candidates.items() if r.live(now)}
 
 
 def test_clr_drops_routes_through_any_reset_neighbor_but_candidates_only_via_one():

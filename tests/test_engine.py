@@ -6,13 +6,14 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from anttora.engine import MobilityNode, Simulation
 from anttora.metrics import compute_metrics
 from anttora.packets import DataPacket, HelloAnt, QryRequestAnt, decode_trace_record
 from anttora.scenario import parse_scenario
 
-from conftest import flow, records_of, static_scenario, trace_of
+from conftest import flow, records_of, reference_crossings, static_scenario, trace_of
 
 
 def run(scenario, seed=None, mode=None):
@@ -289,30 +290,12 @@ def test_touching_the_range_and_turning_back_keeps_the_link():
     assert [c for c in link_changes(sim) if not c[2]] == []
 
 
-def _reference_crossings(mobility, r, t0, t1):
-    """Brute force: read both nodes' velocity for every pair."""
-    out = []
-    nodes = sorted(mobility)
-    for ai in range(len(nodes)):
-        for bi in range(ai + 1, len(nodes)):
-            a, b = nodes[ai], nodes[bi]
-            ma, mb = mobility[a], mobility[b]
-            va, vb = ma.velocity(t0), mb.velocity(t0)
-            dx, dy = ma.pos[0] - mb.pos[0], ma.pos[1] - mb.pos[1]
-            vx, vy = va[0] - vb[0], va[1] - vb[1]
-            qa = vx * vx + vy * vy
-            qb = 2.0 * (dx * vx + dy * vy)
-            qc = dx * dx + dy * dy - r * r
-            if qa <= 1e-18:
-                continue
-            disc = qb * qb - 4.0 * qa * qc
-            if disc <= 0.0:
-                continue
-            sq = math.sqrt(disc)
-            for s, up in (((-qb - sq) / (2 * qa), True), ((-qb + sq) / (2 * qa), False)):
-                if s > -1e-12 and t0 + s < t1 - 1e-12:
-                    out.append((t0 + max(s, 0.0), a, b, up))
-    return out
+def _scheduled_crossings(sim):
+    return [
+        (t, *args)
+        for t, _seq, handler, args in sorted(sim.queue, key=lambda ev: ev[1])
+        if handler == sim._on_link_change
+    ]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -328,14 +311,91 @@ def test_crossing_scan_matches_per_pair_reference(seed):
         sim.mobility[i] = MobilityNode(pos=point(), target=point(), speed=speed, pause_until=pause)
     sim.queue.clear()
     sim._crossings(t0, t0 + 5.0)
-    got = [
-        (t, *args)
-        for t, _seq, handler, args in sorted(sim.queue, key=lambda ev: ev[1])
-        if handler == sim._on_link_change
-    ]
-    want = _reference_crossings(sim.mobility, sc.topology.comm_range, t0, t0 + 5.0)
+    got = _scheduled_crossings(sim)
+    want = reference_crossings(sim.mobility, sc.topology.comm_range, t0, t0 + 5.0)
     assert want, "the random motion should cross the range somewhere"
     assert got == want
+
+
+@st.composite
+def crossing_segments(draw):
+    """A segment [t0, t1), its top speed, and nodes placed where the
+    crossing band decides: within 1e-9 m of the range at t0 (roots at or just
+    before t0), on either edge of the band closing or opening head-on at top
+    speed, paused, or moving in step with another node, in segments down to
+    far shorter than a mobility step."""
+    r = draw(st.sampled_from([20.0, 150.0, 200.0]))
+    vmax = draw(st.sampled_from([0.0, 1.0, 10.0, 60.0]))
+    t0 = draw(st.floats(0.0, 50.0))
+    t1 = t0 + draw(st.one_of(st.floats(1e-6, 1e-2), st.floats(1e-2, 5.0)))
+    skin = 2.0 * vmax * (t1 - t0) + 1.0
+    angles = st.floats(0.0, 2.0 * math.pi)
+    nodes = []
+
+    def place(pos, heading, speed, pause_until=0.0):
+        # a waypoint far along the heading, so the node moves straight
+        target = (pos[0] + 1e5 * math.cos(heading), pos[1] + 1e5 * math.sin(heading))
+        nodes.append(MobilityNode(pos=pos, target=target, speed=speed, pause_until=pause_until))
+
+    def point():
+        return (draw(st.floats(0.0, 3.0 * r)), draw(st.floats(0.0, 3.0 * r)))
+
+    place(point(), draw(angles), draw(st.floats(0.0, vmax)))
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["free", "at_range", "head_on", "paused", "in_step"]))
+        anchor = nodes[draw(st.integers(0, len(nodes) - 1))]
+        if kind == "free":
+            place(point(), draw(angles), draw(st.floats(0.0, vmax)))
+        elif kind == "at_range":
+            phi, d = draw(angles), r + draw(st.floats(-1e-9, 1e-9))
+            pos = (anchor.pos[0] + d * math.cos(phi), anchor.pos[1] + d * math.sin(phi))
+            place(pos, draw(angles), draw(st.floats(0.0, vmax)))
+        elif kind == "head_on":
+            # closing from outside the range or opening from inside it, up to
+            # one skin past it: only the full 2 * vmax bound keeps these
+            side = draw(st.sampled_from([1.0, -1.0]))
+            d = max(r + side * (draw(st.floats(0.0, 1.0)) * skin + draw(st.floats(-0.5, 0.5))), 0.5)
+            phi = draw(angles)
+            p = point()
+            q = (p[0] + d * math.cos(phi), p[1] + d * math.sin(phi))
+            toward = phi if side > 0 else phi + math.pi
+            place(p, toward, vmax)
+            place(q, toward + math.pi, vmax)
+        elif kind == "paused":
+            place(point(), draw(angles), draw(st.floats(0.0, vmax)), pause_until=t0 + draw(st.floats(1e-9, 10.0)))
+        else:  # same heading and speed as the anchor, give or take a hair
+            heading = math.atan2(anchor.target[1] - anchor.pos[1], anchor.target[0] - anchor.pos[0])
+            place(point(), heading + draw(st.sampled_from([0.0, 1e-12, 1e-7])), anchor.speed, anchor.pause_until)
+    return r, t0, t1, nodes
+
+
+def _head_on(r, gap, speed, t1):
+    """Two nodes ``r + gap`` apart on the x axis at t0 = 0, closing (gap > 0)
+    or opening (gap < 0) head-on at ``speed`` each, over [0, t1)."""
+    d = r + gap
+    step = 1.0 if gap > 0 else -1.0
+    return r, 0.0, t1, [
+        MobilityNode(pos=(0.0, 0.0), target=(step * 1e5, 0.0), speed=speed),
+        MobilityNode(pos=(d, 0.0), target=(d - step * 1e5, 0.0), speed=speed),
+    ]
+
+
+@settings(deadline=None)
+@given(crossing_segments())
+# 30 m from the range with 20 m/s of closing speed over 2 s: they cross at
+# 1.5 s, inside a band of 2 * vmax * 2 s + 1 m = 41 m but outside one of 21 m
+@example(_head_on(20.0, 30.0, 10.0, 2.0))
+@example(_head_on(150.0, -30.0, 10.0, 2.0))
+def test_band_pruned_scan_schedules_what_the_all_pairs_scan_does(segment):
+    r, t0, t1, nodes = segment
+    n = len(nodes)
+    sim = Simulation(mobility_scenario(
+        nodes={"count": n, "positions": [[0.0, 0.0]] * n}, topology={"comm_range": r}
+    ))
+    sim.mobility = dict(enumerate(nodes))
+    sim.queue.clear()
+    sim._crossings(t0, t1)
+    assert _scheduled_crossings(sim) == reference_crossings(sim.mobility, r, t0, t1)
 
 
 def test_pause_time_holds_then_releases_the_node():

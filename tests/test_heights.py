@@ -32,6 +32,25 @@ def test_height_must_be_all_null_or_all_set():
     assert not Height.zero(4).is_null
 
 
+@given(st.integers(-(2**40), 2**40))
+def test_null_height_is_shared_and_equals_a_fresh_one(node):
+    fresh = Height(None, None, None, None, node)
+    null = Height.null(node)
+    assert null == fresh and type(null) is Height and null.node == node
+    assert Height.null(node) is null
+
+
+def test_a_subclass_never_gets_the_shared_null_height():
+    class Tagged(Height):
+        __slots__ = ()
+
+    shared = Height.null(5)
+    tagged = Tagged.null(5)
+    assert type(tagged) is Tagged and tagged == shared and tagged is not shared
+    # nor does a subclass call leave its own instance in the cache
+    assert type(Tagged.null(6)) is Tagged and type(Height.null(6)) is Height
+
+
 def test_reference_level_prefix():
     assert Height(5.0, 2, 1, -3, 7).level == (5.0, 2, 1)
     assert Height.null(7).level is None
